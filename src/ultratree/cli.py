@@ -18,7 +18,6 @@ import csv
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -28,10 +27,9 @@ from .words import (ExplicitWindow, FullShift, SturmianCF, Substitution,
                     repetitivity_estimate, repulsiveness_estimates,
                     right_special_words)
 from .tree import StructuralError, build_tree
-from .metrics import (DeltaSequence, continuity_witness,
-                      continuity_witness_fast, delta_from_name,
-                      lipschitz_estimate, lipschitz_estimate_fast,
-                      trend_verdict)
+# .metrics imports scipy for its Dijkstra oracle, which no command uses; it is
+# imported inside the functions that need it, so that `lang` and `--help`
+# start without loading scipy
 from .zeta import abscissa_estimate, exponent_estimates, zeta_partials
 from .laplacian import (InvariantViolationError, assemble_laplacian,
                         assemble_laplacian_dirichlet, assemble_pb_laplacian,
@@ -98,9 +96,12 @@ def parse_spec(text):
     raise ConfigError("unknown spec kind %r" % kind)
 
 
-def parse_delta(text):
+def parse_delta(text, depth=None):
     """Delta family: exp, harmonic, powerlog:a,b, geom:q, or table:FILE
-    (one positive value per line, strictly decreasing)."""
+    (one positive value per line, strictly decreasing).  A table must hold
+    at least depth values, since a depth-N run reads delta_0 .. delta_(N-1).
+    """
+    from .metrics import DeltaSequence, delta_from_name
     if text.startswith("table:"):
         path = text.split(":", 1)[1]
         try:
@@ -108,6 +109,9 @@ def parse_delta(text):
                 values = [float(line) for line in fh if line.strip()]
         except OSError as exc:
             raise ConfigError("cannot read delta table: %s" % exc)
+        if depth is not None and len(values) < depth:
+            raise ConfigError("delta table %s has %d values, depth %d needs "
+                              "%d" % (path, len(values), depth, depth))
         return DeltaSequence.table(values)
     try:
         return delta_from_name(text)
@@ -152,7 +156,8 @@ def load_measure_weights(path):
 
 def _fmt(value):
     if isinstance(value, float):
-        return repr(value)
+        # float() drops a numpy scalar type, whose repr is "np.float64(...)"
+        return repr(float(value))
     return str(value)
 
 
@@ -234,6 +239,8 @@ def cmd_lang(args):
 
 
 def _diagnostics_for(spec, delta, N):
+    from .metrics import (continuity_witness, continuity_witness_fast,
+                          lipschitz_estimate, lipschitz_estimate_fast)
     if isinstance(spec, (FullShift, SturmianCF)):
         return (lipschitz_estimate_fast(spec, delta, N),
                 continuity_witness_fast(spec, delta, N))
@@ -243,8 +250,9 @@ def _diagnostics_for(spec, delta, N):
 
 
 def cmd_lipschitz(args):
+    from .metrics import trend_verdict
     spec = parse_spec(args.spec)
-    delta = parse_delta(args.delta)
+    delta = parse_delta(args.delta, args.depth)
     schedule = parse_schedule(args.schedule, args.depth)
     rows, c_series, w_series, k_series = [], [], [], []
     for N in schedule:
@@ -276,9 +284,12 @@ def cmd_lipschitz(args):
 
 def cmd_zeta(args):
     spec = parse_spec(args.spec)
-    delta = parse_delta(args.delta)
+    delta = parse_delta(args.delta, args.depth)
     schedule = parse_schedule(args.schedule, args.depth)
     lo, hi, step = args.s_min, args.s_max, args.s_step
+    if not step > 0 or hi < lo:
+        raise ConfigError("the s grid needs --s-step > 0 and --s-max >= "
+                          "--s-min")
     count = int(round((hi - lo) / step))
     s_grid = [lo + i * step for i in range(count + 1)]
     partials = zeta_partials(spec, delta, s_grid, schedule)
@@ -319,7 +330,7 @@ def cmd_zeta(args):
 
 def cmd_laplacian(args):
     spec = parse_spec(args.spec)
-    delta = parse_delta(args.delta)
+    delta = parse_delta(args.delta, args.depth)
     tree = build_tree(language_table(spec, args.depth))
     if args.measure == "uniform":
         mu = cylinder_measure(tree)

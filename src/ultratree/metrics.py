@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -299,7 +298,6 @@ def spectral_distance_range_bruteforce(tree, delta, xi, eta):
     if xi == eta:
         return 0.0, 0.0
     m = common_prefix_length(xi, eta)
-    fork = xi[:m]
     base = delta[m]
     sums_x = _tail_sums(tree, delta, xi, m)
     sums_y = _tail_sums(tree, delta, eta, m)

@@ -232,29 +232,43 @@ class LanguageTable:
 DEFAULT_WINDOW_CAP = 2 ** 20
 
 
+def _common_prefix_length(u, v):
+    """Length of the longest common prefix, by binary search on slices."""
+    lo, hi = 0, min(len(u), len(v))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if u[:mid] == v[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _factor_levels(window, N):
-    """All factors of the window, grouped by length, with occurrence starts."""
-    L = len(window)
-    levels = [{"": None}]
-    cur = {}
-    for i, letter in enumerate(window):
-        cur.setdefault(letter, []).append(i)
-    levels.append(cur)
-    n = 1
-    while n < N:
-        nxt = {}
-        for w, starts in cur.items():
-            for i in starts:
-                j = i + n
-                if j < L:
-                    nxt.setdefault(w + window[j], []).append(i)
-        if not nxt:
-            break
-        levels.append(nxt)
-        cur = nxt
-        n += 1
-    while len(levels) <= N:
-        levels.append({})
+    """All factors of length <= N of the window, as one sorted list per length.
+
+    The length-N keys window[i:i+N] (shorter near the end) are sorted, as in
+    a suffix array truncated at N.  Every factor is a prefix of some key, and
+    key[:n] is new exactly when n exceeds the common prefix length h with the
+    previous key, so each distinct factor is created once, in sorted order.
+    The words are created level by level, which keeps a level's strings
+    close together in memory for the code that later walks the table.
+    """
+    keys = sorted(window[i:i + N] for i in range(len(window)))
+    # joins[h]: the keys, in sorted order, whose prefixes longer than h are new
+    joins = [[] for _ in range(N)]
+    prev = ""
+    for i, key in enumerate(keys):
+        h = _common_prefix_length(prev, key)
+        if h < len(key):
+            joins[h].append(i)
+        prev = key
+    levels = [[""]]
+    active = []  # the keys with a new prefix at the current length
+    for n in range(1, N + 1):
+        active = sorted([i for i in active if len(keys[i]) >= n]
+                        + joins[n - 1])
+        levels.append([keys[i][:n] for i in active])
     return levels
 
 
@@ -300,7 +314,9 @@ def language_table(spec, N, window_cap=DEFAULT_WINDOW_CAP):
     Window-generated specs (Sturmian, substitution) are enumerated from a
     finite window which is doubled until the per-length counts stop
     changing; the flags record where that stabilization was observed.
-    FullShift and ExplicitWindow are exact by construction.
+    FullShift and ExplicitWindow are exact by construction.  A window's
+    factors come from its sorted length-N factors (see _factor_levels),
+    so the cost is one sort plus one string per distinct word.
     """
     if N < 1:
         raise ValueError("depth must be >= 1")
@@ -313,8 +329,7 @@ def language_table(spec, N, window_cap=DEFAULT_WINDOW_CAP):
         return LanguageTable(N, tuple(levels), tuple([True] * (N + 1)), spec)
 
     if isinstance(spec, ExplicitWindow):
-        raw = _factor_levels(spec.window, N)
-        levels = [tuple(sorted(lv)) for lv in raw]
+        levels = [tuple(lv) for lv in _factor_levels(spec.window, N)]
         return LanguageTable(N, tuple(levels), tuple([True] * (N + 1)), spec)
 
     length = max(4 * N, 64)
@@ -396,9 +411,17 @@ def repulsiveness_estimates(table, N=None):
     |W| <= N and w both a prefix and a suffix of W; l_hat_R does the same
     with both words required to be right special.  Candidate w for a fixed
     W is its longest proper border (longest right-special border for the
-    restricted variant), found through the border array.  Returns
-    (l_hat, l_hat_R, witnesses) where witnesses maps each estimate name to
-    its minimizing pair or None.
+    restricted variant).  Returns (l_hat, l_hat_R, witnesses) where
+    witnesses maps each estimate name to its minimizing pair or None.
+
+    The table is a language, so it is closed under taking factors.  Being
+    prefix-closed, the border of W is one Knuth-Morris-Pratt step from the
+    border of W[:-1], following the border links of W's prefixes, which are
+    memoized per word as the levels are visited in order.  Being
+    suffix-closed, every suffix of a right-special word is right special,
+    so the longest border of a right-special W is the restricted candidate
+    as well.  Each word costs one step and a few slices, where a border
+    array per word cost a Python loop over its length.
     """
     if N is None:
         N = table.depth
@@ -406,26 +429,28 @@ def repulsiveness_estimates(table, N=None):
         raise OutOfDepthError("N exceeds table depth")
     rs = _right_special_sets(table)
     rs_max = table.depth - 1
+    # word -> length of its longest proper border
+    border = dict.fromkeys(table.levels[1], 0)
     best = REPULSIVENESS_INF
     best_pair = None
     best_rs = REPULSIVENESS_INF
     best_rs_pair = None
     for n in range(2, N + 1):
+        rs_n = rs[n] if n <= rs_max else ()
         for W in table.levels[n]:
-            b = border_array(W)
-            k = b[n]
+            last = W[-1]
+            k = border[W[:-1]]
+            while k and W[k] != last:
+                k = border[W[:k]]
+            if W[k] == last:
+                k += 1
+            border[W] = k
             if k >= 1:
                 ratio = (n - k) / k
                 if ratio < best:
                     best, best_pair = ratio, (W[:k], W)
-            if n <= rs_max and W in rs[n]:
-                k = b[n]
-                while k >= 1 and W[:k] not in rs[k]:
-                    k = b[k]
-                if k >= 1:
-                    ratio = (n - k) / k
-                    if ratio < best_rs:
-                        best_rs, best_rs_pair = ratio, (W[:k], W)
+                if ratio < best_rs and W in rs_n:
+                    best_rs, best_rs_pair = ratio, (W[:k], W)
     witnesses = {"l_hat": best_pair, "l_hat_R": best_rs_pair}
     return best, best_rs, witnesses
 

@@ -1,12 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from ultratree.cli import ConfigError, main, parse_delta, parse_schedule, \
     parse_spec
+from ultratree.laplacian import assemble_laplacian, cylinder_measure
+from ultratree.metrics import DeltaSequence
+from ultratree.tree import build_tree
 from ultratree.words import ExplicitWindow, FullShift, SturmianCF, \
-    Substitution
+    Substitution, language_table
 
 
 def read_csv(path):
@@ -127,6 +133,20 @@ def test_laplacian_command(tmp_path):
     assert report["invariants"]["route_difference"] == 0.0
 
 
+def test_laplacian_matrix_values_are_plain_floats(tmp_path):
+    out = str(tmp_path / "lap")
+    assert main(["laplacian", "--spec", "full:2", "--depth", "3",
+                 "--rho", "2", "--delta", "harmonic", "--out", out]) == 0
+    tree = build_tree(language_table(FullShift(2), 3))
+    lap = assemble_laplacian(tree, cylinder_measure(tree), 2,
+                             DeltaSequence.harmonic())
+    rows = read_csv(out + "/laplacian_matrix.csv")
+    assert rows[0] == ["i", "j", "value"]
+    assert len(rows) > 1
+    for i, j, value in rows[1:]:
+        assert float(value) == lap.matrix[int(i), int(j)]
+
+
 def test_laplacian_pb_and_measure_file(tmp_path):
     measure = tmp_path / "measure.json"
     weights = {"": ["1/3", "2/3"], "a": ["1/2", "1/2"],
@@ -166,6 +186,41 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["lang", "--spec", "full:2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("grid", (["--s-step", "0"], ["--s-step", "-0.1"],
+                                  ["--s-min", "2", "--s-max", "1"]))
+def test_zeta_empty_s_grid_is_refused(tmp_path, capsys, grid):
+    out = tmp_path / "zeta"
+    assert main(["zeta", "--spec", "full:2", "--delta", "harmonic",
+                 "--depth", "16", "--out", str(out)] + grid) == 2
+    assert "s grid" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_short_delta_table_is_refused(tmp_path, capsys):
+    table = tmp_path / "delta.txt"
+    table.write_text("1.0\n0.5\n0.2\n")
+    out = tmp_path / "lip"
+    assert main(["lipschitz", "--spec", "full:2", "--delta",
+                 "table:%s" % table, "--depth", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "3 values" in err and "depth 16" in err
+    assert os.listdir(out) == []
+    # a table covering the depth runs
+    assert main(["lipschitz", "--spec", "full:2", "--delta",
+                 "table:%s" % table, "--depth", "3", "--out", str(out)]) == 0
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, ultratree.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_determinism(tmp_path):

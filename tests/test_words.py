@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultratree.words import (ExplicitWindow, FullShift, InsufficientDataError,
                              OutOfDepthError, SturmianCF, Substitution,
@@ -154,3 +155,56 @@ def test_language_table_rejects_bad_depth():
 def test_single_letter_shift():
     table = language_table(FullShift(1), 4)
     assert table.counts == (1, 1, 1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the table enumeration and the repulsiveness memo against their oracles
+
+
+def windows(max_letters, max_len):
+    return st.integers(1, max_letters).flatmap(
+        lambda k: st.text(alphabet=alphabet(k), min_size=1,
+                          max_size=max_len))
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows(4, 60), st.integers(1, 70))
+def test_explicit_window_levels_are_sorted_factor_sets(w, N):
+    table = language_table(ExplicitWindow(w), N)
+    for n in range(N + 1):
+        expected = sorted({w[i:i + n] for i in range(len(w) - n + 1)})
+        assert list(table.levels[n]) == expected
+
+
+SMALL_SUBSTITUTIONS = (
+    {"a": "ab", "b": "ba"},              # Thue-Morse
+    {"a": "ab", "b": "a"},               # Fibonacci
+    {"a": "ab", "b": "aa"},              # period doubling
+    {"a": "ab", "b": "ac", "c": "a"},    # Tribonacci
+    {"a": "aab", "b": "ba"},
+    {"a": "abc", "b": "bc", "c": "ca"},
+)
+
+
+def small_tables():
+    full = st.sampled_from(((1, 12), (2, 8), (3, 5))).flatmap(
+        lambda kd: st.integers(1, kd[1]).map(
+            lambda N: language_table(FullShift(kd[0]), N)))
+    window = st.tuples(windows(3, 40), st.integers(1, 12)).map(
+        lambda wN: language_table(ExplicitWindow(wN[0]), wN[1]))
+    subst = st.tuples(st.sampled_from(SMALL_SUBSTITUTIONS),
+                      st.integers(1, 12)).map(
+        lambda rN: language_table(Substitution.from_rules(rN[0], "a"),
+                                  rN[1]))
+    return st.one_of(full, window, subst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tables(), st.data())
+def test_repulsiveness_matches_bruteforce(table, data):
+    n = data.draw(st.sampled_from(
+        [None] + list(range(1, table.depth))), label="n")
+    l_hat, l_hat_r, witnesses = repulsiveness_estimates(table, n)
+    assert (l_hat, witnesses["l_hat"]) == repulsiveness_bruteforce(table, n)
+    assert (l_hat_r, witnesses["l_hat_R"]) == repulsiveness_bruteforce(
+        table, n, right_special_only=True)
