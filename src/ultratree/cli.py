@@ -9,8 +9,10 @@ the configuration, the edge-length convention tag and the library
 version, so a report is reproducible from its own header.  Outputs are
 byte-identical across runs for a fixed configuration and seed.
 
-Exit codes: 0 success, 2 invalid configuration, 3 internal invariant
-violation.
+Exit codes: 0 success, 2 invalid configuration (a refused run writes
+nothing, not even the --out directory), 3 internal invariant violation,
+which is the Laplacian pre-check before an eigensolve
+(InvariantViolationError).
 """
 
 import argparse
@@ -26,7 +28,7 @@ from .words import (ExplicitWindow, FullShift, SturmianCF, Substitution,
                     complexity_profile, language_table,
                     repetitivity_estimate, repulsiveness_estimates,
                     right_special_words)
-from .tree import StructuralError, build_tree
+from .tree import build_tree
 # .metrics imports scipy for its Dijkstra oracle, which no command uses; it is
 # imported inside the functions that need it, so that `lang` and `--help`
 # start without loading scipy
@@ -172,11 +174,18 @@ def _jsonsafe(value):
     return value
 
 
+def _create(path, newline=None):
+    """Open an output file for writing, creating its directory first, so
+    that a run refused before its first file leaves no directory behind."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", newline=newline)
+
+
 def write_series(path_base, fmt, header, rows):
     """A table of rows either as CSV or as a JSON list of objects."""
     if fmt == "csv":
         path = path_base + ".csv"
-        with open(path, "w", newline="") as fh:
+        with _create(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
@@ -184,7 +193,7 @@ def write_series(path_base, fmt, header, rows):
     else:
         path = path_base + ".json"
         data = [dict(zip(header, row)) for row in rows]
-        with open(path, "w") as fh:
+        with _create(path) as fh:
             json.dump(_jsonsafe(data), fh, sort_keys=True, indent=2)
             fh.write("\n")
     return path
@@ -195,7 +204,7 @@ def write_report(path, config, body):
                "edge_length_convention": EDGE_LENGTH_CONVENTION,
                "version": __version__}
     payload.update(body)
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         json.dump(_jsonsafe(payload), fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
@@ -353,7 +362,7 @@ def cmd_laplacian(args):
                 for j in range(mat.shape[1]) if mat[i, j] != 0.0]
     files = [write_series(os.path.join(args.out, "laplacian_matrix"),
                           args.format, ("i", "j", "value"), triplets)]
-    with open(os.path.join(args.out, "index_map.json"), "w") as fh:
+    with _create(os.path.join(args.out, "index_map.json")) as fh:
         json.dump({str(i): w for i, w in enumerate(lap.leaves)}, fh,
                   sort_keys=True, indent=2)
         fh.write("\n")
@@ -433,12 +442,11 @@ def main(argv=None):
     if args.depth < 1:
         parser.exit(2, "depth must be >= 1\n")
     try:
-        os.makedirs(args.out, exist_ok=True)
         files = args.run(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (InvariantViolationError, StructuralError) as exc:
+    except InvariantViolationError as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return 3
     for path in files:

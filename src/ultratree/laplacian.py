@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tree import horizontal_edges
+
 
 class InvalidMeasureError(ValueError):
     pass
@@ -137,6 +139,23 @@ class LaplacianMatrix:
     @property
     def mu_float(self):
         return np.array([float(m) for m in self.mu_leaves])
+
+    @property
+    def defects(self):
+        """(max |row sum|, max |mu_i M_ij - mu_j M_ji|) in assembly
+        arithmetic, computed on first use like the float view."""
+        cached = self.__dict__.get("_defects")
+        if cached is None:
+            rows, mu = self.rows, self.mu_leaves
+            row = max((abs(sum(r)) for r in rows), default=0)
+            adj = 0
+            for i in range(len(rows)):
+                for j in range(i + 1, len(rows)):
+                    d = abs(mu[i] * rows[i][j] - mu[j] * rows[j][i])
+                    if d > adj:
+                        adj = d
+            cached = self.__dict__["_defects"] = (row, adj)
+        return cached
 
 
 def _leaf_blocks(tree, mu):
@@ -314,14 +333,10 @@ def dirichlet_form_value(tree, mu, rho, delta, f, g, N=None):
     total = 0
     for n in range(1, N + 1):
         level_sum = 0
-        for v in tree.levels[n - 1]:
-            cs = tree.children[v]
-            for i in range(len(cs)):
-                for j in range(i + 1, len(cs)):
-                    u1, u2 = cs[i], cs[j]
-                    level_sum += (block(fgw, u1) + block(fgw, u2)
-                                  - block(fw, u1) * block(gw, u2)
-                                  - block(fw, u2) * block(gw, u1))
+        for u1, u2 in horizontal_edges(tree, n):
+            level_sum += (block(fgw, u1) + block(fgw, u2)
+                          - block(fw, u1) * block(gw, u2)
+                          - block(fw, u2) * block(gw, u1))
         total += w[n] * level_sum
     return total
 
@@ -334,18 +349,10 @@ def check_invariants(lap, row_tol=1e-12, adj_tol=1e-12):
     """Verify conservation and self-adjointness with respect to mu.
 
     Runs on the matrix in its assembly arithmetic, so rationally assembled
-    operators are checked exactly.
+    operators are checked exactly; the defects are computed once per matrix
+    and each call applies its own tolerances.
     """
-    rows = lap.rows
-    mu = lap.mu_leaves
-    size = len(rows)
-    row = max((abs(sum(r)) for r in rows), default=0)
-    adj = 0
-    for i in range(size):
-        for j in range(i + 1, size):
-            d = abs(mu[i] * rows[i][j] - mu[j] * rows[j][i])
-            if d > adj:
-                adj = d
+    row, adj = lap.defects
     return {"max_row_sum": float(row),
             "max_self_adjoint_defect": float(adj),
             "row_ok": bool(row <= row_tol),

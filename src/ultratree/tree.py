@@ -1,7 +1,9 @@
 """Truncated trees of words and their approximation graphs.
 
 Level n of the tree holds the admissible words of length n; a node's parent
-is its length-(n-1) prefix.  Horizontal edges join distinct siblings, and
+is its length-(n-1) prefix.  A LanguageTable is this tree: it carries the
+child links, and build_tree checks that every word below the depth has a
+child and returns the table.  Horizontal edges join distinct siblings, and
 the edge between children of a level-n vertex has length delta_n.  A choice
 function selects one child per vertex; quotienting the horizontal edges by
 those selections gives the metric approximation graph.
@@ -10,63 +12,27 @@ those selections gives the metric approximation graph.
 import random
 from dataclasses import dataclass, field
 
-from .words import LanguageTable, language_table
-
-
-class StructuralError(ValueError):
-    """The input table or tree violates a structural invariant."""
+# StructuralError is defined with LanguageTable, which refuses orphan words
+from .words import StructuralError, language_table
 
 
 class InfeasibleChoiceError(ValueError):
     """A requested deviation bit cannot be realized at its node."""
 
 
-@dataclass(frozen=True)
-class MichonTree:
-    """Tree of words up to a depth bound.
-
-    levels[n] is the sorted tuple of length-n words; children maps every
-    non-leaf word to its sorted child tuple.  The branching number a(v) is
-    the child count minus one.
-    """
-
-    depth: int
-    levels: tuple
-    children: dict = field(compare=False)
-
-    def a(self, v):
-        return len(self.children[v]) - 1
-
-    def parent(self, v):
-        return v[:-1]
-
-    def is_branching(self, v):
-        return len(v) < self.depth and self.a(v) > 0
-
-    def leaves(self):
-        return self.levels[self.depth]
-
-
 def build_tree(table):
-    """Assemble the tree of words from a language table."""
-    if not isinstance(table, LanguageTable):
-        table = language_table(table[0], table[1])
-    N = table.depth
-    children = {}
-    for n in range(1, N + 1):
-        seen = table.level_set(n - 1)
-        for w in table.levels[n]:
-            p = w[:-1]
-            if p not in seen:
-                raise StructuralError("orphan word %r at length %d" % (w, n))
-            children.setdefault(p, []).append(w)
-    for n in range(N):
+    """Check that a language table is a tree of words and return it.
+
+    The table already refuses orphan words; here every word below the depth
+    must also have a child, so that every node lies on a root-to-leaf path.
+    """
+    children = table.children
+    for n in range(table.depth):
         for v in table.levels[n]:
-            if v not in children:
+            if not children[v]:
                 raise StructuralError(
                     "word %r at length %d has no extension" % (v, len(v)))
-    frozen = {v: tuple(sorted(cs)) for v, cs in children.items()}
-    return MichonTree(N, table.levels, frozen)
+    return table
 
 
 def tree_for(spec, N, **kwargs):
@@ -174,16 +140,13 @@ def approximation_graph(tree, tau, delta):
     edges = {}
     for n in range(1, tree.depth + 1):
         length = delta[n - 1]
-        for v in tree.levels[n - 1]:
-            cs = tree.children[v]
-            for i in range(len(cs)):
-                ri = index[rep[cs[i]]]
-                for j in range(i + 1, len(cs)):
-                    rj = index[rep[cs[j]]]
-                    key = (ri, rj) if ri < rj else (rj, ri)
-                    old = edges.get(key)
-                    if old is None or length < old:
-                        edges[key] = length
+        for u1, u2 in horizontal_edges(tree, n):
+            ri = index[rep[u1]]
+            rj = index[rep[u2]]
+            key = (ri, rj) if ri < rj else (rj, ri)
+            old = edges.get(key)
+            if old is None or length < old:
+                edges[key] = length
     return MetricGraph(vertices, index, edges)
 
 

@@ -3,7 +3,9 @@
 Words are plain strings over the alphabet "a", "b", "c", ... (symbol index
 order).  A subshift is described declaratively by a spec object and its
 language is materialized level by level, up to a depth bound, as a
-LanguageTable.  On top of the table sit the usual combinatorial statistics:
+LanguageTable.  The table is the tree of words: level n holds the length-n
+words, a word's parent is its prefix, and the child links are built once
+with the table.  On top of it sit the usual combinatorial statistics:
 right special words, the complexity function, repetitivity, and the
 repulsiveness estimators.
 """
@@ -25,6 +27,10 @@ class InsufficientDataError(ValueError):
 
 class OutOfDepthError(ValueError):
     """A query asked for a length at or beyond the table depth."""
+
+
+class StructuralError(ValueError):
+    """The input table or tree violates a structural invariant."""
 
 
 def alphabet(k):
@@ -204,29 +210,65 @@ def substitution_fixed_point(spec, min_len):
 
 @dataclass(frozen=True)
 class LanguageTable:
-    """Admissible words per length up to a depth bound.
+    """Admissible words per length up to a depth bound: the tree of words.
 
     levels[n] is the sorted tuple of admissible words of length n (levels[0]
     holds just the empty word).  stabilized[n] records whether the count at
     length n was unchanged across the last window doubling; exact specs set
-    every flag.
+    every flag.  children maps every word below the depth to the sorted
+    tuple of its one-letter extensions in the table (empty for a word with
+    none); a word whose prefix is missing is refused with StructuralError.
+    The branching number a(v) is the child count minus one.
     """
 
     depth: int
     levels: tuple
     stabilized: tuple
     spec: object = None
-    _sets: tuple = field(default=None, compare=False, repr=False)
+    children: dict = field(init=False, compare=False, repr=False)
 
-    def level_set(self, n):
-        if self._sets is None:
-            object.__setattr__(self, "_sets",
-                               tuple(frozenset(lv) for lv in self.levels))
-        return self._sets[n]
+    def __post_init__(self):
+        object.__setattr__(self, "children", _child_links(self.levels))
 
     @property
     def counts(self):
         return tuple(len(lv) for lv in self.levels)
+
+    def a(self, v):
+        return len(self.children[v]) - 1
+
+    def parent(self, v):
+        return v[:-1]
+
+    def is_branching(self, v):
+        return len(v) < self.depth and self.a(v) > 0
+
+    def leaves(self):
+        return self.levels[self.depth]
+
+
+def _child_links(levels):
+    """Map each word below the last level to its run of children.
+
+    Levels are sorted, so the children of a word are one run of the next
+    level and the runs come in the order of their parents.  The keys are
+    the parent level's own strings, so no word is stored twice.
+    """
+    children = {}
+    for n in range(1, len(levels)):
+        words = levels[n]
+        size = len(words)
+        i = 0
+        for p in levels[n - 1]:
+            j = i
+            while j < size and words[j].startswith(p):
+                j += 1
+            children[p] = words[i:j]
+            i = j
+        if i < size:
+            raise StructuralError("orphan word %r at length %d"
+                                  % (words[i], n))
+    return children
 
 
 DEFAULT_WINDOW_CAP = 2 ** 20
@@ -361,23 +403,8 @@ def right_special_words(table, n):
     """Length-n words with at least two one-letter right extensions."""
     if n >= table.depth:
         raise OutOfDepthError("need length %d < depth %d" % (n, table.depth))
-    ext_count = {}
-    for x in table.levels[n + 1]:
-        ext_count[x[:-1]] = ext_count.get(x[:-1], 0) + 1
-    return {w for w, c in ext_count.items() if c >= 2}
-
-
-def _right_special_sets(table):
-    """Right special words for every length below depth, computed in one pass."""
-    rs = [set() for _ in range(table.depth)]
-    for n in range(1, table.depth + 1):
-        ext_count = {}
-        for w in table.levels[n]:
-            ext_count[w[:-1]] = ext_count.get(w[:-1], 0) + 1
-        for w, c in ext_count.items():
-            if c >= 2:
-                rs[n - 1].add(w)
-    return rs
+    children = table.children
+    return {w for w in table.levels[n] if len(children[w]) >= 2}
 
 
 def complexity_profile(table):
@@ -427,8 +454,7 @@ def repulsiveness_estimates(table, N=None):
         N = table.depth
     if N > table.depth:
         raise OutOfDepthError("N exceeds table depth")
-    rs = _right_special_sets(table)
-    rs_max = table.depth - 1
+    children = table.children
     # word -> length of its longest proper border
     border = dict.fromkeys(table.levels[1], 0)
     best = REPULSIVENESS_INF
@@ -436,7 +462,7 @@ def repulsiveness_estimates(table, N=None):
     best_rs = REPULSIVENESS_INF
     best_rs_pair = None
     for n in range(2, N + 1):
-        rs_n = rs[n] if n <= rs_max else ()
+        below_depth = n < table.depth
         for W in table.levels[n]:
             last = W[-1]
             k = border[W[:-1]]
@@ -449,7 +475,8 @@ def repulsiveness_estimates(table, N=None):
                 ratio = (n - k) / k
                 if ratio < best:
                     best, best_pair = ratio, (W[:k], W)
-                if ratio < best_rs and W in rs_n:
+                if (ratio < best_rs and below_depth
+                        and len(children[W]) >= 2):
                     best_rs, best_rs_pair = ratio, (W[:k], W)
     witnesses = {"l_hat": best_pair, "l_hat_R": best_rs_pair}
     return best, best_rs, witnesses
@@ -459,7 +486,9 @@ def repulsiveness_bruteforce(table, N=None, right_special_only=False):
     """Quadratic pair scan over the whole table; test oracle only."""
     if N is None:
         N = table.depth
-    rs = _right_special_sets(table) if right_special_only else None
+    rs = None
+    if right_special_only:
+        rs = [right_special_words(table, n) for n in range(table.depth)]
     best = REPULSIVENESS_INF
     best_pair = None
     for n in range(2, N + 1):

@@ -41,7 +41,7 @@ class LevelProfile:
 
 
 def level_profile(source, N=None):
-    """Level counts from a spec, a language table, or a built tree.
+    """Level counts from a spec or a language table (the tree of words).
 
     Full shifts and Sturmian specs use closed forms so that depths in the
     thousands stay cheap; anything else goes through its table.
@@ -63,8 +63,6 @@ def level_profile(source, N=None):
         return LevelProfile(N, P, (1,) * N, (2,) * N, (1,) * N)
     if isinstance(source, LanguageTable):
         return _profile_from_table(source)
-    if hasattr(source, "children"):  # a MichonTree
-        return _profile_from_tree(source)
     if N is None:
         raise ValueError("a spec source needs an explicit depth")
     return _profile_from_table(language_table(source, N))
@@ -72,27 +70,13 @@ def level_profile(source, N=None):
 
 def _profile_from_table(table):
     P, g = complexity_profile(table)
-    N = table.depth
+    children = table.children
     edge, branching = [], []
-    for n in range(N):
-        counts = {}
-        for w in table.levels[n + 1]:
-            counts[w[:-1]] = counts.get(w[:-1], 0) + 1
-        edge.append(sum(c * (c - 1) for c in counts.values()))
-        branching.append(sum(1 for c in counts.values() if c > 1))
-    return LevelProfile(N, tuple(P), tuple(g), tuple(edge), tuple(branching))
-
-
-def _profile_from_tree(tree):
-    N = tree.depth
-    P = tuple(len(lv) for lv in tree.levels)
-    g = tuple(P[n + 1] - P[n] for n in range(N))
-    edge, branching = [], []
-    for n in range(N):
-        a_vals = [tree.a(v) for v in tree.levels[n]]
-        edge.append(sum(a * (a + 1) for a in a_vals))
-        branching.append(sum(1 for a in a_vals if a > 0))
-    return LevelProfile(N, P, g, tuple(edge), tuple(branching))
+    for n in range(table.depth):
+        counts = [len(children[v]) for v in table.levels[n]]
+        edge.append(sum(c * (c - 1) for c in counts))
+        branching.append(sum(1 for c in counts if c > 1))
+    return LevelProfile(table.depth, P, g, tuple(edge), tuple(branching))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +113,7 @@ class ZetaPartials:
 def zeta_partials(source, delta, s_grid, schedule, N=None):
     """Evaluate the zeta partial sums.
 
-    source may be a spec, table, tree, or LevelProfile; schedule is the
+    source may be a spec, table, or LevelProfile; schedule is the
     increasing list of truncation depths (an int is treated as a one-point
     schedule).
     """

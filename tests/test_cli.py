@@ -174,7 +174,7 @@ def test_json_format_series(tmp_path):
     assert data[0]["P"] == 1
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     out = str(tmp_path / "err")
     assert main(["lang", "--spec", "bogus:2", "--depth", "3",
                  "--out", out]) == 2
@@ -183,6 +183,12 @@ def test_exit_codes(tmp_path):
                  "--out", out]) == 2
     assert main(["lipschitz", "--spec", "full:2", "--delta", "geom:2.0",
                  "--depth", "8", "--out", out]) == 2
+    # the window's word "b" does not extend to depth 2: a problem with the
+    # input, not an internal invariant
+    capsys.readouterr()
+    assert main(["lipschitz", "--spec", "window:aab", "--depth", "2",
+                 "--out", out]) == 2
+    assert "'b'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["lang", "--spec", "full:2"])
     assert exc.value.code == 2
@@ -195,7 +201,7 @@ def test_zeta_empty_s_grid_is_refused(tmp_path, capsys, grid):
     assert main(["zeta", "--spec", "full:2", "--delta", "harmonic",
                  "--depth", "16", "--out", str(out)] + grid) == 2
     assert "s grid" in capsys.readouterr().err
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_short_delta_table_is_refused(tmp_path, capsys):
@@ -206,7 +212,7 @@ def test_short_delta_table_is_refused(tmp_path, capsys):
                  "table:%s" % table, "--depth", "16", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "3 values" in err and "depth 16" in err
-    assert os.listdir(out) == []
+    assert not out.exists()
     # a table covering the depth runs
     assert main(["lipschitz", "--spec", "full:2", "--delta",
                  "table:%s" % table, "--depth", "3", "--out", str(out)]) == 0

@@ -25,6 +25,9 @@ def test_fibonacci_tree_single_branching_per_level():
 
 
 def test_structural_errors():
+    # an orphan word ("ba" without "b") is refused when the table is made
+    with pytest.raises(StructuralError, match="orphan word 'ba'"):
+        LanguageTable(2, (("",), ("a",), ("aa", "ba")), (True,) * 3)
     with pytest.raises(StructuralError):
         build_tree(LanguageTable(2, (("",), ("a", "b"), ("ba",)),
                                  (True,) * 3))

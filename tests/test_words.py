@@ -12,6 +12,8 @@ from ultratree.words import (ExplicitWindow, FullShift, InsufficientDataError,
                              repulsiveness_estimates, right_special_words,
                              substitution_apply, substitution_fixed_point,
                              sturmian_characteristic)
+from ultratree.tree import StructuralError, build_tree
+from ultratree.zeta import level_profile
 
 
 def test_alphabet():
@@ -208,3 +210,27 @@ def test_repulsiveness_matches_bruteforce(table, data):
     assert (l_hat, witnesses["l_hat"]) == repulsiveness_bruteforce(table, n)
     assert (l_hat_r, witnesses["l_hat_R"]) == repulsiveness_bruteforce(
         table, n, right_special_only=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tables())
+def test_child_links_match_level_scans(table):
+    profile = level_profile(table)
+    for n in range(table.depth):
+        counts = {}
+        for v in table.levels[n]:
+            kids = tuple(w for w in table.levels[n + 1] if w[:-1] == v)
+            assert table.children[v] == kids
+            counts[v] = len(kids)
+        assert right_special_words(table, n) == {
+            v for v, c in counts.items() if c >= 2}
+        assert profile.edge_weight[n] == sum(
+            c * (c - 1) for c in counts.values())
+        assert profile.branching[n] == sum(
+            1 for c in counts.values() if c >= 2)
+    assert len(table.children) == sum(table.counts[:table.depth])
+    if all(table.children.values()):
+        assert build_tree(table) is table
+    else:
+        with pytest.raises(StructuralError):
+            build_tree(table)
