@@ -9,9 +9,9 @@ the configuration, the edge-length convention tag and the library
 version, so a report is reproducible from its own header.  Outputs are
 byte-identical across runs for a fixed configuration and seed.
 
-Exit codes: 0 success, 2 invalid configuration (a refused run writes
-nothing, not even the --out directory), 3 internal invariant violation,
-which is the Laplacian pre-check before an eigensolve
+Exit codes: 0 success, 2 invalid configuration or unwritable output (a
+refused run writes nothing, not even the --out directory), 3 internal
+invariant violation, which is the Laplacian pre-check before an eigensolve
 (InvariantViolationError).
 """
 
@@ -443,7 +443,7 @@ def main(argv=None):
         parser.exit(2, "depth must be >= 1\n")
     try:
         files = args.run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except InvariantViolationError as exc:

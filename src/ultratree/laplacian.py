@@ -104,7 +104,11 @@ def _level_weights(rho, delta, N):
     out = [None]
     for n in range(1, N + 1):
         L = Fraction(delta[n - 1])
-        out.append(rho_fn(L) / (L * L))
+        try:
+            out.append(rho_fn(L) / (L * L))
+        except ZeroDivisionError:
+            raise ValueError("delta_%d = %r is too small for the level weight"
+                             % (n - 1, delta[n - 1])) from None
     return out
 
 

@@ -35,8 +35,8 @@ def build_tree(table):
     return table
 
 
-def tree_for(spec, N, **kwargs):
-    return build_tree(language_table(spec, N, **kwargs))
+def tree_for(spec, N):
+    return build_tree(language_table(spec, N))
 
 
 def horizontal_edges(tree, n):

@@ -287,7 +287,7 @@ def _common_prefix_length(u, v):
 
 
 def _factor_levels(window, N):
-    """All factors of length <= N of the window, as one sorted list per length.
+    """All factors of length <= N of the window, one sorted tuple per length.
 
     The length-N keys window[i:i+N] (shorter near the end) are sorted, as in
     a suffix array truncated at N.  Every factor is a prefix of some key, and
@@ -295,6 +295,7 @@ def _factor_levels(window, N):
     previous key, so each distinct factor is created once, in sorted order.
     The words are created level by level, which keeps a level's strings
     close together in memory for the code that later walks the table.
+    An empty window gives the empty word and N empty levels.
     """
     keys = sorted(window[i:i + N] for i in range(len(window)))
     # joins[h]: the keys, in sorted order, whose prefixes longer than h are new
@@ -305,39 +306,34 @@ def _factor_levels(window, N):
         if h < len(key):
             joins[h].append(i)
         prev = key
-    levels = [[""]]
+    levels = [("",)]
     active = []  # the keys with a new prefix at the current length
     for n in range(1, N + 1):
         active = sorted([i for i in active if len(keys[i]) >= n]
                         + joins[n - 1])
-        levels.append([keys[i][:n] for i in active])
-    return levels
+        levels.append(tuple([keys[i][:n] for i in active]))
+    return tuple(levels)
 
 
-def _prune_levels(levels, N):
-    """Enforce right-extendability and factor closure by fixed point.
+def _recurrent_prefix(window, N):
+    """Cut the window to its right-extendable, factor-closed part.
 
-    Words seen only at the very end of the window may lack a right
-    extension; dropping them can orphan longer words that contain them, so
-    the two pruning passes repeat until nothing changes.
+    Read the window as a walk whose vertices are its length-(N-1) factors
+    and whose edges are its length-N factors.  Up to the last vertex j that
+    repeats an earlier one the walk can go on forever (jump back and retrace
+    it); past j every vertex is new, so the walk dead-ends at the window's
+    end.  The part sought is the factor set of window[:j + N - 1], empty
+    when no vertex repeats.
     """
-    kept = [set(lv) for lv in levels]
-    changed = True
-    while changed:
-        changed = False
-        for n in range(N - 1, 0, -1):
-            child_prefixes = {c[:-1] for c in kept[n + 1]}
-            alive = kept[n] & child_prefixes
-            if len(alive) != len(kept[n]):
-                kept[n] = alive
-                changed = True
-        for n in range(2, N + 1):
-            below = kept[n - 1]
-            alive = {w for w in kept[n] if w[:-1] in below and w[1:] in below}
-            if len(alive) != len(kept[n]):
-                kept[n] = alive
-                changed = True
-    return kept
+    seen = set()
+    end = 0
+    for i in range(len(window) - N + 2):
+        vertex = window[i:i + N - 1]
+        if vertex in seen:
+            end = i + N - 1
+        else:
+            seen.add(vertex)
+    return window[:end]
 
 
 def _window_for(spec, length):
@@ -350,15 +346,16 @@ def _window_for(spec, length):
     raise TypeError("no window construction for %r" % (spec,))
 
 
-def language_table(spec, N, window_cap=DEFAULT_WINDOW_CAP):
+def language_table(spec, N):
     """Enumerate the admissible words of length <= N for a spec.
 
     Window-generated specs (Sturmian, substitution) are enumerated from a
     finite window which is doubled until the per-length counts stop
     changing; the flags record where that stabilization was observed.
-    FullShift and ExplicitWindow are exact by construction.  A window's
-    factors come from its sorted length-N factors (see _factor_levels),
-    so the cost is one sort plus one string per distinct word.
+    FullShift and ExplicitWindow are exact by construction.  A generated
+    window is cut to its recurrent prefix (see _recurrent_prefix); a
+    window's factors come from its sorted length-N factors (see
+    _factor_levels), so the cost is one sort plus one string per word.
     """
     if N < 1:
         raise ValueError("depth must be >= 1")
@@ -371,27 +368,24 @@ def language_table(spec, N, window_cap=DEFAULT_WINDOW_CAP):
         return LanguageTable(N, tuple(levels), tuple([True] * (N + 1)), spec)
 
     if isinstance(spec, ExplicitWindow):
-        levels = [tuple(lv) for lv in _factor_levels(spec.window, N)]
-        return LanguageTable(N, tuple(levels), tuple([True] * (N + 1)), spec)
+        return LanguageTable(N, _factor_levels(spec.window, N),
+                             tuple([True] * (N + 1)), spec)
 
     length = max(4 * N, 64)
     prev_counts = None
     flags = [False] * (N + 1)
-    kept = None
     while True:
         window = _window_for(spec, length)
-        raw = _factor_levels(window, N)
-        kept = _prune_levels(raw, N)
-        counts = tuple(len(s) for s in kept)
+        levels = _factor_levels(_recurrent_prefix(window, N), N)
+        counts = tuple(len(lv) for lv in levels)
         if prev_counts is not None:
             flags = [counts[n] == prev_counts[n] for n in range(N + 1)]
             if all(flags):
                 break
         prev_counts = counts
-        if 2 * length > window_cap:
+        if 2 * length > DEFAULT_WINDOW_CAP:
             break
         length *= 2
-    levels = tuple(tuple(sorted(s)) for s in kept)
     return LanguageTable(N, levels, tuple(flags), spec)
 
 

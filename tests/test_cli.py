@@ -218,6 +218,25 @@ def test_short_delta_table_is_refused(tmp_path, capsys):
                  "table:%s" % table, "--depth", "3", "--out", str(out)]) == 0
 
 
+def test_out_naming_a_file_is_refused(tmp_path, capsys):
+    out = tmp_path / "file"
+    out.write_text("")
+    assert main(["lang", "--spec", "full:2", "--depth", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out.read_text() == ""
+
+
+def test_delta_underflow_is_refused(tmp_path, capsys):
+    out = tmp_path / "lap"
+    assert main(["laplacian", "--spec", "full:1", "--depth", "200",
+                 "--delta", "geom:0.01", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "delta_162" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     code = "import sys, ultratree.cli; print('scipy' in sys.modules)"
     env = dict(os.environ)

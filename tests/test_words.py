@@ -11,7 +11,8 @@ from ultratree.words import (ExplicitWindow, FullShift, InsufficientDataError,
                              repulsiveness_bruteforce,
                              repulsiveness_estimates, right_special_words,
                              substitution_apply, substitution_fixed_point,
-                             sturmian_characteristic)
+                             sturmian_characteristic, _factor_levels,
+                             _recurrent_prefix)
 from ultratree.tree import StructuralError, build_tree
 from ultratree.zeta import level_profile
 
@@ -176,6 +177,32 @@ def test_explicit_window_levels_are_sorted_factor_sets(w, N):
     for n in range(N + 1):
         expected = sorted({w[i:i + n] for i in range(len(w) - n + 1)})
         assert list(table.levels[n]) == expected
+
+
+def pruned_factor_levels(w, N):
+    """The greatest right-extendable, factor-closed subset of the window's
+    factors of length <= N, by fixed point: the oracle for the cut."""
+    kept = [{w[i:i + n] for i in range(len(w) - n + 1)} for n in range(N + 1)]
+    changed = True
+    while changed:
+        changed = False
+        for n in range(N - 1, 0, -1):
+            alive = kept[n] & {c[:-1] for c in kept[n + 1]}
+            changed |= alive != kept[n]
+            kept[n] = alive
+        for n in range(2, N + 1):
+            alive = {u for u in kept[n]
+                     if u[:-1] in kept[n - 1] and u[1:] in kept[n - 1]}
+            changed |= alive != kept[n]
+            kept[n] = alive
+    return tuple(tuple(sorted(lv)) for lv in kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows(3, 60), st.integers(1, 70))
+def test_recurrent_prefix_cuts_to_the_pruned_factors(w, N):
+    assert _factor_levels(_recurrent_prefix(w, N), N) == \
+        pruned_factor_levels(w, N)
 
 
 SMALL_SUBSTITUTIONS = (
