@@ -43,6 +43,11 @@ class ConfigError(ValueError):
     """The command line describes an invalid configuration."""
 
 
+# the exact dense assembly and the eigensolve grow as the square and the cube
+# of the leaf count; past this limit a run takes minutes
+MAX_LAPLACIAN_LEAVES = 2048
+
+
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
@@ -247,41 +252,24 @@ def cmd_lang(args):
     return [series, report]
 
 
-def _diagnostics_for(spec, delta, N):
-    from .metrics import (continuity_witness, continuity_witness_fast,
-                          lipschitz_estimate, lipschitz_estimate_fast)
-    if isinstance(spec, (FullShift, SturmianCF)):
-        return (lipschitz_estimate_fast(spec, delta, N),
-                continuity_witness_fast(spec, delta, N))
-    tree = build_tree(language_table(spec, N))
-    return lipschitz_estimate(tree, delta, N), continuity_witness(tree,
-                                                                  delta, N)
-
-
 def cmd_lipschitz(args):
-    from .metrics import trend_verdict
+    from .metrics import (TREND_FLAT, TREND_GROW, order_diagnostics,
+                          trend_verdict)
     spec = parse_spec(args.spec)
     delta = parse_delta(args.delta, args.depth)
     schedule = parse_schedule(args.schedule, args.depth)
-    rows, c_series, w_series, k_series = [], [], [], []
-    for N in schedule:
-        c, w = _diagnostics_for(spec, delta, N)
-        k = 1.0 + 2.0 * c.value
-        c_series.append(c.value)
-        w_series.append(w.value)
-        k_series.append(k)
-        rows.append((N, c.value, w.value, k, c.witness_node, w.witness_path))
+    rows = [(N, c.value, w.value, 1.0 + 2.0 * c.value, c.witness_node,
+             w.witness_path)
+            for N, (c, w) in zip(schedule,
+                                 order_diagnostics(spec, delta, schedule))]
     series = write_series(os.path.join(args.out, "lipschitz"), args.format,
                           ("N", "C", "W", "K", "C_witness", "W_witness"),
                           rows)
     tail = delta.tail_bound(schedule[-1])
     body = {
-        "bounded_trend": {
-            "C": trend_verdict(c_series),
-            "W": trend_verdict(w_series),
-            "K": trend_verdict(k_series),
-        },
-        "thresholds": {"flat": 0.01, "grow": 0.25},
+        "bounded_trend": {name: trend_verdict([row[i] for row in rows])
+                          for i, name in ((1, "C"), (2, "W"), (3, "K"))},
+        "thresholds": {"flat": TREND_FLAT, "grow": TREND_GROW},
         "schedule": list(schedule),
         "delta_tail_bound": tail,
     }
@@ -341,6 +329,9 @@ def cmd_laplacian(args):
     spec = parse_spec(args.spec)
     delta = parse_delta(args.delta, args.depth)
     tree = build_tree(language_table(spec, args.depth))
+    if len(tree.leaves()) > MAX_LAPLACIAN_LEAVES:
+        raise ConfigError("laplacian of %d leaves exceeds the limit of %d"
+                          % (len(tree.leaves()), MAX_LAPLACIAN_LEAVES))
     if args.measure == "uniform":
         mu = cylinder_measure(tree)
     elif args.measure == "random":

@@ -177,17 +177,14 @@ def _leaf_blocks(tree, mu):
     return leaves, span
 
 
-def assemble_laplacian(tree, mu, rho, delta, N=None):
+def assemble_laplacian(tree, mu, rho, delta):
     """Matrix of the averaged operator via its action on leaf indicators.
 
     For a leaf gamma with ancestors gamma_n, the image of its indicator is
     sum over levels n of  w_n / mu(gamma_n) * ( a(gamma_{n-1}) chi_gamma
     - mu(gamma) * sum over siblings u of gamma_n of chi_u / mu(u) ).
     """
-    if N is None:
-        N = tree.depth
-    if N != tree.depth:
-        raise ValueError("tree depth and N must agree")
+    N = tree.depth
     w = _level_weights(rho, delta, N)
     leaves, span = _leaf_blocks(tree, mu)
     size = len(leaves)
@@ -281,28 +278,20 @@ def _assemble_bilinear(tree, mu, rho, delta, pair_list, kind):
     return LaplacianMatrix(N, leaves, rows, tuple(mu_leaf), kind)
 
 
-def assemble_laplacian_dirichlet(tree, mu, rho, delta, N=None):
+def assemble_laplacian_dirichlet(tree, mu, rho, delta):
     """Independent assembly route through the Dirichlet form."""
-    if N is None:
-        N = tree.depth
-    if N != tree.depth:
-        raise ValueError("tree depth and N must agree")
     pair_list = _pair_coefficients(tree, mu, "all", None)
     return _assemble_bilinear(tree, mu, rho, delta, pair_list,
                               "full-dirichlet")
 
 
 def assemble_pb_laplacian(tree, mu, rho, delta, pair_selection="single",
-                          pairs=None, N=None):
+                          pairs=None):
     """Restricted-edge variant: one sibling pair per branching node
     ("single", optionally given explicitly) or the measure-weighted
     average over all pairs ("nu-average").  Coincides with the full
     operator when every branching node has exactly two children.
     """
-    if N is None:
-        N = tree.depth
-    if N != tree.depth:
-        raise ValueError("tree depth and N must agree")
     if pair_selection not in ("single", "nu-average"):
         raise ValueError("unknown pair selection %r" % pair_selection)
     pair_list = _pair_coefficients(tree, mu, pair_selection, pairs)
@@ -310,7 +299,7 @@ def assemble_pb_laplacian(tree, mu, rho, delta, pair_selection="single",
                               "pb-" + pair_selection)
 
 
-def dirichlet_form_value(tree, mu, rho, delta, f, g, N=None):
+def dirichlet_form_value(tree, mu, rho, delta, f, g):
     """Q(f, g) for cylinder coefficient vectors f and g.
 
     Per level and sibling pair (u, v) the contribution is
@@ -319,8 +308,7 @@ def dirichlet_form_value(tree, mu, rho, delta, f, g, N=None):
     subtrees are independent, which turns the paired expectation into the
     product of the two one-sided ones.
     """
-    if N is None:
-        N = tree.depth
+    N = tree.depth
     leaves, span = _leaf_blocks(tree, mu)
     if len(f) != len(leaves) or len(g) != len(leaves):
         raise ValueError("coefficient vectors must match the leaf count")

@@ -15,8 +15,9 @@ from itertools import product
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .words import (FullShift, SturmianCF, border_array,
-                    sturmian_characteristic)
+from .tree import _finish, build_tree
+from .words import (FullShift, LanguageTable, SturmianCF, border_array,
+                    language_table, sturmian_characteristic)
 
 
 class DepthMismatchError(ValueError):
@@ -59,6 +60,11 @@ class DeltaSequence:
                     "delta is not strictly decreasing at %d" % len(c))
             c.append(lv)
         return c[n]
+
+    def logs(self, N):
+        """log(delta_n) for n < N, as a list."""
+        self.log(max(N - 1, 0))
+        return self._logs[:N]
 
     def __getitem__(self, n):
         lv = self.log(n)
@@ -308,7 +314,6 @@ def spectral_distance_range_bruteforce(tree, delta, xi, eta):
 
 def enumerate_choice_functions(tree):
     """Yield every choice function of a small tree.  Exponential; tests only."""
-    from .tree import _finish
     nodes = [v for n in range(tree.depth) for v in tree.levels[n]]
     child_lists = [tree.children[v] for v in nodes]
     for combo in product(*child_lists):
@@ -327,149 +332,156 @@ class OrderDiagnostic:
     per_level: tuple = field(default=(), compare=False)
 
 
-def _deviation_dp(tree, delta):
-    """Bottom-up maxima T(v) of the branching-weighted delta sum along
-    descendant paths, with lexicographically least maximizing child."""
-    N = tree.depth
-    T = {w: 0.0 for w in tree.leaves()}
-    arg = {w: None for w in tree.leaves()}
+def _tree_engine(tree, delta, N, lipschitz):
+    """(C(N) if lipschitz else None, W(N)) from one bottom-up pass over the
+    tree of words cut at depth N <= its depth.  A parent reads up[c] =
+    T(c) + delta_n for a child c branching at level n, else T(c), and
+    arg[v] is the lexicographically least child attaining T(v)."""
+    children = tree.children
+    up = dict.fromkeys(tree.levels[N], 0.0)
+    arg = {}
+    series = []
     for n in range(N - 1, -1, -1):
+        level_best, level_v = -1.0, None
         for v in tree.levels[n]:
+            cs = children[v]
             best, best_c = -1.0, None
-            for c in tree.children[v]:
-                gain = 0.0
-                if len(c) <= N - 1 and tree.a(c) > 0:
-                    gain = delta[len(c)]
-                val = gain + T[c]
+            for c in cs:
+                val = up[c]
                 if val > best:
                     best, best_c = val, c
-            T[v] = best
             arg[v] = best_c
-    return T, arg
+            if len(cs) > 1:
+                d = delta[n]
+                up[v] = best + d
+                if lipschitz and best / d > level_best:
+                    level_best, level_v = best / d, v
+            else:
+                up[v] = best
+        if level_v is not None:
+            series.append((n, level_best, level_v))
+
+    def descend(v):
+        while v in arg:
+            v = arg[v]
+        return v
+
+    w = OrderDiagnostic(best, "", descend(""), ())
+    if not lipschitz:
+        return None, w
+    series.reverse()
+    best, best_v = 0.0, None
+    for _, value, v in series:
+        if value > best:
+            best, best_v = value, v
+    if best_v is None:
+        return OrderDiagnostic(0.0, "", "", ()), w
+    return OrderDiagnostic(best, best_v, descend(best_v),
+                           tuple((m, value) for m, value, _ in series)), w
 
 
-def _descend(arg, v):
-    while arg.get(v) is not None:
-        v = arg[v]
-    return v
-
-
-def lipschitz_estimate(tree, delta, N=None):
+def lipschitz_estimate(tree, delta):
     """C(N): the largest ratio T(v)/delta_m over branching nodes v at level
     m, where T(v) is the maximal deviation-weighted delta sum along
     descendant paths of v."""
-    if N is None:
-        N = tree.depth
-    if N != tree.depth:
-        raise ValueError("tree depth and N must agree")
-    T, arg = _deviation_dp(tree, delta)
-    best, best_v = 0.0, None
-    series = []
-    for m in range(N):
-        level_best, level_v = -1.0, None
-        for v in tree.levels[m]:
-            if tree.a(v) <= 0:
-                continue
-            val = T[v] / delta[m]
-            if val > level_best:
-                level_best, level_v = val, v
-        if level_v is None:
-            continue
-        series.append((m, level_best))
-        if level_best > best:
-            best, best_v = level_best, level_v
-    if best_v is None:
-        return OrderDiagnostic(0.0, "", "", ())
-    return OrderDiagnostic(best, best_v, _descend(arg, best_v),
-                           tuple(series))
+    return _tree_engine(tree, delta, tree.depth, True)[0]
 
 
-def continuity_witness(tree, delta, N=None):
+def continuity_witness(tree, delta):
     """W(N): the maximal branching-weighted delta sum over root-to-leaf
     paths, levels 1 through N-1."""
-    if N is None:
-        N = tree.depth
-    if N != tree.depth:
-        raise ValueError("tree depth and N must agree")
-    T, arg = _deviation_dp(tree, delta)
-    return OrderDiagnostic(T[""], "", _descend(arg, ""), ())
+    return _tree_engine(tree, delta, tree.depth, False)[1]
 
 
 # ---------------------------------------------------------------------------
-# fast engines for the two structured families
+# branching chains: the fast engine for full shifts and Sturmian specs
 #
-# Full shifts: every node branches, so the path maxima are plain suffix
-# sums of delta.  Sturmian subshifts: exactly one word per length branches
-# (the length-n suffix of the characteristic word), and a path's branching
-# prefixes form a border chain of those suffixes, which the failure array
-# of the reversed characteristic word encodes.
+# A Sturmian subshift has one branching word per length (the length-n
+# suffix of the characteristic word); a path's branching prefixes form a
+# border chain of those suffixes, encoded by the failure array of the
+# reversed characteristic word.  In a full shift the path a^N attains every
+# maximum, and its failure array border_array("a" * N) is fail[m] = m - 1.
 
 
-def _full_shift_ratios(delta, N):
-    """B[m] = sum over n in m+1..N-1 of delta_n/delta_m, every level
-    branching, evaluated through the one-step ratio recurrence."""
+def _branching_chain(spec, N):
+    """(reversed branching path, its failure array) at depth N for a full
+    shift or Sturmian spec; None for any other family."""
+    if isinstance(spec, FullShift):
+        return ("", [0]) if spec.k == 1 else ("a" * N, [0, *range(N)])
+    if isinstance(spec, SturmianCF):
+        word = sturmian_characteristic(spec, max(N, 2))[::-1][:N]
+        return word, border_array(word)
+    return None
+
+
+def _chain_engine(chain, delta, N, lipschitz):
+    """(C(N) if lipschitz else None, W(N)) from a chain at least N deep.
+    B[m] is the largest sum of delta_n/delta_m over chains lying strictly
+    above level m and passing through it."""
+    word, fail = chain
+    word = word[:N]
+    logs = delta.logs(len(word))
     B = [0.0] * N
-    for m in range(N - 2, -1, -1):
-        B[m] = delta.ratio(m + 1, m) * (1.0 + B[m + 1])
-    return B
-
-
-def _single_rs_ratios(spec, delta, N):
-    """Branching-chain ratios for a subshift with one right special word
-    per length (the length-n suffix of the characteristic word).
-
-    A path's branching prefixes form a border chain of those suffixes; the
-    failure array of the reversed characteristic word encodes the chains.
-    B[m] is the largest achievable sum of delta_n/delta_m over chains lying
-    strictly above level m and passing through it.
-    """
-    word = sturmian_characteristic(spec, max(N, 2))
-    rev = word[::-1][:N]
-    fail = border_array(rev)
-    B = [0.0] * N
-    for m in range(N - 1, 0, -1):
+    for m in range(len(word) - 1, 0, -1):
         f = fail[m]
-        cand = delta.ratio(m, f) * (1.0 + B[m])
+        cand = math.exp(logs[m] - logs[f]) * (1.0 + B[m])
         if cand > B[f]:
             B[f] = cand
-    return B, rev, fail
+    w = OrderDiagnostic(delta[0] * B[0], "", word[::-1])
+    if not lipschitz:
+        return None, w
+    m = B.index(max(B))
+    return OrderDiagnostic(B[m], word[:m][::-1], ""), w
+
+
+def _fast_engine(spec, delta, N, lipschitz):
+    chain = _branching_chain(spec, N)
+    if chain is None:
+        raise TypeError("no fast engine for %r" % (spec,))
+    return _chain_engine(chain, delta, N, lipschitz)
 
 
 def lipschitz_estimate_fast(spec, delta, N):
     """Evaluation of C(N) for full shifts and Sturmian specs through
     closed-form branching structure; agrees with the tree engine but
     scales to depths in the thousands."""
-    if isinstance(spec, FullShift):
-        if spec.k == 1:
-            return OrderDiagnostic(0.0, "", "")
-        B = _full_shift_ratios(delta, N)
-        m = max(range(N), key=lambda i: B[i])
-        return OrderDiagnostic(B[m], "a" * m, "a" * N)
-    if isinstance(spec, SturmianCF):
-        B, rev, _ = _single_rs_ratios(spec, delta, N)
-        m = max(range(N), key=lambda i: B[i])
-        return OrderDiagnostic(B[m], rev[:m][::-1], "")
-    raise TypeError("no fast engine for %r" % (spec,))
+    return _fast_engine(spec, delta, N, True)[0]
 
 
 def continuity_witness_fast(spec, delta, N):
     """Fast evaluation of W(N) for full shifts and Sturmian specs."""
-    if isinstance(spec, FullShift):
-        if spec.k == 1:
-            return OrderDiagnostic(0.0, "", "")
-        B = _full_shift_ratios(delta, N)
-        return OrderDiagnostic(delta[0] * B[0], "", "a" * N)
-    if isinstance(spec, SturmianCF):
-        B, rev, _ = _single_rs_ratios(spec, delta, N)
-        return OrderDiagnostic(delta[0] * B[0], "", rev[::-1])
-    raise TypeError("no fast engine for %r" % (spec,))
+    return _fast_engine(spec, delta, N, False)[1]
+
+
+def order_diagnostics(source, delta, schedule):
+    """[(C(N), W(N)) for N in an increasing schedule] from one structure:
+    source is a tree of words as deep as the schedule, or a spec, whose
+    branching chain or else tree of words is built once at the last depth.
+    Each depth then costs one pass for both values."""
+    engine, structure = _tree_engine, source
+    if not isinstance(source, LanguageTable):
+        structure = _branching_chain(source, schedule[-1])
+        if structure is None:
+            structure = build_tree(language_table(source, schedule[-1]))
+        else:
+            engine = _chain_engine
+    elif schedule[-1] > source.depth:
+        raise ValueError("schedule goes below the tree depth")
+    return [engine(structure, delta, N, True) for N in schedule]
 
 
 # ---------------------------------------------------------------------------
 # trend verdicts
 
 
-def trend_verdict(values, grow_threshold=0.25, flat_threshold=0.01):
+# growth of the last doubling step below TREND_FLAT reads as bounded, above
+# TREND_GROW as unbounded
+TREND_FLAT = 0.01
+TREND_GROW = 0.25
+
+
+def trend_verdict(values, grow_threshold=TREND_GROW,
+                  flat_threshold=TREND_FLAT):
     """Classify the last doubling step of a series as bounded ("yes"),
     unbounded ("no") or "undecided"."""
     if len(values) < 2 or values[-2] == 0:

@@ -352,7 +352,9 @@ def language_table(spec, N):
     Window-generated specs (Sturmian, substitution) are enumerated from a
     finite window which is doubled until the per-length counts stop
     changing; the flags record where that stabilization was observed.
-    FullShift and ExplicitWindow are exact by construction.  A generated
+    FullShift and ExplicitWindow are exact by construction; a full shift
+    with more than DEFAULT_WINDOW_CAP words at length N is refused before
+    anything is enumerated, the bound a generated window obeys.  A generated
     window is cut to its recurrent prefix (see _recurrent_prefix); a
     window's factors come from its sorted length-N factors (see
     _factor_levels), so the cost is one sort plus one string per word.
@@ -362,6 +364,10 @@ def language_table(spec, N):
 
     if isinstance(spec, FullShift):
         ab = alphabet(spec.k)
+        # k^64 is past the cap for every k > 1
+        if spec.k ** min(N, 64) > DEFAULT_WINDOW_CAP:
+            raise ValueError("full:%d at depth %d has more than %d words of "
+                             "length %d" % (spec.k, N, DEFAULT_WINDOW_CAP, N))
         levels = [("",)]
         for n in range(1, N + 1):
             levels.append(tuple("".join(t) for t in product(ab, repeat=n)))

@@ -110,7 +110,7 @@ class ZetaPartials:
     profile: LevelProfile = field(default=None, compare=False)
 
 
-def zeta_partials(source, delta, s_grid, schedule, N=None):
+def zeta_partials(source, delta, s_grid, schedule):
     """Evaluate the zeta partial sums.
 
     source may be a spec, table, or LevelProfile; schedule is the
@@ -126,7 +126,7 @@ def zeta_partials(source, delta, s_grid, schedule, N=None):
     if isinstance(source, LevelProfile):
         profile = source
     else:
-        profile = level_profile(source, N if N is not None else depth)
+        profile = level_profile(source, depth)
     if profile.depth < depth:
         raise InsufficientDepthError(
             "profile depth %d below schedule %d" % (profile.depth, depth))

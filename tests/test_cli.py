@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from ultratree import cli
 from ultratree.cli import ConfigError, main, parse_delta, parse_schedule, \
     parse_spec
 from ultratree.laplacian import assemble_laplacian, cylinder_measure
@@ -108,6 +110,25 @@ def test_lipschitz_command(tmp_path):
         assert float(row[1]) <= 0.582
     report = read_json(out + "/lipschitz_report.json")
     assert set(report["bounded_trend"]) == {"C", "W", "K"}
+
+
+def test_lipschitz_builds_one_table(tmp_path, monkeypatch):
+    calls = []
+    original = language_table
+
+    def counted(spec, N):
+        calls.append(N)
+        return original(spec, N)
+
+    # wherever a module holds the name, as the benchmark's tracer does
+    for name in ("words", "tree", "metrics", "zeta", "laplacian", "cli"):
+        module = importlib.import_module("ultratree." + name)
+        if getattr(module, "language_table", None) is original:
+            monkeypatch.setattr(module, "language_table", counted)
+    assert main(["lipschitz", "--spec", "subst:a=ab,b=ba,seed=a", "--depth",
+                 "64", "--out", str(tmp_path / "lip")]) == 0
+    assert calls == [64]
+    assert len(read_csv(str(tmp_path / "lip" / "lipschitz.csv"))) == 5
 
 
 def test_zeta_command(tmp_path):
@@ -235,6 +256,37 @@ def test_delta_underflow_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "delta_162" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("lang", "laplacian"))
+def test_oversized_full_shift_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "big"
+    assert main([command, "--spec", "full:2", "--depth", "800",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1048576 words" in err
+    assert not out.exists()
+
+
+def test_laplacian_leaf_limit(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the measure was built")
+
+    out = tmp_path / "lap"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cylinder_measure", refuse)
+        assert main(["laplacian", "--spec", "full:2", "--depth", "12",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4096 leaves" in err
+    assert not out.exists()
+    # the limit is inclusive
+    monkeypatch.setattr(cli, "MAX_LAPLACIAN_LEAVES", 4)
+    assert main(["laplacian", "--spec", "full:2", "--depth", "2",
+                 "--out", str(out)]) == 0
+    assert main(["laplacian", "--spec", "full:2", "--depth", "3",
+                 "--out", str(tmp_path / "lap3")]) == 2
+    assert "8 leaves" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_out():

@@ -159,13 +159,6 @@ def test_form_rejects_wrong_vector_length():
         dirichlet_form_value(tree, mu, 2, HARMONIC, [1, 2], [1, 2, 3, 4])
 
 
-def test_depth_argument_checked():
-    tree = tree_for(FullShift(2), 3)
-    mu = cylinder_measure(tree)
-    with pytest.raises(ValueError):
-        assemble_laplacian(tree, mu, 2, HARMONIC, N=2)
-
-
 # ---------------------------------------------------------------------------
 # restricted-pair variant
 

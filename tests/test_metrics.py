@@ -1,10 +1,15 @@
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ultratree.words import FullShift, SturmianCF, fibonacci_spec
-from ultratree.tree import approximation_graph, choice_function, tree_for
+from ultratree.words import (ExplicitWindow, FullShift, SturmianCF,
+                             Substitution, alphabet, border_array,
+                             fibonacci_spec, language_table)
+from ultratree.tree import (StructuralError, approximation_graph, build_tree,
+                            choice_function, tree_for)
 from ultratree.metrics import (DeltaSequence, DepthMismatchError,
                                OrderDiagnostic, beta_bar_profile,
                                beta_profile, common_prefix_length,
@@ -12,7 +17,8 @@ from ultratree.metrics import (DeltaSequence, DepthMismatchError,
                                delta_from_name, enumerate_choice_functions,
                                graph_distance_oracle, graph_distances,
                                inf_spectral_distance, lipschitz_estimate,
-                               lipschitz_estimate_fast, spectral_distance,
+                               lipschitz_estimate_fast, order_diagnostics,
+                               spectral_distance,
                                spectral_distance_range_bruteforce,
                                sup_spectral_distance, trend_verdict,
                                ultrametric_distance)
@@ -268,6 +274,126 @@ def test_witnesses_reported():
     assert len(c.witness_path) == 8
     assert c.per_level and all(v <= c.value + 1e-15
                                for _, v in c.per_level)
+
+
+def fields(d):
+    return d.value, d.witness_node, d.witness_path, d.per_level
+
+
+def rebuilt_c_and_w(tree, delta):
+    """C and W as two passes of the tree DP with a separate level scan for
+    C, the tree engine before it was one pass: the oracle."""
+    N = tree.depth
+
+    def dp():
+        T = {w: 0.0 for w in tree.leaves()}
+        arg = {w: None for w in tree.leaves()}
+        for n in range(N - 1, -1, -1):
+            for v in tree.levels[n]:
+                best, best_c = -1.0, None
+                for c in tree.children[v]:
+                    gain = 0.0
+                    if len(c) <= N - 1 and tree.a(c) > 0:
+                        gain = delta[len(c)]
+                    if gain + T[c] > best:
+                        best, best_c = gain + T[c], c
+                T[v], arg[v] = best, best_c
+        return T, arg
+
+    def descend(arg, v):
+        while arg.get(v) is not None:
+            v = arg[v]
+        return v
+
+    T, arg = dp()
+    best, best_v, series = 0.0, None, []
+    for m in range(N):
+        level_best, level_v = -1.0, None
+        for v in tree.levels[m]:
+            if tree.a(v) > 0 and T[v] / delta[m] > level_best:
+                level_best, level_v = T[v] / delta[m], v
+        if level_v is not None:
+            series.append((m, level_best))
+            if level_best > best:
+                best, best_v = level_best, level_v
+    c = OrderDiagnostic(0.0, "", "", ())
+    if best_v is not None:
+        c = OrderDiagnostic(best, best_v, descend(arg, best_v),
+                            tuple(series))
+    T, arg = dp()
+    return c, OrderDiagnostic(T[""], "", descend(arg, ""), ())
+
+
+SCHEDULE_SUBSTITUTIONS = (
+    {"a": "ab", "b": "ba"},              # Thue-Morse
+    {"a": "ab", "b": "a"},               # Fibonacci
+    {"a": "abc", "b": "bc", "c": "a"},
+    {"a": "aab", "b": "b"},              # needs a window of about 2^N
+    {"a": "ab", "b": "ac", "c": "a"},    # Tribonacci
+)
+
+
+def schedule_specs():
+    full = st.sampled_from(((1, 12), (2, 8), (3, 5))).flatmap(
+        lambda kd: st.tuples(st.just(FullShift(kd[0])),
+                             st.integers(1, kd[1])))
+    # a doubled word w + w has every factor shorter than |w| + 2 extended
+    window = st.tuples(
+        st.integers(1, 3).flatmap(lambda k: st.text(alphabet(k), min_size=1,
+                                                   max_size=30)),
+        st.booleans(), st.integers(1, 12)).map(
+        lambda t: (ExplicitWindow(t[0] * (2 if t[1] else 1)), t[2]))
+    subst = st.tuples(st.sampled_from(SCHEDULE_SUBSTITUTIONS),
+                      st.integers(1, 12)).map(
+        lambda rN: (Substitution.from_rules(rN[0], "a"), rN[1]))
+    return st.one_of(full, window, subst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule_specs(), st.data(),
+       st.sampled_from(("exp", "harmonic", "geom:0.5", "powerlog:1.5,1")))
+def test_schedule_from_one_table_matches_rebuild_per_depth(spec_depth, data,
+                                                          delta_name):
+    spec, depth = spec_depth
+    schedule = sorted(data.draw(st.sets(st.integers(1, depth), min_size=1),
+                                label="schedule") | {depth})
+    delta = delta_from_name(delta_name)
+    try:
+        expected = [rebuilt_c_and_w(build_tree(language_table(spec, N)),
+                                    delta) for N in schedule]
+    except StructuralError as exc:
+        with pytest.raises(StructuralError, match=re.escape(str(exc))):
+            order_diagnostics(spec, delta, schedule)
+        return
+    # a full shift has a chain; its tree of words is passed in to test the
+    # tree engine
+    source = spec
+    if isinstance(spec, FullShift):
+        source = build_tree(language_table(spec, depth))
+    got = order_diagnostics(source, delta, schedule)
+    assert [(fields(c), fields(w)) for c, w in got] == \
+        [(fields(c), fields(w)) for c, w in expected]
+
+
+def test_chain_schedule_matches_fast_engines():
+    # the full shift's chain is the path a^N with these failure links
+    assert border_array("a" * 50) == [0, *range(50)]
+    schedule = (1, 2, 5, 64, 300)
+    for spec in (FullShift(1), FullShift(3)) + SPECS[2:]:
+        for name in ("exp", "harmonic", "powerlog:1.5,1"):
+            delta = delta_from_name(name)
+            got = order_diagnostics(spec, delta, schedule)
+            for N, (c, w) in zip(schedule, got):
+                assert fields(c) == fields(
+                    lipschitz_estimate_fast(spec, delta, N))
+                assert fields(w) == fields(
+                    continuity_witness_fast(spec, delta, N))
+
+
+def test_schedule_deeper_than_tree_is_refused():
+    tree = tree_for(fibonacci_spec(), 8)
+    with pytest.raises(ValueError):
+        order_diagnostics(tree, DeltaSequence.harmonic(), (4, 9))
 
 
 def test_trend_verdict():

@@ -33,6 +33,14 @@ def test_full_shift_counts():
     assert table3.counts == (1, 3, 9, 27)
 
 
+def test_full_shift_size_guard():
+    # k^N words past the cap are refused before any is enumerated
+    for k, N in ((2, 21), (2, 800), (4, 11), (26, 5)):
+        with pytest.raises(ValueError, match="more than 1048576 words"):
+            language_table(FullShift(k), N)
+    assert language_table(FullShift(1), 200).counts == (1,) * 201
+
+
 def test_explicit_window_factors():
     table = language_table(ExplicitWindow("abab"), 4)
     assert table.levels[1] == ("a", "b")
