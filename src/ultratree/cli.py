@@ -28,10 +28,9 @@ from .words import (ExplicitWindow, FullShift, SturmianCF, Substitution,
                     complexity_profile, language_table,
                     repetitivity_estimate, repulsiveness_estimates,
                     right_special_words)
-from .tree import build_tree
-# .metrics imports scipy for its Dijkstra oracle, which no command uses; it is
-# imported inside the functions that need it, so that `lang` and `--help`
-# start without loading scipy
+from .tree import DeltaSequence, build_tree, delta_from_name
+# .metrics imports scipy for its Dijkstra oracle, which no command uses; only
+# `lipschitz` needs the module, and imports it inside cmd_lipschitz
 from .zeta import abscissa_estimate, exponent_estimates, zeta_partials
 from .laplacian import (InvariantViolationError, assemble_laplacian,
                         assemble_laplacian_dirichlet, assemble_pb_laplacian,
@@ -108,7 +107,6 @@ def parse_delta(text, depth=None):
     (one positive value per line, strictly decreasing).  A table must hold
     at least depth values, since a depth-N run reads delta_0 .. delta_(N-1).
     """
-    from .metrics import DeltaSequence, delta_from_name
     if text.startswith("table:"):
         path = text.split(":", 1)[1]
         try:
@@ -127,16 +125,19 @@ def parse_delta(text, depth=None):
 
 
 def parse_schedule(text, depth):
+    """Truncation depths from a comma list, or by default depth/8, depth/4,
+    depth/2 and depth, each raised to 2 and clipped to depth."""
     if text is None:
-        pts = sorted({max(2, depth // 8), max(2, depth // 4),
-                      max(2, depth // 2), depth})
-        return tuple(pts)
+        return tuple(sorted({min(max(2, depth // k), depth)
+                             for k in (8, 4, 2, 1)}))
     try:
         pts = tuple(int(t) for t in text.split(","))
     except ValueError as exc:
         raise ConfigError("bad schedule: %s" % exc)
-    if any(b <= a for a, b in zip(pts, pts[1:])) or pts[-1] > depth:
-        raise ConfigError("schedule must increase and stay within --depth")
+    if (any(b <= a for a, b in zip(pts, pts[1:])) or pts[0] < 1
+            or pts[-1] > depth):
+        raise ConfigError("schedule must increase from 1 or more and stay "
+                          "within --depth")
     return pts
 
 
@@ -148,13 +149,20 @@ def parse_weight(text):
 
 
 def load_measure_weights(path):
+    """A JSON object mapping words to lists of child probabilities."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError("cannot read measure file: %s" % exc)
-    return {node: [parse_weight(p) for p in probs]
-            for node, probs in raw.items()}
+    if not (isinstance(raw, dict)
+            and all(isinstance(probs, list) for probs in raw.values())):
+        raise ConfigError("measure file must map words to lists of weights")
+    try:
+        return {node: [parse_weight(p) for p in probs]
+                for node, probs in raw.items()}
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError("bad weight in measure file: %s" % exc)
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +194,24 @@ def _create(path, newline=None):
     return open(path, "w", newline=newline)
 
 
+def _write_json(path, data):
+    with _create(path) as fh:
+        json.dump(_jsonsafe(data), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return path
+
+
 def write_series(path_base, fmt, header, rows):
     """A table of rows either as CSV or as a JSON list of objects."""
-    if fmt == "csv":
-        path = path_base + ".csv"
-        with _create(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(x) for x in row])
-    else:
-        path = path_base + ".json"
-        data = [dict(zip(header, row)) for row in rows]
-        with _create(path) as fh:
-            json.dump(_jsonsafe(data), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    if fmt == "json":
+        return _write_json(path_base + ".json",
+                           [dict(zip(header, row)) for row in rows])
+    path = path_base + ".csv"
+    with _create(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
     return path
 
 
@@ -209,10 +220,7 @@ def write_report(path, config, body):
                "edge_length_convention": EDGE_LENGTH_CONVENTION,
                "version": __version__}
     payload.update(body)
-    with _create(path) as fh:
-        json.dump(_jsonsafe(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+    return _write_json(path, payload)
 
 
 def config_dict(args, keys):
@@ -341,9 +349,8 @@ def cmd_laplacian(args):
         mu = cylinder_measure(tree, weights=weights)
     else:
         raise ConfigError("unknown measure %r" % args.measure)
-    rho = args.rho if not float(args.rho).is_integer() else int(args.rho)
-    lap = assemble_laplacian(tree, mu, rho, delta)
-    oracle = assemble_laplacian_dirichlet(tree, mu, rho, delta)
+    lap = assemble_laplacian(tree, mu, args.rho, delta)
+    oracle = assemble_laplacian_dirichlet(tree, mu, args.rho, delta)
     checks = check_invariants(lap)
     checks["route_difference"] = matrix_difference(lap, oracle)
     eigenvalues = spectrum(lap)
@@ -353,18 +360,15 @@ def cmd_laplacian(args):
                 for j in range(mat.shape[1]) if mat[i, j] != 0.0]
     files = [write_series(os.path.join(args.out, "laplacian_matrix"),
                           args.format, ("i", "j", "value"), triplets)]
-    with _create(os.path.join(args.out, "index_map.json")) as fh:
-        json.dump({str(i): w for i, w in enumerate(lap.leaves)}, fh,
-                  sort_keys=True, indent=2)
-        fh.write("\n")
-    files.append(os.path.join(args.out, "index_map.json"))
+    files.append(_write_json(os.path.join(args.out, "index_map.json"),
+                             {str(i): w for i, w in enumerate(lap.leaves)}))
     files.append(write_series(os.path.join(args.out, "spectrum"),
                               args.format, ("rank", "eigenvalue"),
                               list(enumerate(float(v)
                                              for v in eigenvalues))))
     body = {"invariants": checks, "size": len(lap.leaves)}
     if args.pb:
-        pb = assemble_pb_laplacian(tree, mu, rho, delta,
+        pb = assemble_pb_laplacian(tree, mu, args.rho, delta,
                                    pair_selection=args.pb)
         body["pb"] = {
             "pair_selection": args.pb,

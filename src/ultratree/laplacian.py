@@ -60,12 +60,14 @@ def cylinder_measure(tree, weights=None, seed=None):
             elif weights is None:
                 probs = [Fraction(1, len(cs))] * len(cs)
             else:
+                if v not in weights:
+                    raise InvalidMeasureError("no weights for %r" % v)
                 probs = list(weights[v])
                 if len(probs) != len(cs):
                     raise InvalidMeasureError(
                         "weights for %r have wrong arity" % v)
             for p in probs:
-                if p <= 0:
+                if not p > 0:  # NaN included
                     raise InvalidMeasureError(
                         "non-positive child weight at %r" % v)
             total = sum(probs)
@@ -79,15 +81,11 @@ def cylinder_measure(tree, weights=None, seed=None):
     return mu
 
 
-def density(rho):
-    """Normalize a density argument: an exponent s stands for delta^s.
+def density(s):
+    """The density rho(delta) = delta^s of an exponent s.
 
-    Integer exponents keep Fraction inputs exact; callables are applied
-    as given.
+    Integer exponents, given as int or float, keep Fraction inputs exact.
     """
-    if callable(rho):
-        return rho
-    s = rho
     if s < 0:
         raise ValueError("density exponent must be >= 0")
     if float(s).is_integer():
@@ -130,7 +128,6 @@ class LaplacianMatrix:
     leaves: tuple
     rows: tuple = field(compare=False)
     mu_leaves: tuple = field(compare=False)
-    kind: str = "full"
 
     @property
     def matrix(self):
@@ -207,7 +204,7 @@ def assemble_laplacian(tree, mu, rho, delta):
                 for i in range(lo, hi):
                     rows[i][j] -= off
     return LaplacianMatrix(N, leaves, tuple(map(tuple, rows)),
-                           tuple(mu[x] for x in leaves), "full")
+                           tuple(mu[x] for x in leaves))
 
 
 def _pair_coefficients(tree, mu, mode, pairs):
@@ -237,18 +234,16 @@ def _pair_coefficients(tree, mu, mode, pairs):
                 else:
                     u1, u2 = cs[0], cs[1]
                 chosen = [(u1, u2, 1)]
-            elif mode == "nu-average":
+            else:  # "nu-average"
                 norm = sum(mu[u1] * mu[u2] for u1, u2 in all_pairs)
                 chosen = [(u1, u2, mu[u1] * mu[u2] / norm)
                           for u1, u2 in all_pairs]
-            else:
-                raise ValueError("unknown pair mode %r" % mode)
             for u1, u2, c in chosen:
                 out.append((n, u1, u2, c))
     return out
 
 
-def _assemble_bilinear(tree, mu, rho, delta, pair_list, kind):
+def _assemble_bilinear(tree, mu, rho, delta, pair_list):
     """Form matrix A with Q(f, g) = f^T A g, returned as M = D^{-1} A.
 
     Per pair (u, v) the form contributes the diagonal subtree-expectation
@@ -275,14 +270,13 @@ def _assemble_bilinear(tree, mu, rho, delta, pair_list, kind):
                 for k in range(olo, ohi):
                     row[k] -= fi * mu_leaf[k]
     rows = tuple(tuple(x / mu_leaf[i] for x in A[i]) for i in range(size))
-    return LaplacianMatrix(N, leaves, rows, tuple(mu_leaf), kind)
+    return LaplacianMatrix(N, leaves, rows, tuple(mu_leaf))
 
 
 def assemble_laplacian_dirichlet(tree, mu, rho, delta):
     """Independent assembly route through the Dirichlet form."""
     pair_list = _pair_coefficients(tree, mu, "all", None)
-    return _assemble_bilinear(tree, mu, rho, delta, pair_list,
-                              "full-dirichlet")
+    return _assemble_bilinear(tree, mu, rho, delta, pair_list)
 
 
 def assemble_pb_laplacian(tree, mu, rho, delta, pair_selection="single",
@@ -295,8 +289,7 @@ def assemble_pb_laplacian(tree, mu, rho, delta, pair_selection="single",
     if pair_selection not in ("single", "nu-average"):
         raise ValueError("unknown pair selection %r" % pair_selection)
     pair_list = _pair_coefficients(tree, mu, pair_selection, pairs)
-    return _assemble_bilinear(tree, mu, rho, delta, pair_list,
-                              "pb-" + pair_selection)
+    return _assemble_bilinear(tree, mu, rho, delta, pair_list)
 
 
 def dirichlet_form_value(tree, mu, rho, delta, f, g):
@@ -337,18 +330,18 @@ def dirichlet_form_value(tree, mu, rho, delta, f, g):
 # invariants and spectra
 
 
-def check_invariants(lap, row_tol=1e-12, adj_tol=1e-12):
+def check_invariants(lap, tol=1e-12):
     """Verify conservation and self-adjointness with respect to mu.
 
     Runs on the matrix in its assembly arithmetic, so rationally assembled
     operators are checked exactly; the defects are computed once per matrix
-    and each call applies its own tolerances.
+    and each call applies its own tolerance.
     """
     row, adj = lap.defects
     return {"max_row_sum": float(row),
             "max_self_adjoint_defect": float(adj),
-            "row_ok": bool(row <= row_tol),
-            "adjoint_ok": bool(adj <= adj_tol)}
+            "row_ok": bool(row <= tol),
+            "adjoint_ok": bool(adj <= tol)}
 
 
 def matrix_difference(lap_a, lap_b):
@@ -360,9 +353,9 @@ def matrix_difference(lap_a, lap_b):
                       for x, y in zip(ra, rb)), default=0))
 
 
-def spectrum(lap, tol=1e-8):
+def spectrum(lap):
     """Ascending eigenvalues of the measure-symmetrized matrix."""
-    checks = check_invariants(lap, row_tol=tol, adj_tol=tol)
+    checks = check_invariants(lap, tol=1e-8)
     if not (checks["row_ok"] and checks["adjoint_ok"]):
         raise InvariantViolationError(
             "matrix fails pre-checks: %r" % (checks,))

@@ -15,7 +15,10 @@ from itertools import product
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .tree import _finish, build_tree
+# delta_from_name is defined with the edge lengths in .tree and re-exported
+# here for callers that read it on this module (bench/workloads.py and the
+# tracer in bench/tracing.py)
+from .tree import _finish, build_tree, delta_from_name  # noqa: F401
 from .words import (FullShift, LanguageTable, SturmianCF, border_array,
                     language_table, sturmian_characteristic)
 
@@ -26,129 +29,6 @@ class DepthMismatchError(ValueError):
 
 class UnreachableVertexError(RuntimeError):
     """A vertex pair is disconnected; the graph invariant is broken."""
-
-
-# ---------------------------------------------------------------------------
-# delta sequences
-
-
-class DeltaSequence:
-    """Strictly decreasing positive null sequence of edge lengths.
-
-    The sequence is defined through the natural log of its values, which
-    keeps ratios of far-apart entries computable even where the values
-    themselves underflow to float zero (exponential delta does so near
-    index 750).  The decreasing property is asserted on every realized
-    prefix of the logs.  tail_bound(N), when available in closed form,
-    bounds the remainder sum from index N on.
-    """
-
-    def __init__(self, log_fn, name, tail_fn=None):
-        self._log_fn = log_fn
-        self.name = name
-        self._tail = tail_fn
-        self._logs = []
-
-    def log(self, n):
-        if n < 0:
-            raise IndexError("delta index must be >= 0")
-        c = self._logs
-        while len(c) <= n:
-            lv = self._log_fn(len(c))
-            if c and lv >= c[-1]:
-                raise ValueError(
-                    "delta is not strictly decreasing at %d" % len(c))
-            c.append(lv)
-        return c[n]
-
-    def logs(self, N):
-        """log(delta_n) for n < N, as a list."""
-        self.log(max(N - 1, 0))
-        return self._logs[:N]
-
-    def __getitem__(self, n):
-        lv = self.log(n)
-        vals = self.__dict__.setdefault("_values", {})
-        v = vals.get(n)
-        if v is None:
-            v = vals[n] = math.exp(lv)
-        return v
-
-    def prefix(self, N):
-        return [self[n] for n in range(N)]
-
-    def ratio(self, n, m):
-        """delta_n / delta_m without intermediate underflow."""
-        return math.exp(self.log(n) - self.log(m))
-
-    def tail_bound(self, N):
-        """Upper bound for sum of delta_n over n >= N, or None."""
-        return None if self._tail is None else self._tail(N)
-
-    @classmethod
-    def exponential(cls):
-        return cls(lambda n: -float(n), "exponential",
-                   lambda N: math.exp(-N) / (1.0 - math.exp(-1.0)))
-
-    @classmethod
-    def harmonic(cls):
-        return cls(lambda n: -math.log(n + 1), "harmonic",
-                   lambda N: math.inf)
-
-    @classmethod
-    def geometric(cls, q):
-        if not 0 < q < 1:
-            raise ValueError("geometric ratio must be in (0, 1)")
-        lq = math.log(q)
-        return cls(lambda n: n * lq, "geometric:%r" % q,
-                   lambda N: q ** N / (1.0 - q))
-
-    @classmethod
-    def powerlog(cls, a, b):
-        """delta_n = ln^b(n + 2 + s) / (n + 1 + s)^a, with the index shift s
-        chosen so the sequence decreases from the start."""
-        if a <= 0 or b < 0:
-            raise ValueError("need a > 0 and b >= 0")
-        shift = max(0, math.ceil(math.exp(b / a)) - 2)
-
-        def log_fn(n):
-            return b * math.log(math.log(n + 2 + shift)) \
-                - a * math.log(n + 1 + shift)
-
-        tail = None
-        if a > 1 and b == 0:
-            def tail(N):
-                return (N + shift) ** (1 - a) / (a - 1)
-        return cls(log_fn, "powerlog:%r,%r" % (a, b), tail)
-
-    @classmethod
-    def table(cls, values):
-        vals = [float(v) for v in values]
-        for v in vals:
-            if v <= 0:
-                raise ValueError("table entries must be positive")
-
-        def log_fn(n):
-            if n >= len(vals):
-                raise IndexError("delta table exhausted at index %d" % n)
-            return math.log(vals[n])
-
-        return cls(log_fn, "table[%d]" % len(vals))
-
-
-def delta_from_name(name):
-    """Parse a delta family descriptor like "exp", "harmonic",
-    "powerlog:1.5,1" or "geom:0.5"."""
-    if name in ("exp", "exponential"):
-        return DeltaSequence.exponential()
-    if name == "harmonic":
-        return DeltaSequence.harmonic()
-    if name.startswith("powerlog:"):
-        a, b = (float(x) for x in name.split(":", 1)[1].split(","))
-        return DeltaSequence.powerlog(a, b)
-    if name.startswith("geom:"):
-        return DeltaSequence.geometric(float(name.split(":", 1)[1]))
-    raise ValueError("unknown delta family %r" % name)
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +51,6 @@ def ultrametric_distance(xi, eta, delta):
     if xi == eta:
         return 0.0
     return delta[common_prefix_length(xi, eta)]
-
-
-def beta_profile(tree, tau, xi):
-    """Deviation bits of xi against tau: bit n is 0 exactly when tau selects
-    xi's continuation at the level-n prefix."""
-    N = len(xi)
-    return [0 if tau.selection[xi[:n]] == xi[:n + 1] else 1
-            for n in range(N)]
-
-
-def beta_bar_profile(tree, xi):
-    """Supremum profile: bit n is 1 exactly when the level-n prefix branches."""
-    N = len(xi)
-    return [1 if tree.a(xi[:n]) > 0 else 0 for n in range(N)]
 
 
 def spectral_distance(tree, tau, delta, xi, eta):
@@ -332,11 +198,11 @@ class OrderDiagnostic:
     per_level: tuple = field(default=(), compare=False)
 
 
-def _tree_engine(tree, delta, N, lipschitz):
-    """(C(N) if lipschitz else None, W(N)) from one bottom-up pass over the
-    tree of words cut at depth N <= its depth.  A parent reads up[c] =
-    T(c) + delta_n for a child c branching at level n, else T(c), and
-    arg[v] is the lexicographically least child attaining T(v)."""
+def _tree_engine(tree, delta, N):
+    """(C(N), W(N)) from one bottom-up pass over the tree of words cut at
+    depth N <= its depth.  A parent reads up[c] = T(c) + delta_n for a child
+    c branching at level n, else T(c), and arg[v] is the lexicographically
+    least child attaining T(v)."""
     children = tree.children
     up = dict.fromkeys(tree.levels[N], 0.0)
     arg = {}
@@ -354,7 +220,7 @@ def _tree_engine(tree, delta, N, lipschitz):
             if len(cs) > 1:
                 d = delta[n]
                 up[v] = best + d
-                if lipschitz and best / d > level_best:
+                if best / d > level_best:
                     level_best, level_v = best / d, v
             else:
                 up[v] = best
@@ -367,8 +233,6 @@ def _tree_engine(tree, delta, N, lipschitz):
         return v
 
     w = OrderDiagnostic(best, "", descend(""), ())
-    if not lipschitz:
-        return None, w
     series.reverse()
     best, best_v = 0.0, None
     for _, value, v in series:
@@ -384,13 +248,13 @@ def lipschitz_estimate(tree, delta):
     """C(N): the largest ratio T(v)/delta_m over branching nodes v at level
     m, where T(v) is the maximal deviation-weighted delta sum along
     descendant paths of v."""
-    return _tree_engine(tree, delta, tree.depth, True)[0]
+    return _tree_engine(tree, delta, tree.depth)[0]
 
 
 def continuity_witness(tree, delta):
     """W(N): the maximal branching-weighted delta sum over root-to-leaf
     paths, levels 1 through N-1."""
-    return _tree_engine(tree, delta, tree.depth, False)[1]
+    return _tree_engine(tree, delta, tree.depth)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +278,10 @@ def _branching_chain(spec, N):
     return None
 
 
-def _chain_engine(chain, delta, N, lipschitz):
-    """(C(N) if lipschitz else None, W(N)) from a chain at least N deep.
-    B[m] is the largest sum of delta_n/delta_m over chains lying strictly
-    above level m and passing through it."""
+def _chain_engine(chain, delta, N):
+    """(C(N), W(N)) from a chain at least N deep.  B[m] is the largest sum
+    of delta_n/delta_m over chains lying strictly above level m and passing
+    through it."""
     word, fail = chain
     word = word[:N]
     logs = delta.logs(len(word))
@@ -428,29 +292,27 @@ def _chain_engine(chain, delta, N, lipschitz):
         if cand > B[f]:
             B[f] = cand
     w = OrderDiagnostic(delta[0] * B[0], "", word[::-1])
-    if not lipschitz:
-        return None, w
     m = B.index(max(B))
     return OrderDiagnostic(B[m], word[:m][::-1], ""), w
 
 
-def _fast_engine(spec, delta, N, lipschitz):
+def _fast_engine(spec, delta, N):
     chain = _branching_chain(spec, N)
     if chain is None:
         raise TypeError("no fast engine for %r" % (spec,))
-    return _chain_engine(chain, delta, N, lipschitz)
+    return _chain_engine(chain, delta, N)
 
 
 def lipschitz_estimate_fast(spec, delta, N):
     """Evaluation of C(N) for full shifts and Sturmian specs through
     closed-form branching structure; agrees with the tree engine but
     scales to depths in the thousands."""
-    return _fast_engine(spec, delta, N, True)[0]
+    return _fast_engine(spec, delta, N)[0]
 
 
 def continuity_witness_fast(spec, delta, N):
     """Fast evaluation of W(N) for full shifts and Sturmian specs."""
-    return _fast_engine(spec, delta, N, False)[1]
+    return _fast_engine(spec, delta, N)[1]
 
 
 def order_diagnostics(source, delta, schedule):
@@ -467,7 +329,7 @@ def order_diagnostics(source, delta, schedule):
             engine = _chain_engine
     elif schedule[-1] > source.depth:
         raise ValueError("schedule goes below the tree depth")
-    return [engine(structure, delta, N, True) for N in schedule]
+    return [engine(structure, delta, N) for N in schedule]
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +342,14 @@ TREND_FLAT = 0.01
 TREND_GROW = 0.25
 
 
-def trend_verdict(values, grow_threshold=TREND_GROW,
-                  flat_threshold=TREND_FLAT):
+def trend_verdict(values):
     """Classify the last doubling step of a series as bounded ("yes"),
     unbounded ("no") or "undecided"."""
     if len(values) < 2 or values[-2] == 0:
         return "undecided"
     growth = (values[-1] - values[-2]) / values[-2]
-    if growth < flat_threshold:
+    if growth < TREND_FLAT:
         return "yes"
-    if growth > grow_threshold:
+    if growth > TREND_GROW:
         return "no"
     return "undecided"

@@ -4,11 +4,13 @@ Level n of the tree holds the admissible words of length n; a node's parent
 is its length-(n-1) prefix.  A LanguageTable is this tree: it carries the
 child links, and build_tree checks that every word below the depth has a
 child and returns the table.  Horizontal edges join distinct siblings, and
-the edge between children of a level-n vertex has length delta_n.  A choice
+the edge between children of a level-n vertex has length delta_n, read
+from a DeltaSequence (delta_from_name parses a family name).  A choice
 function selects one child per vertex; quotienting the horizontal edges by
 those selections gives the metric approximation graph.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -18,6 +20,126 @@ from .words import StructuralError, language_table
 
 class InfeasibleChoiceError(ValueError):
     """A requested deviation bit cannot be realized at its node."""
+
+
+# ---------------------------------------------------------------------------
+# edge lengths
+
+
+class DeltaSequence:
+    """Strictly decreasing positive null sequence of edge lengths.
+
+    The sequence is defined through the natural log of its values, which
+    keeps ratios of far-apart entries computable even where the values
+    themselves underflow to float zero (exponential delta does so near
+    index 750).  The decreasing property is asserted on every realized
+    prefix of the logs.  tail_bound(N), when available in closed form,
+    bounds the remainder sum from index N on.
+    """
+
+    def __init__(self, log_fn, name, tail_fn=None):
+        self._log_fn = log_fn
+        self.name = name
+        self._tail = tail_fn
+        self._logs = []
+        self._values = {}
+
+    def log(self, n):
+        if n < 0:
+            raise IndexError("delta index must be >= 0")
+        c = self._logs
+        while len(c) <= n:
+            lv = self._log_fn(len(c))
+            if c and lv >= c[-1]:
+                raise ValueError(
+                    "delta is not strictly decreasing at %d" % len(c))
+            c.append(lv)
+        return c[n]
+
+    def logs(self, N):
+        """log(delta_n) for n < N, as a list."""
+        self.log(max(N - 1, 0))
+        return self._logs[:N]
+
+    def __getitem__(self, n):
+        lv = self.log(n)
+        v = self._values.get(n)
+        if v is None:
+            v = self._values[n] = math.exp(lv)
+        return v
+
+    def tail_bound(self, N):
+        """Upper bound for sum of delta_n over n >= N, or None."""
+        return None if self._tail is None else self._tail(N)
+
+    @classmethod
+    def exponential(cls):
+        return cls(lambda n: -float(n), "exponential",
+                   lambda N: math.exp(-N) / (1.0 - math.exp(-1.0)))
+
+    @classmethod
+    def harmonic(cls):
+        return cls(lambda n: -math.log(n + 1), "harmonic",
+                   lambda N: math.inf)
+
+    @classmethod
+    def geometric(cls, q):
+        if not 0 < q < 1:
+            raise ValueError("geometric ratio must be in (0, 1)")
+        lq = math.log(q)
+        return cls(lambda n: n * lq, "geometric:%r" % q,
+                   lambda N: q ** N / (1.0 - q))
+
+    @classmethod
+    def powerlog(cls, a, b):
+        """delta_n = ln^b(n + 2 + s) / (n + 1 + s)^a, with the index shift s
+        chosen so the sequence decreases from the start."""
+        if a <= 0 or b < 0:
+            raise ValueError("need a > 0 and b >= 0")
+        shift = max(0, math.ceil(math.exp(b / a)) - 2)
+
+        def log_fn(n):
+            return b * math.log(math.log(n + 2 + shift)) \
+                - a * math.log(n + 1 + shift)
+
+        tail = None
+        if a > 1 and b == 0:
+            def tail(N):
+                return (N + shift) ** (1 - a) / (a - 1)
+        return cls(log_fn, "powerlog:%r,%r" % (a, b), tail)
+
+    @classmethod
+    def table(cls, values):
+        vals = [float(v) for v in values]
+        for v in vals:
+            if v <= 0:
+                raise ValueError("table entries must be positive")
+
+        def log_fn(n):
+            if n >= len(vals):
+                raise IndexError("delta table exhausted at index %d" % n)
+            return math.log(vals[n])
+
+        return cls(log_fn, "table[%d]" % len(vals))
+
+
+def delta_from_name(name):
+    """Parse a delta family descriptor like "exp", "harmonic",
+    "powerlog:1.5,1" or "geom:0.5"."""
+    if name in ("exp", "exponential"):
+        return DeltaSequence.exponential()
+    if name == "harmonic":
+        return DeltaSequence.harmonic()
+    if name.startswith("powerlog:"):
+        a, b = (float(x) for x in name.split(":", 1)[1].split(","))
+        return DeltaSequence.powerlog(a, b)
+    if name.startswith("geom:"):
+        return DeltaSequence.geometric(float(name.split(":", 1)[1]))
+    raise ValueError("unknown delta family %r" % name)
+
+
+# ---------------------------------------------------------------------------
+# trees of words and choice functions
 
 
 def build_tree(table):
@@ -60,9 +182,6 @@ class ChoiceFunction:
 
     selection: dict = field(compare=False)
     representative: dict = field(compare=False)
-
-    def __call__(self, v):
-        return self.selection[v]
 
 
 def _finish(tree, selection):
@@ -126,10 +245,6 @@ class MetricGraph:
     vertices: tuple
     index: dict = field(compare=False)
     edges: dict = field(compare=False)  # (i, j) with i < j -> length
-
-    def edge_list(self):
-        return [(self.vertices[i], self.vertices[j], d)
-                for (i, j), d in sorted(self.edges.items())]
 
 
 def approximation_graph(tree, tau, delta):

@@ -94,9 +94,6 @@ class Substitution:
     def from_rules(cls, rules, seed):
         return cls(tuple(sorted(rules.items())), seed)
 
-    def rule_map(self):
-        return dict(self.rules)
-
 
 # tail rules for continued fraction coefficients past the explicit prefix:
 #   ("constant", c)  mu_i = c
@@ -156,10 +153,6 @@ def substitution_apply(rules, w):
     return "".join(out)
 
 
-SIGMA0 = {"a": "a", "b": "ba"}
-SIGMA1 = {"a": "ab", "b": "b"}
-
-
 def sturmian_characteristic(spec, min_len):
     """A long suffix of the left-infinite Sturmian characteristic word.
 
@@ -169,8 +162,6 @@ def sturmian_characteristic(spec, min_len):
     """
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
-    if not isinstance(spec, SturmianCF):
-        spec = SturmianCF(mu=tuple(spec))
     # maintain the composed images A = Phi(a), B = Phi(b) where Phi is the
     # product of the substitution powers taken so far, extended on the right
     a_img, b_img = "a", "b"
@@ -193,7 +184,7 @@ def sturmian_characteristic(spec, min_len):
 
 def substitution_fixed_point(spec, min_len):
     """Prefix (of length >= min_len) of the fixed point of a substitution."""
-    rules = spec.rule_map()
+    rules = dict(spec.rules)
     w = spec.seed
     while len(w) < min_len:
         nxt = substitution_apply(rules, w)
@@ -236,12 +227,6 @@ class LanguageTable:
 
     def a(self, v):
         return len(self.children[v]) - 1
-
-    def parent(self, v):
-        return v[:-1]
-
-    def is_branching(self, v):
-        return len(v) < self.depth and self.a(v) > 0
 
     def leaves(self):
         return self.levels[self.depth]

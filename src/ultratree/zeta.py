@@ -46,9 +46,11 @@ def level_profile(source, N=None):
     Full shifts and Sturmian specs use closed forms so that depths in the
     thousands stay cheap; anything else goes through its table.
     """
+    if isinstance(source, LanguageTable):
+        return _profile_from_table(source)
+    if N is None:
+        raise ValueError("a spec source needs an explicit depth")
     if isinstance(source, FullShift):
-        if N is None:
-            raise ValueError("a spec source needs an explicit depth")
         k = source.k
         P = tuple(k ** n for n in range(N + 1))
         g = tuple(P[n + 1] - P[n] for n in range(N))
@@ -56,15 +58,9 @@ def level_profile(source, N=None):
         branching = tuple(P[n] if k > 1 else 0 for n in range(N))
         return LevelProfile(N, P, g, edge, branching)
     if isinstance(source, SturmianCF):
-        if N is None:
-            raise ValueError("a spec source needs an explicit depth")
         # one binary branching vertex per level
         P = tuple(n + 1 for n in range(N + 1))
         return LevelProfile(N, P, (1,) * N, (2,) * N, (1,) * N)
-    if isinstance(source, LanguageTable):
-        return _profile_from_table(source)
-    if N is None:
-        raise ValueError("a spec source needs an explicit depth")
     return _profile_from_table(language_table(source, N))
 
 
@@ -114,11 +110,8 @@ def zeta_partials(source, delta, s_grid, schedule):
     """Evaluate the zeta partial sums.
 
     source may be a spec, table, or LevelProfile; schedule is the
-    increasing list of truncation depths (an int is treated as a one-point
-    schedule).
+    increasing list of truncation depths.
     """
-    if isinstance(schedule, int):
-        schedule = (schedule,)
     schedule = tuple(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must increase")
@@ -165,8 +158,8 @@ def zeta_partials(source, delta, s_grid, schedule):
 # 2^(1-s), about 1 at s = 1) on the divergent side while calling ratios
 # safely under 2^(-0.15) convergent.
 
-DEFAULT_CONVERGENT_RATIO = 0.9
-DEFAULT_DIVERGENT_RATIO = 0.98
+CONVERGENT_RATIO = 0.9
+DIVERGENT_RATIO = 0.98
 
 
 @dataclass(frozen=True)
@@ -178,7 +171,7 @@ class AbscissaReport:
     applicable: bool = True
 
 
-def _classify(partials, r_conv, r_div):
+def _classify(partials):
     if math.isinf(partials[-1]):
         return "divergent"
     incs = [b - a for a, b in zip(partials, partials[1:])]
@@ -190,15 +183,14 @@ def _classify(partials, r_conv, r_div):
     if prev == 0.0:
         return "divergent"
     ratio = last / prev
-    if ratio <= r_conv:
+    if ratio <= CONVERGENT_RATIO:
         return "convergent"
-    if ratio >= r_div:
+    if ratio >= DIVERGENT_RATIO:
         return "divergent"
     return "undecided"
 
 
-def abscissa_estimate(partials, r_conv=DEFAULT_CONVERGENT_RATIO,
-                      r_div=DEFAULT_DIVERGENT_RATIO):
+def abscissa_estimate(partials):
     """Per-variant abscissa brackets from a doubling-schedule ZetaPartials."""
     if len(partials.schedule) < 3:
         raise ValueError("need at least three schedule points")
@@ -210,7 +202,7 @@ def abscissa_estimate(partials, r_conv=DEFAULT_CONVERGENT_RATIO,
             continue
         cls = []
         for s, row in zip(partials.s_grid, rows):
-            cls.append((s, _classify(row, r_conv, r_div)))
+            cls.append((s, _classify(row)))
         div = [s for s, c in cls if c == "divergent"]
         conv = [s for s, c in cls if c == "convergent"]
         lo = max(div) if div else None

@@ -17,10 +17,10 @@ from ultratree.words import (FullShift, SturmianCF, complexity_profile,
                              fibonacci_spec, language_table,
                              repulsiveness_bruteforce,
                              repulsiveness_estimates, right_special_words)
-from ultratree.tree import approximation_graph, choice_function, tree_for
-from ultratree.metrics import (DeltaSequence, continuity_witness_fast,
-                               graph_distances, lipschitz_estimate_fast,
-                               spectral_distance,
+from ultratree.tree import (DeltaSequence, approximation_graph,
+                            choice_function, tree_for)
+from ultratree.metrics import (continuity_witness_fast, graph_distances,
+                               lipschitz_estimate_fast, spectral_distance,
                                spectral_distance_range_bruteforce,
                                sup_spectral_distance, trend_verdict,
                                ultrametric_distance)

@@ -11,8 +11,7 @@ from ultratree import cli
 from ultratree.cli import ConfigError, main, parse_delta, parse_schedule, \
     parse_spec
 from ultratree.laplacian import assemble_laplacian, cylinder_measure
-from ultratree.metrics import DeltaSequence
-from ultratree.tree import build_tree
+from ultratree.tree import DeltaSequence, build_tree
 from ultratree.words import ExplicitWindow, FullShift, SturmianCF, \
     Substitution, language_table
 
@@ -66,6 +65,11 @@ def test_parse_schedule():
         parse_schedule("8,4", 16)
     with pytest.raises(ConfigError):
         parse_schedule("8,32", 16)
+    with pytest.raises(ConfigError):
+        parse_schedule("0,4", 16)
+    # the default never goes past the depth
+    assert parse_schedule(None, 1) == (1,)
+    assert parse_schedule(None, 2) == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +293,68 @@ def test_laplacian_leaf_limit(tmp_path, capsys, monkeypatch):
     assert "8 leaves" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, ultratree.cli; print('scipy' in sys.modules)"
+def fresh_scipy_loaded(code):
+    """Run code in a fresh interpreter; whether it left scipy loaded."""
+    code += "\nimport sys; print('scipy' in sys.modules)"
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_cli_import_leaves_scipy_out():
+    assert not fresh_scipy_loaded("import ultratree.cli")
+
+
+@pytest.mark.parametrize("command", (
+    ["zeta", "--spec", "full:2", "--depth", "16"],
+    ["laplacian", "--spec", "full:2", "--depth", "3", "--pb"]))
+def test_zeta_and_laplacian_leave_scipy_out(tmp_path, command):
+    argv = command + ["--out", str(tmp_path / "out")]
+    assert not fresh_scipy_loaded(
+        "from ultratree.cli import main\nassert main(%r) == 0" % (argv,))
+
+
+@pytest.mark.parametrize("command", (
+    ["lipschitz", "--spec", "full:2"],
+    ["lipschitz", "--spec", "subst:a=ab,b=ba"],
+    ["zeta", "--spec", "full:2"]))
+def test_schedule_below_one_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "sched"
+    assert main(command + ["--depth", "4", "--schedule", "0,4",
+                           "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "schedule" in err
+    assert not out.exists()
+
+
+def test_depth_one_runs_one_schedule_point(tmp_path):
+    # a depth-1 run reads delta_0 only, so a one-value table suffices
+    table = tmp_path / "delta.txt"
+    table.write_text("1.0\n")
+    for command in ("lipschitz", "zeta"):
+        out = tmp_path / command
+        assert main([command, "--spec", "full:2", "--depth", "1", "--delta",
+                     "table:%s" % table, "--out", str(out)]) == 0
+        report = read_json(str(out / (command + "_report.json")))
+        assert report["schedule"] == [1]
+
+
+@pytest.mark.parametrize("content", (
+    "{}", "[1, 2]", '{"": [0.5, 0.5], "a": 3}', '{"": [null, 1]}',
+    '{"": [NaN, 1]}', '{"": ["1/0", 1]}'))
+def test_malformed_measure_file_is_refused(tmp_path, capsys, content):
+    measure = tmp_path / "measure.json"
+    measure.write_text(content)
+    out = tmp_path / "lap"
+    assert main(["laplacian", "--spec", "full:2", "--depth", "2",
+                 "--measure", "file:%s" % measure, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_determinism(tmp_path):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from ultratree.words import FullShift, fibonacci_spec
-from ultratree.tree import tree_for
-from ultratree.metrics import DeltaSequence
+from ultratree.tree import DeltaSequence, tree_for
 from ultratree.laplacian import (InvalidMeasureError, InvalidSelectionError,
                                  InvariantViolationError, LaplacianMatrix,
                                  assemble_laplacian,
@@ -81,8 +80,6 @@ def test_density():
     assert density(2)(Fraction(1, 2)) == Fraction(1, 4)
     assert density(0)(Fraction(1, 3)) == 1
     assert density(1.5)(0.25) == pytest.approx(0.125)
-    fn = density(lambda x: 7.0)
-    assert fn(0.3) == 7.0
     with pytest.raises(ValueError):
         density(-1)
 
@@ -235,7 +232,7 @@ def test_spectrum_trace_identity():
 
 def test_spectrum_refuses_broken_matrix():
     bad = LaplacianMatrix(1, ("a", "b"), ((1, 0), (0, 1)),
-                          (Fraction(1, 2), Fraction(1, 2)), "full")
+                          (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(InvariantViolationError):
         spectrum(bad)
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from ultratree.words import (ExplicitWindow, FullShift, SturmianCF,
                              Substitution, alphabet, border_array,
                              fibonacci_spec, language_table)
-from ultratree.tree import (StructuralError, approximation_graph, build_tree,
-                            choice_function, tree_for)
-from ultratree.metrics import (DeltaSequence, DepthMismatchError,
-                               OrderDiagnostic, beta_bar_profile,
-                               beta_profile, common_prefix_length,
+from ultratree.tree import (DeltaSequence, StructuralError,
+                            approximation_graph, build_tree, choice_function,
+                            tree_for)
+from ultratree.metrics import (DepthMismatchError, OrderDiagnostic,
+                               common_prefix_length,
                                continuity_witness, continuity_witness_fast,
                                delta_from_name, enumerate_choice_functions,
                                graph_distance_oracle, graph_distances,
@@ -36,7 +36,7 @@ def test_delta_families():
     assert exp[0] == 1.0
     assert exp[3] == pytest.approx(math.exp(-3))
     harm = DeltaSequence.harmonic()
-    assert harm.prefix(3) == [1.0, 0.5, pytest.approx(1 / 3)]
+    assert [harm[n] for n in range(3)] == [1.0, 0.5, pytest.approx(1 / 3)]
     geo = DeltaSequence.geometric(0.5)
     assert geo[4] == pytest.approx(0.5 ** 4)
 
@@ -44,8 +44,10 @@ def test_delta_families():
 def test_delta_ratio_survives_underflow():
     exp = DeltaSequence.exponential()
     assert exp[800] == 0.0  # underflows as a value
-    assert exp.ratio(801, 800) == pytest.approx(math.exp(-1))
-    assert exp.ratio(800, 790) == pytest.approx(math.exp(-10))
+    assert math.exp(exp.log(801) - exp.log(800)) == \
+        pytest.approx(math.exp(-1))
+    assert math.exp(exp.log(800) - exp.log(790)) == \
+        pytest.approx(math.exp(-10))
 
 
 def test_delta_table_and_errors():
@@ -65,7 +67,7 @@ def test_delta_table_and_errors():
 def test_delta_powerlog_decreasing():
     for a, b in ((1.5, 0.0), (1.0, 1.0), (0.5, 2.0)):
         d = DeltaSequence.powerlog(a, b)
-        vals = d.prefix(200)
+        vals = [d[n] for n in range(200)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
@@ -108,16 +110,6 @@ def test_ultrametric_law():
         x, y, z = (rng.choice(leaves) for _ in range(3))
         d = ultrametric_distance
         assert d(x, y, delta) <= max(d(x, z, delta), d(y, z, delta)) + 1e-15
-
-
-def test_profiles():
-    tree = tree_for(fibonacci_spec(), 5)
-    tau = choice_function(tree)
-    xi = tau.representative[""]
-    assert beta_profile(tree, tau, xi) == [0] * 5
-    bar = beta_bar_profile(tree, xi)
-    assert all(b in (0, 1) for b in bar)
-    assert sum(bar) == sum(1 for n in range(5) if tree.a(xi[:n]) > 0)
 
 
 def test_sandwich_property():

@@ -2,10 +2,10 @@ import pytest
 
 from ultratree.words import (ExplicitWindow, FullShift, LanguageTable,
                              fibonacci_spec, language_table)
-from ultratree.tree import (InfeasibleChoiceError, StructuralError,
-                            approximation_graph, build_tree, choice_function,
-                            graph_is_connected, horizontal_edges, tree_for)
-from ultratree.metrics import DeltaSequence
+from ultratree.tree import (DeltaSequence, InfeasibleChoiceError,
+                            StructuralError, approximation_graph, build_tree,
+                            choice_function, graph_is_connected,
+                            horizontal_edges, tree_for)
 
 
 def test_full_shift_tree_shape():
@@ -13,8 +13,6 @@ def test_full_shift_tree_shape():
     assert [len(lv) for lv in tree.levels] == [1, 2, 4, 8]
     assert tree.a("") == 1 and tree.a("ab") == 1
     assert tree.leaves() == tree.levels[3]
-    assert tree.parent("aba") == "ab"
-    assert tree.is_branching("a") and not tree.is_branching("aaa")
 
 
 def test_fibonacci_tree_single_branching_per_level():
@@ -49,7 +47,7 @@ def test_horizontal_edges():
 def test_canonical_choice():
     tree = tree_for(FullShift(2), 4)
     tau = choice_function(tree)
-    assert tau("") == "a"
+    assert tau.selection[""] == "a"
     assert tau.representative[""] == "aaaa"
     assert tau.representative["b"] == "baaa"
 
@@ -67,9 +65,9 @@ def test_adversarial_path_choice():
     tree = tree_for(FullShift(2), 3)
     tau = choice_function(tree, policy="adversarial-path", path="aaa",
                           bits=(1, 0, 1))
-    assert tau("") == "b"
-    assert tau("a") == "aa"
-    assert tau("aa") == "aab"
+    assert tau.selection[""] == "b"
+    assert tau.selection["a"] == "aa"
+    assert tau.selection["aa"] == "aab"
     with pytest.raises(ValueError):
         choice_function(tree, policy="adversarial-path", path="aa",
                         bits=(0, 0))
@@ -95,7 +93,8 @@ def test_approximation_graph_depth1():
     tau = choice_function(tree)
     delta = DeltaSequence.exponential()
     graph = approximation_graph(tree, tau, delta)
-    assert graph.edge_list() == [("a", "b", delta[0])]
+    assert graph.vertices == ("a", "b")
+    assert graph.edges == {(0, 1): delta[0]}
 
 
 def test_approximation_graph_collapse_keeps_min_length():
@@ -105,9 +104,9 @@ def test_approximation_graph_collapse_keeps_min_length():
     graph = approximation_graph(tree, tau, delta)
     # the root edge (a, b) collapses onto (aa, ba); the sibling edges at
     # level 2 connect aa-ab and ba-bb with the shorter length delta_1
-    lengths = {frozenset((u, v)): d for u, v, d in graph.edge_list()}
-    assert lengths[frozenset(("aa", "ba"))] == delta[0]
-    assert lengths[frozenset(("aa", "ab"))] == delta[1]
+    i = graph.index
+    assert graph.edges[(i["aa"], i["ba"])] == delta[0]
+    assert graph.edges[(i["aa"], i["ab"])] == delta[1]
 
 
 def test_graph_connected_on_specs():

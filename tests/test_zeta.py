@@ -4,8 +4,7 @@ import pytest
 
 from ultratree.words import (ExplicitWindow, FullShift, SturmianCF,
                              fibonacci_spec, language_table)
-from ultratree.tree import tree_for
-from ultratree.metrics import DeltaSequence
+from ultratree.tree import DeltaSequence, tree_for
 from ultratree.zeta import (InsufficientDepthError, LevelProfile,
                             abscissa_estimate, exponent_estimates,
                             level_profile, zeta_partials)
