@@ -22,12 +22,12 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import EDGE_LENGTH_CONVENTION, __version__
 from .words import (ExplicitWindow, FullShift, SturmianCF, Substitution,
-                    complexity_profile, language_table,
-                    repetitivity_estimate, repulsiveness_estimates,
-                    right_special_words)
+                    language_table, level_profile, repetitivity_estimate,
+                    repulsiveness_estimates)
 from .tree import DeltaSequence, build_tree, delta_from_name
 # .metrics imports scipy for its Dijkstra oracle, which no command uses; only
 # `lipschitz` needs the module, and imports it inside cmd_lipschitz
@@ -45,6 +45,9 @@ class ConfigError(ValueError):
 # the exact dense assembly and the eigensolve grow as the square and the cube
 # of the leaf count; past this limit a run takes minutes
 MAX_LAPLACIAN_LEAVES = 2048
+# each s costs one pass over the levels per series; at depth 16384 this many
+# grid steps take about 90 s on a 2-core machine
+MAX_S_STEPS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +76,8 @@ def parse_spec(text):
             else:
                 tail_token = "..."
             mu = tuple(int(t) for t in tokens)
-            if tail_token == "linear":
-                tail = ("linear",)
-            elif tail_token == "pow2":
-                tail = ("pow2",)
+            if tail_token != "...":
+                tail = (tail_token,)
             else:
                 if not mu:
                     raise ConfigError("cf list needs at least one value")
@@ -215,16 +216,16 @@ def write_series(path_base, fmt, header, rows):
     return path
 
 
-def write_report(path, config, body):
+def write_report(path, args, body):
+    """A JSON report whose config is the parsed command line, less the
+    subcommand and its handler, the output directory and unset options."""
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "run", "out") and v is not None}
     payload = {"config": config,
                "edge_length_convention": EDGE_LENGTH_CONVENTION,
                "version": __version__}
     payload.update(body)
     return _write_json(path, payload)
-
-
-def config_dict(args, keys):
-    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +235,14 @@ def config_dict(args, keys):
 def cmd_lang(args):
     spec = parse_spec(args.spec)
     table = language_table(spec, args.depth)
-    P, g = complexity_profile(table)
-    rows = [(n, P[n], g[n] if n < len(g) else "",
-             len(right_special_words(table, n)) if n < table.depth else "")
-            for n in range(table.depth + 1)]
+    profile = level_profile(table)
+    rows = [(n, *row) for n, row in enumerate(zip_longest(
+        profile.P, profile.g, profile.branching, fillvalue=""))]
     series = write_series(os.path.join(args.out, "language"), args.format,
                           ("n", "P", "g", "right_special"), rows)
     l_hat, l_hat_r, witnesses = repulsiveness_estimates(table)
-    repet = {}
-    for n in range(1, min(4, table.depth) + 1):
-        repet[str(n)] = repetitivity_estimate(table, n)
+    repet = {str(n): repetitivity_estimate(table, n)
+             for n in range(1, min(4, table.depth) + 1)}
     body = {
         "repulsiveness": {
             "l_hat": None if math.isinf(l_hat) else l_hat,
@@ -255,8 +254,7 @@ def cmd_lang(args):
         "stabilized": table.stabilized,
     }
     report = write_report(os.path.join(args.out, "language_report.json"),
-                          config_dict(args, ("spec", "depth", "format")),
-                          body)
+                          args, body)
     return [series, report]
 
 
@@ -282,8 +280,7 @@ def cmd_lipschitz(args):
         "delta_tail_bound": tail,
     }
     report = write_report(os.path.join(args.out, "lipschitz_report.json"),
-                          config_dict(args, ("spec", "delta", "depth",
-                                             "schedule", "format")), body)
+                          args, body)
     return [series, report]
 
 
@@ -295,6 +292,9 @@ def cmd_zeta(args):
     if not step > 0 or hi < lo:
         raise ConfigError("the s grid needs --s-step > 0 and --s-max >= "
                           "--s-min")
+    if not (hi - lo) / step <= MAX_S_STEPS or math.isinf(step):  # NaN too
+        raise ConfigError("the s grid needs finite bounds and at most %d "
+                          "steps" % MAX_S_STEPS)
     count = int(round((hi - lo) / step))
     s_grid = [lo + i * step for i in range(count + 1)]
     partials = zeta_partials(spec, delta, s_grid, schedule)
@@ -326,10 +326,8 @@ def cmd_zeta(args):
         }
     except ValueError:
         body["exponents"] = None
-    report = write_report(os.path.join(args.out, "zeta_report.json"),
-                          config_dict(args, ("spec", "delta", "depth",
-                                             "schedule", "s_min", "s_max",
-                                             "s_step", "format")), body)
+    report = write_report(os.path.join(args.out, "zeta_report.json"), args,
+                          body)
     return [series, report]
 
 
@@ -375,9 +373,7 @@ def cmd_laplacian(args):
             "max_abs_difference_from_full": matrix_difference(lap, pb),
         }
     report = write_report(os.path.join(args.out, "laplacian_report.json"),
-                          config_dict(args, ("spec", "delta", "depth",
-                                             "seed", "rho", "measure", "pb",
-                                             "format")), body)
+                          args, body)
     files.append(report)
     return files
 
@@ -398,7 +394,6 @@ def build_parser():
     common.add_argument("--depth", type=int, required=True)
     common.add_argument("--out", default=".")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--seed", type=int, default=0)
 
     withdelta = argparse.ArgumentParser(add_help=False)
     withdelta.add_argument("--delta", default="exp",
@@ -420,6 +415,7 @@ def build_parser():
     zet.set_defaults(run=cmd_zeta)
 
     lap = sub.add_parser("laplacian", parents=[common, withdelta])
+    lap.add_argument("--seed", type=int, default=0)
     lap.add_argument("--rho", type=float, default=2.0,
                      help="density exponent: rho(delta) = delta^s")
     lap.add_argument("--measure", default="uniform",

@@ -14,6 +14,7 @@ self-adjointness hold exactly; the float view of the matrix is used for
 eigenvalue work only.
 """
 
+import math
 import random
 from fractions import Fraction
 from dataclasses import dataclass, field
@@ -88,6 +89,8 @@ def density(s):
     """
     if s < 0:
         raise ValueError("density exponent must be >= 0")
+    if not math.isfinite(s):
+        raise ValueError("density exponent must be finite")
     if float(s).is_integer():
         si = int(s)
         return lambda x: x ** si

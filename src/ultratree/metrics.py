@@ -19,8 +19,7 @@ from scipy.sparse.csgraph import dijkstra
 # here for callers that read it on this module (bench/workloads.py and the
 # tracer in bench/tracing.py)
 from .tree import _finish, build_tree, delta_from_name  # noqa: F401
-from .words import (FullShift, LanguageTable, SturmianCF, border_array,
-                    language_table, sturmian_characteristic)
+from .words import LanguageTable, _branching_chain, language_table
 
 
 class DepthMismatchError(ValueError):
@@ -258,24 +257,7 @@ def continuity_witness(tree, delta):
 
 
 # ---------------------------------------------------------------------------
-# branching chains: the fast engine for full shifts and Sturmian specs
-#
-# A Sturmian subshift has one branching word per length (the length-n
-# suffix of the characteristic word); a path's branching prefixes form a
-# border chain of those suffixes, encoded by the failure array of the
-# reversed characteristic word.  In a full shift the path a^N attains every
-# maximum, and its failure array border_array("a" * N) is fail[m] = m - 1.
-
-
-def _branching_chain(spec, N):
-    """(reversed branching path, its failure array) at depth N for a full
-    shift or Sturmian spec; None for any other family."""
-    if isinstance(spec, FullShift):
-        return ("", [0]) if spec.k == 1 else ("a" * N, [0, *range(N)])
-    if isinstance(spec, SturmianCF):
-        word = sturmian_characteristic(spec, max(N, 2))[::-1][:N]
-        return word, border_array(word)
-    return None
+# branching chains from words._branching_chain: full shifts and Sturmian specs
 
 
 def _chain_engine(chain, delta, N):

@@ -13,13 +13,10 @@ those selections gives the metric approximation graph.
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 
 # StructuralError is defined with LanguageTable, which refuses orphan words
 from .words import StructuralError, language_table
-
-
-class InfeasibleChoiceError(ValueError):
-    """A requested deviation bit cannot be realized at its node."""
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +163,8 @@ def horizontal_edges(tree, n):
     level n-1, so each pair carries length delta_{n-1})."""
     if not 1 <= n <= tree.depth:
         raise ValueError("level out of range")
-    out = []
-    for v in tree.levels[n - 1]:
-        cs = tree.children[v]
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                out.append((cs[i], cs[j]))
-    return out
+    return [pair for v in tree.levels[n - 1]
+            for pair in combinations(tree.children[v], 2)]
 
 
 @dataclass(frozen=True)
@@ -192,15 +184,11 @@ def _finish(tree, selection):
     return ChoiceFunction(selection, rep)
 
 
-def choice_function(tree, policy="canonical", seed=None, path=None,
-                    bits=None):
+def choice_function(tree, policy="canonical", seed=None):
     """Build a choice function.
 
     policy "canonical" takes the lexicographically least child everywhere;
-    "seeded-random" draws children uniformly from a 64-bit seed;
-    "adversarial-path" takes a root-to-leaf word and deviation bits c_n and
-    selects, at each path node of level n with c_n = 1, a child off the
-    path (canonical elsewhere).
+    "seeded-random" draws children uniformly from a 64-bit seed.
     """
     if policy == "canonical":
         return _finish(tree, {v: cs[0] for v, cs in tree.children.items()})
@@ -210,26 +198,6 @@ def choice_function(tree, policy="canonical", seed=None, path=None,
         for n in range(tree.depth):
             for v in tree.levels[n]:
                 sel[v] = rng.choice(tree.children[v])
-        return _finish(tree, sel)
-    if policy == "adversarial-path":
-        if path is None or bits is None:
-            raise ValueError("adversarial-path needs path and bits")
-        if len(path) != tree.depth:
-            raise ValueError("path must be a depth-%d word" % tree.depth)
-        sel = {v: cs[0] for v, cs in tree.children.items()}
-        for n, c in enumerate(bits):
-            v = path[:n]
-            nxt = path[:n + 1]
-            if c == 0:
-                sel[v] = nxt
-            elif c == 1:
-                others = [u for u in tree.children[v] if u != nxt]
-                if not others:
-                    raise InfeasibleChoiceError(
-                        "node %r has no sibling to deviate to" % v)
-                sel[v] = others[0]
-            else:
-                raise ValueError("bits must be 0 or 1")
         return _finish(tree, sel)
     raise ValueError("unknown policy %r" % policy)
 

@@ -7,12 +7,14 @@ LanguageTable.  The table is the tree of words: level n holds the length-n
 words, a word's parent is its prefix, and the child links are built once
 with the table.  On top of it sit the usual combinatorial statistics:
 right special words, the complexity function, repetitivity, and the
-repulsiveness estimators.
+repulsiveness estimators, and each spec family's level counts and
+branching chain, the closed forms of full-shift and Sturmian trees.
 """
 
 import string
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 
 ALPHABET = string.ascii_lowercase
 
@@ -334,15 +336,17 @@ def _window_for(spec, length):
 def language_table(spec, N):
     """Enumerate the admissible words of length <= N for a spec.
 
-    Window-generated specs (Sturmian, substitution) are enumerated from a
-    finite window which is doubled until the per-length counts stop
-    changing; the flags record where that stabilization was observed.
     FullShift and ExplicitWindow are exact by construction; a full shift
     with more than DEFAULT_WINDOW_CAP words at length N is refused before
-    anything is enumerated, the bound a generated window obeys.  A generated
-    window is cut to its recurrent prefix (see _recurrent_prefix); a
-    window's factors come from its sorted length-N factors (see
-    _factor_levels), so the cost is one sort plus one string per word.
+    anything is enumerated, the bound a generated window obeys.  A Sturmian
+    or substitution window is cut to its recurrent prefix (see
+    _recurrent_prefix) and doubled until the per-length counts stop
+    changing; the flags record where that stabilization was observed.  Each
+    factor of a recurrent prefix extends to length N inside it, and the
+    windows nest (Sturmian ones as suffixes, substitution ones as prefixes),
+    so the counts hold exactly when the sorted distinct length-N factors
+    do.  Only those are compared; the table is built once, from the last
+    prefix (see _factor_levels): one sort plus one string per word.
     """
     if N < 1:
         raise ValueError("depth must be >= 1")
@@ -363,21 +367,32 @@ def language_table(spec, N):
                              tuple([True] * (N + 1)), spec)
 
     length = max(4 * N, 64)
-    prev_counts = None
-    flags = [False] * (N + 1)
+    prev = None
     while True:
-        window = _window_for(spec, length)
-        levels = _factor_levels(_recurrent_prefix(window, N), N)
-        counts = tuple(len(lv) for lv in levels)
-        if prev_counts is not None:
-            flags = [counts[n] == prev_counts[n] for n in range(N + 1)]
-            if all(flags):
-                break
-        prev_counts = counts
-        if 2 * length > DEFAULT_WINDOW_CAP:
+        prefix = _recurrent_prefix(_window_for(spec, length), N)
+        keys = sorted({prefix[i:i + N] for i in range(len(prefix) - N + 1)})
+        if keys == prev:
+            flags = [True] * (N + 1)
             break
+        if 2 * length > DEFAULT_WINDOW_CAP:
+            flags = [False] * (N + 1)
+            if prev is not None:
+                flags = [a == b for a, b in zip(_level_counts(keys, N),
+                                                _level_counts(prev, N))]
+            break
+        prev = keys
         length *= 2
-    return LanguageTable(N, levels, tuple(flags), spec)
+    return LanguageTable(N, _factor_levels(prefix, N), tuple(flags), spec)
+
+
+def _level_counts(keys, N):
+    """Word counts at lengths 0..N of the factors of sorted length-N keys:
+    a key starts a new length-n word when it shares fewer than n letters
+    with the key before it."""
+    shared = [0] * N  # shared[h]: the keys sharing h letters with the last
+    for u, v in zip([""] + keys, keys):
+        shared[_common_prefix_length(u, v)] += 1
+    return [1, *accumulate(shared)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +426,79 @@ def border_array(w):
             k += 1
         b[i + 1] = k
     return b
+
+
+# ---------------------------------------------------------------------------
+# family structure: level counts and branching chains
+
+
+@dataclass(frozen=True)
+class LevelProfile:
+    """Per-level counts needed by the zeta series.
+
+    P[n] is the word count at length n (0..N); for n below N, edge_weight[n]
+    is sum of a(v)(a(v)+1) over level-n vertices, g[n] = P(n+1) - P(n) and
+    branching[n] counts the level-n vertices with a(v) > 0 (the right
+    special words).  Counts are exact integers.
+    """
+
+    depth: int
+    P: tuple
+    g: tuple
+    edge_weight: tuple
+    branching: tuple
+
+
+def level_profile(source, N=None):
+    """Level counts from a spec or a language table (the tree of words).
+
+    Full shifts (every word branches k ways) and Sturmian specs (one binary
+    branching word per length) use closed forms, so that depths in the
+    thousands stay cheap; anything else goes through its table.
+    """
+    if isinstance(source, LanguageTable):
+        return _profile_from_table(source)
+    if N is None:
+        raise ValueError("a spec source needs an explicit depth")
+    if isinstance(source, FullShift):
+        k = source.k
+        P = tuple(accumulate([k] * N, mul, initial=1))  # k^n, no powers
+        g = tuple(P[n + 1] - P[n] for n in range(N))
+        edge = tuple(P[n] * (k - 1) * k for n in range(N))
+        branching = P[:N] if k > 1 else (0,) * N
+        return LevelProfile(N, P, g, edge, branching)
+    if isinstance(source, SturmianCF):
+        P = tuple(n + 1 for n in range(N + 1))
+        return LevelProfile(N, P, (1,) * N, (2,) * N, (1,) * N)
+    return _profile_from_table(language_table(source, N))
+
+
+def _profile_from_table(table):
+    P, g = complexity_profile(table)
+    children = table.children
+    edge, branching = [], []
+    for n in range(table.depth):
+        counts = [len(children[v]) for v in table.levels[n]]
+        edge.append(sum(c * (c - 1) for c in counts))
+        branching.append(sum(1 for c in counts if c > 1))
+    return LevelProfile(table.depth, P, g, tuple(edge), tuple(branching))
+
+
+def _branching_chain(spec, N):
+    """(reversed branching path, its failure array) at depth N for a full
+    shift or Sturmian spec; None for any other family.
+
+    A Sturmian path's branching prefixes form a border chain of the suffixes
+    of the characteristic word, encoded by the failure array of its reversal.
+    In a full shift the path a^N attains every maximum, and its failure
+    array border_array("a" * N) is fail[m] = m - 1.
+    """
+    if isinstance(spec, FullShift):
+        return ("", [0]) if spec.k == 1 else ("a" * N, [0, *range(N)])
+    if isinstance(spec, SturmianCF):
+        word = sturmian_characteristic(spec, max(N, 2))[::-1][:N]
+        return word, border_array(word)
+    return None
 
 
 REPULSIVENESS_INF = float("inf")
@@ -492,9 +580,6 @@ def repulsiveness_bruteforce(table, N=None, right_special_only=False):
     return best, best_pair
 
 
-REPETITIVITY_NOT_FOUND = None
-
-
 def repetitivity_estimate(table, n):
     """Smallest n' <= depth such that every length-n' word contains every
     length-n word as a factor; None when no such n' exists in the table."""
@@ -502,11 +587,11 @@ def repetitivity_estimate(table, n):
         raise OutOfDepthError("n exceeds table depth")
     targets = table.levels[n]
     if not targets:
-        return REPETITIVITY_NOT_FOUND
+        return None
     for np in range(n, table.depth + 1):
         hosts = table.levels[np]
         if not hosts:
             continue
         if all(all(t in h for t in targets) for h in hosts):
             return np
-    return REPETITIVITY_NOT_FOUND
+    return None

@@ -11,68 +11,12 @@ the requested depths.
 import math
 from dataclasses import dataclass, field
 
-from .words import (FullShift, LanguageTable, SturmianCF, complexity_profile,
-                    language_table)
+# level_profile lives in .words; bench/ calls and traces it on this module
+from .words import LevelProfile, level_profile
 
 
 class InsufficientDepthError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# per-level coefficient profiles
-
-
-@dataclass(frozen=True)
-class LevelProfile:
-    """Per-level counts needed by the zeta series.
-
-    P[n] is the word count at length n (0..N); for n below N, edge_weight[n]
-    is sum of a(v)(a(v)+1) over level-n vertices, g[n] = P(n+1) - P(n) and
-    branching[n] counts the level-n vertices with a(v) > 0.  Counts are
-    exact integers.
-    """
-
-    depth: int
-    P: tuple
-    g: tuple
-    edge_weight: tuple
-    branching: tuple
-
-
-def level_profile(source, N=None):
-    """Level counts from a spec or a language table (the tree of words).
-
-    Full shifts and Sturmian specs use closed forms so that depths in the
-    thousands stay cheap; anything else goes through its table.
-    """
-    if isinstance(source, LanguageTable):
-        return _profile_from_table(source)
-    if N is None:
-        raise ValueError("a spec source needs an explicit depth")
-    if isinstance(source, FullShift):
-        k = source.k
-        P = tuple(k ** n for n in range(N + 1))
-        g = tuple(P[n + 1] - P[n] for n in range(N))
-        edge = tuple(P[n] * (k - 1) * k for n in range(N))
-        branching = tuple(P[n] if k > 1 else 0 for n in range(N))
-        return LevelProfile(N, P, g, edge, branching)
-    if isinstance(source, SturmianCF):
-        # one binary branching vertex per level
-        P = tuple(n + 1 for n in range(N + 1))
-        return LevelProfile(N, P, (1,) * N, (2,) * N, (1,) * N)
-    return _profile_from_table(language_table(source, N))
-
-
-def _profile_from_table(table):
-    P, g = complexity_profile(table)
-    children = table.children
-    edge, branching = [], []
-    for n in range(table.depth):
-        counts = [len(children[v]) for v in table.levels[n]]
-        edge.append(sum(c * (c - 1) for c in counts))
-        branching.append(sum(1 for c in counts if c > 1))
-    return LevelProfile(table.depth, P, g, tuple(edge), tuple(branching))
 
 
 # ---------------------------------------------------------------------------

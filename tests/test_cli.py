@@ -229,6 +229,68 @@ def test_zeta_empty_s_grid_is_refused(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", (
+    ["--s-max", "inf"], ["--s-min=-inf"], ["--s-max", "nan"],
+    ["--s-step", "inf"], ["--s-step", "1e-300"],
+    ["--s-min=-1e308", "--s-max=1e308"]))
+def test_zeta_unbounded_s_grid_is_refused(tmp_path, capsys, grid):
+    out = tmp_path / "zeta"
+    assert main(["zeta", "--spec", "full:2", "--depth", "8",
+                 "--out", str(out)] + grid) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "s grid" in err
+    assert not out.exists()
+
+
+def test_zeta_s_grid_step_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_S_STEPS", 4)
+    argv = ["zeta", "--spec", "full:2", "--depth", "8", "--s-min", "0",
+            "--s-max", "1"]
+    # the limit is inclusive
+    assert main(argv + ["--s-step", "0.25", "--out", str(tmp_path)]) == 0
+    # three variants, five exponents, the schedule 2, 4, 8
+    assert len(read_csv(tmp_path / "zeta_partials.csv")) == 1 + 3 * 5 * 3
+    assert main(argv + ["--s-step", "0.2", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("rho", ("nan", "inf"))
+def test_non_finite_rho_is_refused(tmp_path, capsys, rho):
+    out = tmp_path / "lap"
+    assert main(["laplacian", "--spec", "full:2", "--depth", "2", "--rho",
+                 rho, "--out", str(out)]) == 2
+    assert "density exponent must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("lang", "lipschitz", "zeta"))
+def test_seed_is_a_laplacian_option(tmp_path, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", "full:2", "--depth", "4", "--seed", "3",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config", (
+    (["lang", "--spec", "full:2", "--depth", "3"],
+     {"spec": "full:2", "depth": 3, "format": "csv"}),
+    (["lipschitz", "--spec", "full:2", "--depth", "8", "--schedule", "4,8"],
+     {"spec": "full:2", "delta": "exp", "depth": 8, "schedule": "4,8",
+      "format": "csv"}),
+    (["zeta", "--spec", "full:2", "--depth", "8", "--format", "json"],
+     {"spec": "full:2", "delta": "exp", "depth": 8, "s_min": 0.2,
+      "s_max": 3.0, "s_step": 0.05, "format": "json"}),
+    (["laplacian", "--spec", "full:2", "--depth", "2", "--pb"],
+     {"spec": "full:2", "delta": "exp", "depth": 2, "seed": 0, "rho": 2.0,
+      "measure": "uniform", "pb": "single", "format": "csv"}),
+))
+def test_report_config_is_the_command_line(tmp_path, argv, config):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    report, = tmp_path.glob("*_report.json")
+    assert read_json(report)["config"] == config
+
+
 def test_short_delta_table_is_refused(tmp_path, capsys):
     table = tmp_path / "delta.txt"
     table.write_text("1.0\n0.5\n0.2\n")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -82,6 +83,12 @@ def test_density():
     assert density(1.5)(0.25) == pytest.approx(0.125)
     with pytest.raises(ValueError):
         density(-1)
+
+
+def test_density_refuses_non_finite_exponents():
+    for s in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            density(s)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@ import pytest
 
 from ultratree.words import (ExplicitWindow, FullShift, LanguageTable,
                              fibonacci_spec, language_table)
-from ultratree.tree import (DeltaSequence, InfeasibleChoiceError,
-                            StructuralError, approximation_graph, build_tree,
-                            choice_function, graph_is_connected,
-                            horizontal_edges, tree_for)
+from ultratree.tree import (DeltaSequence, StructuralError,
+                            approximation_graph, build_tree, choice_function,
+                            graph_is_connected, horizontal_edges, tree_for)
 
 
 def test_full_shift_tree_shape():
@@ -59,27 +58,6 @@ def test_seeded_choice_deterministic():
     t3 = choice_function(tree, policy="seeded-random", seed=12)
     assert t1.selection == t2.selection
     assert t1.selection != t3.selection
-
-
-def test_adversarial_path_choice():
-    tree = tree_for(FullShift(2), 3)
-    tau = choice_function(tree, policy="adversarial-path", path="aaa",
-                          bits=(1, 0, 1))
-    assert tau.selection[""] == "b"
-    assert tau.selection["a"] == "aa"
-    assert tau.selection["aa"] == "aab"
-    with pytest.raises(ValueError):
-        choice_function(tree, policy="adversarial-path", path="aa",
-                        bits=(0, 0))
-    fib = tree_for(fibonacci_spec(), 4)
-    # most Fibonacci nodes have a single child, so deviation is infeasible
-    path = fib.leaves()[0]
-    nonbranching = next(n for n in range(4) if fib.a(path[:n]) == 0)
-    bits = [0] * 4
-    bits[nonbranching] = 1
-    with pytest.raises(InfeasibleChoiceError):
-        choice_function(fib, policy="adversarial-path", path=path,
-                        bits=bits)
 
 
 def test_unknown_policy():

@@ -11,10 +11,10 @@ from ultratree.words import (ExplicitWindow, FullShift, InsufficientDataError,
                              repulsiveness_bruteforce,
                              repulsiveness_estimates, right_special_words,
                              substitution_apply, substitution_fixed_point,
-                             sturmian_characteristic, _factor_levels,
-                             _recurrent_prefix)
+                             sturmian_characteristic, level_profile,
+                             _factor_levels, _recurrent_prefix, _window_for)
+from ultratree import words
 from ultratree.tree import StructuralError, build_tree
-from ultratree.zeta import level_profile
 
 
 def test_alphabet():
@@ -269,3 +269,95 @@ def test_child_links_match_level_scans(table):
     else:
         with pytest.raises(StructuralError):
             build_tree(table)
+
+
+# ---------------------------------------------------------------------------
+# window-generated tables are built once
+
+
+WINDOW_SPECS = (
+    fibonacci_spec(),
+    SturmianCF((2,), ("constant", 2)),
+    SturmianCF((1, 2), ("linear",)),
+    SturmianCF((0, 3), ("pow2",)),
+    Substitution.from_rules({"a": "ab", "b": "ba"}, "a"),
+    Substitution.from_rules({"a": "ab", "b": "aa"}, "a"),
+    Substitution.from_rules({"a": "ab", "b": "ac", "c": "a"}, "a"),
+    Substitution.from_rules({"a": "abc", "b": "bc", "c": "a"}, "a"),
+    # b^k first shows near position 2^(k+1): deep tables reach the cap
+    Substitution.from_rules({"a": "aab", "b": "b"}, "a"),
+)
+
+
+def doubling_loop(spec, N):
+    """The table of every doubled window, counts compared: the oracle for
+    language_table's one build.  Returns the last levels and the flags."""
+    length = max(4 * N, 64)
+    prev_counts = None
+    flags = [False] * (N + 1)
+    while True:
+        window = _window_for(spec, length)
+        levels = _factor_levels(_recurrent_prefix(window, N), N)
+        counts = tuple(len(lv) for lv in levels)
+        if prev_counts is not None:
+            flags = [counts[n] == prev_counts[n] for n in range(N + 1)]
+            if all(flags):
+                break
+        prev_counts = counts
+        if 2 * length > words.DEFAULT_WINDOW_CAP:
+            break
+        length *= 2
+    return levels, tuple(flags)
+
+
+# the flag patterns each cap produces over the specs and depths below: a
+# small cap stops the doubling of a=aab,b=b with some lengths unsettled, and
+# a cap below the first window stops it before any comparison
+@pytest.mark.parametrize("cap, patterns", (
+    (2 ** 7, {"stable", "partial", "unsettled"}),
+    (2 ** 12, {"stable", "partial"}),
+    (words.DEFAULT_WINDOW_CAP, {"stable"}),
+))
+def test_window_tables_match_the_doubling_loop(monkeypatch, cap, patterns):
+    monkeypatch.setattr(words, "DEFAULT_WINDOW_CAP", cap)
+    seen = set()
+    for spec in WINDOW_SPECS:
+        for N in (1, 2, 3, 5, 8, 13, 30, 64, 100):
+            if cap > 2 ** 12 and spec == WINDOW_SPECS[-1] and N > 13:
+                continue  # the oracle doubles to 2^20 letters, seconds each
+            levels, flags = doubling_loop(spec, N)
+            table = language_table(spec, N)
+            assert table.levels == levels, (spec, N)
+            assert table.stabilized == flags, (spec, N)
+            seen.add("stable" if all(flags) else
+                     "partial" if any(flags) else "unsettled")
+    assert seen == patterns
+
+
+def test_window_table_is_built_once(monkeypatch):
+    calls = []
+
+    def counted(window, N):
+        calls.append(N)
+        return _factor_levels(window, N)
+
+    monkeypatch.setattr(words, "_factor_levels", counted)
+    for spec in WINDOW_SPECS:
+        calls.clear()
+        language_table(spec, 13)
+        assert calls == [13], spec
+    # also when the doubling stops at the cap
+    monkeypatch.setattr(words, "DEFAULT_WINDOW_CAP", 2 ** 12)
+    calls.clear()
+    table = language_table(WINDOW_SPECS[-1], 30)
+    assert calls == [30] and not all(table.stabilized)
+
+
+def test_full_shift_profile_is_exact():
+    for k in (1, 2, 3):
+        profile = level_profile(FullShift(k), 300)
+        P = tuple(k ** n for n in range(301))
+        assert profile.P == P
+        assert profile.g == tuple(P[n + 1] - P[n] for n in range(300))
+        assert profile.edge_weight == tuple(p * (k - 1) * k for p in P[:300])
+        assert profile.branching == (P[:300] if k > 1 else (0,) * 300)
