@@ -15,8 +15,11 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-# StructuralError is defined with LanguageTable, which refuses orphan words
-from .words import StructuralError, language_table
+from .words import language_table
+
+
+class StructuralError(ValueError):
+    """A language table is not a tree of words: a word has no extension."""
 
 
 # ---------------------------------------------------------------------------
@@ -29,9 +32,9 @@ class DeltaSequence:
     The sequence is defined through the natural log of its values, which
     keeps ratios of far-apart entries computable even where the values
     themselves underflow to float zero (exponential delta does so near
-    index 750).  The decreasing property is asserted on every realized
-    prefix of the logs.  tail_bound(N), when available in closed form,
-    bounds the remainder sum from index N on.
+    index 750).  Every realized log must be finite and below the one before
+    it.  tail_bound(N), when available in closed form, bounds the remainder
+    sum from index N on.
     """
 
     def __init__(self, log_fn, name, tail_fn=None):
@@ -47,7 +50,9 @@ class DeltaSequence:
         c = self._logs
         while len(c) <= n:
             lv = self._log_fn(len(c))
-            if c and lv >= c[-1]:
+            if not math.isfinite(lv):
+                raise ValueError("delta is not finite at %d" % len(c))
+            if c and not lv < c[-1]:
                 raise ValueError(
                     "delta is not strictly decreasing at %d" % len(c))
             c.append(lv)
@@ -93,7 +98,11 @@ class DeltaSequence:
         chosen so the sequence decreases from the start."""
         if a <= 0 or b < 0:
             raise ValueError("need a > 0 and b >= 0")
-        shift = max(0, math.ceil(math.exp(b / a)) - 2)
+        try:
+            shift = max(0, math.ceil(math.exp(b / a)) - 2)
+        except OverflowError:
+            raise ValueError("powerlog:%r,%r needs an index shift past the "
+                             "float range" % (a, b))
 
         def log_fn(n):
             return b * math.log(math.log(n + 2 + shift)) \
@@ -142,8 +151,8 @@ def delta_from_name(name):
 def build_tree(table):
     """Check that a language table is a tree of words and return it.
 
-    The table already refuses orphan words; here every word below the depth
-    must also have a child, so that every node lies on a root-to-leaf path.
+    Every word below the depth must have a child, so that every node lies on
+    a root-to-leaf path.
     """
     children = table.children
     for n in range(table.depth):

@@ -13,8 +13,9 @@ branching chain, the closed forms of full-shift and Sturmian trees.
 
 import string
 from dataclasses import dataclass, field
-from itertools import accumulate, product
-from operator import mul
+from bisect import insort
+from itertools import accumulate, groupby, product
+from operator import itemgetter, mul
 
 ALPHABET = string.ascii_lowercase
 
@@ -29,10 +30,6 @@ class InsufficientDataError(ValueError):
 
 class OutOfDepthError(ValueError):
     """A query asked for a length at or beyond the table depth."""
-
-
-class StructuralError(ValueError):
-    """The input table or tree violates a structural invariant."""
 
 
 def alphabet(k):
@@ -210,18 +207,13 @@ class LanguageTable:
     length n was unchanged across the last window doubling; exact specs set
     every flag.  children maps every word below the depth to the sorted
     tuple of its one-letter extensions in the table (empty for a word with
-    none); a word whose prefix is missing is refused with StructuralError.
-    The branching number a(v) is the child count minus one.
+    none).  The branching number a(v) is the child count minus one.
     """
 
     depth: int
     levels: tuple
     stabilized: tuple
-    spec: object = None
-    children: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", _child_links(self.levels))
+    children: dict = field(compare=False, repr=False)
 
     @property
     def counts(self):
@@ -234,31 +226,34 @@ class LanguageTable:
         return self.levels[self.depth]
 
 
-def _child_links(levels):
-    """Map each word below the last level to its run of children.
+def _tree_of_words(keys, N, window=""):
+    """Levels 0..N and child links of the prefixes of the keys.
 
-    Levels are sorted, so the children of a word are one run of the next
-    level and the runs come in the order of their parents.  The keys are
-    the parent level's own strings, so no word is stored twice.
+    keys are sorted distinct length-N words; window adds its suffixes
+    shorter than N, the only words that may lack a child.  Level n is the
+    run-deduplicated w[:-1] of level n + 1 plus that suffix, and each run is
+    its parent's children, built from the level's own string objects.
     """
+    cut_last = itemgetter(slice(None, -1))
+    level = list(keys)
+    levels = [tuple(level)]
     children = {}
-    for n in range(1, len(levels)):
-        words = levels[n]
-        size = len(words)
-        i = 0
-        for p in levels[n - 1]:
-            j = i
-            while j < size and words[j].startswith(p):
-                j += 1
-            children[p] = words[i:j]
-            i = j
-        if i < size:
-            raise StructuralError("orphan word %r at length %d"
-                                  % (words[i], n))
-    return children
+    for n in range(N - 1, -1, -1):
+        runs = {p: tuple(run) for p, run in groupby(level, cut_last)}
+        level = list(runs)
+        children.update(runs)
+        if n <= len(window):
+            suffix = window[len(window) - n:]
+            if suffix not in runs:
+                insort(level, suffix)
+                children[suffix] = ()
+        levels.append(tuple(level))
+    return tuple(levels[::-1]), children
 
 
 DEFAULT_WINDOW_CAP = 2 ** 20
+# a full shift holds sum of n * k^n letters; full:1 passes this at 11,585
+FULL_SHIFT_LETTER_CAP = 2 ** 26
 
 
 def _common_prefix_length(u, v):
@@ -271,35 +266,6 @@ def _common_prefix_length(u, v):
         else:
             hi = mid - 1
     return lo
-
-
-def _factor_levels(window, N):
-    """All factors of length <= N of the window, one sorted tuple per length.
-
-    The length-N keys window[i:i+N] (shorter near the end) are sorted, as in
-    a suffix array truncated at N.  Every factor is a prefix of some key, and
-    key[:n] is new exactly when n exceeds the common prefix length h with the
-    previous key, so each distinct factor is created once, in sorted order.
-    The words are created level by level, which keeps a level's strings
-    close together in memory for the code that later walks the table.
-    An empty window gives the empty word and N empty levels.
-    """
-    keys = sorted(window[i:i + N] for i in range(len(window)))
-    # joins[h]: the keys, in sorted order, whose prefixes longer than h are new
-    joins = [[] for _ in range(N)]
-    prev = ""
-    for i, key in enumerate(keys):
-        h = _common_prefix_length(prev, key)
-        if h < len(key):
-            joins[h].append(i)
-        prev = key
-    levels = [("",)]
-    active = []  # the keys with a new prefix at the current length
-    for n in range(1, N + 1):
-        active = sorted([i for i in active if len(keys[i]) >= n]
-                        + joins[n - 1])
-        levels.append(tuple([keys[i][:n] for i in active]))
-    return tuple(levels)
 
 
 def _recurrent_prefix(window, N):
@@ -337,52 +303,57 @@ def language_table(spec, N):
     """Enumerate the admissible words of length <= N for a spec.
 
     FullShift and ExplicitWindow are exact by construction; a full shift
-    with more than DEFAULT_WINDOW_CAP words at length N is refused before
-    anything is enumerated, the bound a generated window obeys.  A Sturmian
-    or substitution window is cut to its recurrent prefix (see
+    with more than DEFAULT_WINDOW_CAP words at length N, the bound a
+    generated window obeys, or more than FULL_SHIFT_LETTER_CAP letters in
+    all is refused before anything is enumerated.  A Sturmian or
+    substitution window is cut to its recurrent prefix (see
     _recurrent_prefix) and doubled until the per-length counts stop
     changing; the flags record where that stabilization was observed.  Each
     factor of a recurrent prefix extends to length N inside it, and the
     windows nest (Sturmian ones as suffixes, substitution ones as prefixes),
     so the counts hold exactly when the sorted distinct length-N factors
-    do.  Only those are compared; the table is built once, from the last
-    prefix (see _factor_levels): one sort plus one string per word.
+    do.  Only those are compared, and the last of them build the table (see
+    _tree_of_words), as the length-N words of a full shift or an explicit
+    window do.
     """
     if N < 1:
         raise ValueError("depth must be >= 1")
-
+    window = ""
+    flags = [True] * (N + 1)
     if isinstance(spec, FullShift):
         ab = alphabet(spec.k)
         # k^64 is past the cap for every k > 1
         if spec.k ** min(N, 64) > DEFAULT_WINDOW_CAP:
             raise ValueError("full:%d at depth %d has more than %d words of "
                              "length %d" % (spec.k, N, DEFAULT_WINDOW_CAP, N))
-        levels = [("",)]
-        for n in range(1, N + 1):
-            levels.append(tuple("".join(t) for t in product(ab, repeat=n)))
-        return LanguageTable(N, tuple(levels), tuple([True] * (N + 1)), spec)
-
-    if isinstance(spec, ExplicitWindow):
-        return LanguageTable(N, _factor_levels(spec.window, N),
-                             tuple([True] * (N + 1)), spec)
-
-    length = max(4 * N, 64)
-    prev = None
-    while True:
-        prefix = _recurrent_prefix(_window_for(spec, length), N)
-        keys = sorted({prefix[i:i + N] for i in range(len(prefix) - N + 1)})
-        if keys == prev:
-            flags = [True] * (N + 1)
-            break
-        if 2 * length > DEFAULT_WINDOW_CAP:
-            flags = [False] * (N + 1)
-            if prev is not None:
-                flags = [a == b for a, b in zip(_level_counts(keys, N),
-                                                _level_counts(prev, N))]
-            break
-        prev = keys
-        length *= 2
-    return LanguageTable(N, _factor_levels(prefix, N), tuple(flags), spec)
+        # here N <= 20 if k > 1; for k = 1, 2^14 lengths exceed the cap
+        if sum(n * spec.k ** n for n in range(1, min(N, 2 ** 14) + 1)) \
+                > FULL_SHIFT_LETTER_CAP:
+            raise ValueError("full:%d at depth %d has more than %d letters"
+                             % (spec.k, N, FULL_SHIFT_LETTER_CAP))
+        keys = map("".join, product(ab, repeat=N))
+    elif isinstance(spec, ExplicitWindow):
+        window = spec.window
+        keys = sorted({window[i:i + N] for i in range(len(window) - N + 1)})
+    else:
+        length = max(4 * N, 64)
+        prev = None
+        while True:
+            prefix = _recurrent_prefix(_window_for(spec, length), N)
+            keys = sorted({prefix[i:i + N]
+                           for i in range(len(prefix) - N + 1)})
+            if keys == prev:
+                break
+            if 2 * length > DEFAULT_WINDOW_CAP:
+                flags = [False] * (N + 1)
+                if prev is not None:
+                    flags = [a == b for a, b in zip(_level_counts(keys, N),
+                                                    _level_counts(prev, N))]
+                break
+            prev = keys
+            length *= 2
+    levels, children = _tree_of_words(keys, N, window)
+    return LanguageTable(N, levels, tuple(flags), children)
 
 
 def _level_counts(keys, N):

@@ -324,6 +324,28 @@ def test_delta_underflow_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, delta", (
+    ("lipschitz", ("1", "nan", "0.5")),
+    ("lipschitz", ("inf", "1", "0.5")),
+    ("zeta", ("1", "nan", "0.5")),
+    ("lipschitz", "powerlog:1,inf"),
+    ("lipschitz", "powerlog:1e-300,5"),
+    ("lipschitz", "powerlog:0.5,1e5"),
+), ids=("nan-entry", "inf-entry", "zeta-nan-entry", "powerlog-inf-b",
+        "powerlog-tiny-a", "powerlog-large-b"))
+def test_non_finite_delta_is_refused(tmp_path, capsys, command, delta):
+    if isinstance(delta, tuple):
+        table = tmp_path / "delta.txt"
+        table.write_text("\n".join(delta) + "\n")
+        delta = "table:%s" % table
+    out = tmp_path / "run"
+    assert main([command, "--spec", "full:2", "--depth", "3", "--delta",
+                 delta, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ("lang", "laplacian"))
 def test_oversized_full_shift_is_refused(tmp_path, capsys, command):
     out = tmp_path / "big"
@@ -331,6 +353,15 @@ def test_oversized_full_shift_is_refused(tmp_path, capsys, command):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "1048576 words" in err
+    assert not out.exists()
+
+
+def test_full_shift_letter_cap_is_refused(tmp_path, capsys):
+    out = tmp_path / "long"
+    assert main(["lang", "--spec", "full:1", "--depth", "100000",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "67108864 letters" in err
     assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 import pytest
 
-from ultratree.words import (ExplicitWindow, FullShift, LanguageTable,
-                             fibonacci_spec, language_table)
+from ultratree.words import (ExplicitWindow, FullShift, fibonacci_spec,
+                             language_table)
 from ultratree.tree import (DeltaSequence, StructuralError,
                             approximation_graph, build_tree, choice_function,
                             graph_is_connected, horizontal_edges, tree_for)
@@ -22,15 +22,15 @@ def test_fibonacci_tree_single_branching_per_level():
 
 
 def test_structural_errors():
-    # an orphan word ("ba" without "b") is refused when the table is made
-    with pytest.raises(StructuralError, match="orphan word 'ba'"):
-        LanguageTable(2, (("",), ("a",), ("aa", "ba")), (True,) * 3)
-    with pytest.raises(StructuralError):
-        build_tree(LanguageTable(2, (("",), ("a", "b"), ("ba",)),
-                                 (True,) * 3))
-    with pytest.raises(StructuralError):
-        build_tree(LanguageTable(2, (("",), ("a", "b"), ("aa", "ab")),
-                                 (True,) * 3))
+    # "a" ends the window "ba", and "b" ends "aab": neither extends
+    table = language_table(ExplicitWindow("ba"), 2)
+    assert table.levels == (("",), ("a", "b"), ("ba",))
+    with pytest.raises(StructuralError, match="'a' at length 1"):
+        build_tree(table)
+    table = language_table(ExplicitWindow("aab"), 2)
+    assert table.levels == (("",), ("a", "b"), ("aa", "ab"))
+    with pytest.raises(StructuralError, match="'b' at length 1"):
+        build_tree(table)
 
 
 def test_horizontal_edges():

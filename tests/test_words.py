@@ -12,7 +12,7 @@ from ultratree.words import (ExplicitWindow, FullShift, InsufficientDataError,
                              repulsiveness_estimates, right_special_words,
                              substitution_apply, substitution_fixed_point,
                              sturmian_characteristic, level_profile,
-                             _factor_levels, _recurrent_prefix, _window_for)
+                             _recurrent_prefix, _tree_of_words, _window_for)
 from ultratree import words
 from ultratree.tree import StructuralError, build_tree
 
@@ -38,6 +38,9 @@ def test_full_shift_size_guard():
     for k, N in ((2, 21), (2, 800), (4, 11), (26, 5)):
         with pytest.raises(ValueError, match="more than 1048576 words"):
             language_table(FullShift(k), N)
+    # so are more than 2^26 letters, which one letter reaches by length
+    with pytest.raises(ValueError, match="more than 67108864 letters"):
+        language_table(FullShift(1), 100000)
     assert language_table(FullShift(1), 200).counts == (1,) * 201
 
 
@@ -187,6 +190,12 @@ def test_explicit_window_levels_are_sorted_factor_sets(w, N):
         assert list(table.levels[n]) == expected
 
 
+def prefix_levels(prefix, N):
+    """The levels a recurrent prefix's length-N factors build."""
+    keys = sorted({prefix[i:i + N] for i in range(len(prefix) - N + 1)})
+    return _tree_of_words(keys, N)[0]
+
+
 def pruned_factor_levels(w, N):
     """The greatest right-extendable, factor-closed subset of the window's
     factors of length <= N, by fixed point: the oracle for the cut."""
@@ -209,7 +218,7 @@ def pruned_factor_levels(w, N):
 @settings(max_examples=300, deadline=None)
 @given(windows(3, 60), st.integers(1, 70))
 def test_recurrent_prefix_cuts_to_the_pruned_factors(w, N):
-    assert _factor_levels(_recurrent_prefix(w, N), N) == \
+    assert prefix_levels(_recurrent_prefix(w, N), N) == \
         pruned_factor_levels(w, N)
 
 
@@ -297,7 +306,7 @@ def doubling_loop(spec, N):
     flags = [False] * (N + 1)
     while True:
         window = _window_for(spec, length)
-        levels = _factor_levels(_recurrent_prefix(window, N), N)
+        levels = prefix_levels(_recurrent_prefix(window, N), N)
         counts = tuple(len(lv) for lv in levels)
         if prev_counts is not None:
             flags = [counts[n] == prev_counts[n] for n in range(N + 1)]
@@ -337,12 +346,12 @@ def test_window_tables_match_the_doubling_loop(monkeypatch, cap, patterns):
 def test_window_table_is_built_once(monkeypatch):
     calls = []
 
-    def counted(window, N):
+    def counted(keys, N, window=""):
         calls.append(N)
-        return _factor_levels(window, N)
+        return _tree_of_words(keys, N, window)
 
-    monkeypatch.setattr(words, "_factor_levels", counted)
-    for spec in WINDOW_SPECS:
+    monkeypatch.setattr(words, "_tree_of_words", counted)
+    for spec in WINDOW_SPECS + (FullShift(2), ExplicitWindow("abaab")):
         calls.clear()
         language_table(spec, 13)
         assert calls == [13], spec
