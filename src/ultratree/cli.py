@@ -28,9 +28,8 @@ from . import EDGE_LENGTH_CONVENTION, __version__
 from .words import (ExplicitWindow, FullShift, SturmianCF, Substitution,
                     language_table, level_profile, repetitivity_estimate,
                     repulsiveness_estimates)
-from .tree import DeltaSequence, build_tree, delta_from_name
-# .metrics imports scipy for its Dijkstra oracle, which no command uses; only
-# `lipschitz` needs the module, and imports it inside cmd_lipschitz
+from .tree import (TREND_FLAT, TREND_GROW, DeltaSequence, build_tree,
+                   delta_from_name, order_diagnostics, trend_verdict)
 from .zeta import abscissa_estimate, exponent_estimates, zeta_partials
 from .laplacian import (InvariantViolationError, assemble_laplacian,
                         assemble_laplacian_dirichlet, assemble_pb_laplacian,
@@ -259,8 +258,6 @@ def cmd_lang(args):
 
 
 def cmd_lipschitz(args):
-    from .metrics import (TREND_FLAT, TREND_GROW, order_diagnostics,
-                          trend_verdict)
     spec = parse_spec(args.spec)
     delta = parse_delta(args.delta, args.depth)
     schedule = parse_schedule(args.schedule, args.depth)

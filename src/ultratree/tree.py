@@ -8,6 +8,12 @@ the edge between children of a level-n vertex has length delta_n, read
 from a DeltaSequence (delta_from_name parses a family name).  A choice
 function selects one child per vertex; quotienting the horizontal edges by
 those selections gives the metric approximation graph.
+
+The order diagnostics walk these trees with their edge lengths: the
+Lipschitz estimate C(N) and the continuity witness W(N) summarize how far
+the supremum spectral distance can drift from the ultrametric, from one
+pass over a tree of words or over the branching chain of a full shift or a
+Sturmian spec.
 """
 
 import math
@@ -15,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .words import language_table
+from .words import LanguageTable, _branching_chain, language_table
 
 
 class StructuralError(ValueError):
@@ -242,24 +248,153 @@ def approximation_graph(tree, tau, delta):
     return MetricGraph(vertices, index, edges)
 
 
-def graph_is_connected(graph):
-    """Traversal check used by the structural tests."""
-    n = len(graph.vertices)
-    if n == 0:
-        return True
-    adj = [[] for _ in range(n)]
-    for (i, j) in graph.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
+# ---------------------------------------------------------------------------
+# Lipschitz and continuity diagnostics (generic tree engine)
+
+
+@dataclass(frozen=True)
+class OrderDiagnostic:
+    value: float
+    witness_node: str
+    witness_path: str
+    per_level: tuple = field(default=(), compare=False)
+
+
+def _tree_engine(tree, delta, N):
+    """(C(N), W(N)) from one bottom-up pass over the tree of words cut at
+    depth N <= its depth.  A parent reads up[c] = T(c) + delta_n for a child
+    c branching at level n, else T(c), and arg[v] is the lexicographically
+    least child attaining T(v)."""
+    children = tree.children
+    up = dict.fromkeys(tree.levels[N], 0.0)
+    arg = {}
+    series = []
+    for n in range(N - 1, -1, -1):
+        level_best, level_v = -1.0, None
+        for v in tree.levels[n]:
+            cs = children[v]
+            best, best_c = -1.0, None
+            for c in cs:
+                val = up[c]
+                if val > best:
+                    best, best_c = val, c
+            arg[v] = best_c
+            if len(cs) > 1:
+                d = delta[n]
+                up[v] = best + d
+                if best / d > level_best:
+                    level_best, level_v = best / d, v
+            else:
+                up[v] = best
+        if level_v is not None:
+            series.append((n, level_best, level_v))
+
+    def descend(v):
+        while v in arg:
+            v = arg[v]
+        return v
+
+    w = OrderDiagnostic(best, "", descend(""), ())
+    series.reverse()
+    best, best_v = 0.0, None
+    for _, value, v in series:
+        if value > best:
+            best, best_v = value, v
+    if best_v is None:
+        return OrderDiagnostic(0.0, "", "", ()), w
+    return OrderDiagnostic(best, best_v, descend(best_v),
+                           tuple((m, value) for m, value, _ in series)), w
+
+
+def lipschitz_estimate(tree, delta):
+    """C(N): the largest ratio T(v)/delta_m over branching nodes v at level
+    m, where T(v) is the maximal deviation-weighted delta sum along
+    descendant paths of v."""
+    return _tree_engine(tree, delta, tree.depth)[0]
+
+
+def continuity_witness(tree, delta):
+    """W(N): the maximal branching-weighted delta sum over root-to-leaf
+    paths, levels 1 through N-1."""
+    return _tree_engine(tree, delta, tree.depth)[1]
+
+
+# ---------------------------------------------------------------------------
+# branching chains from words._branching_chain: full shifts and Sturmian specs
+
+
+def _chain_engine(chain, delta, N):
+    """(C(N), W(N)) from a chain at least N deep.  B[m] is the largest sum
+    of delta_n/delta_m over chains lying strictly above level m and passing
+    through it."""
+    word, fail = chain
+    word = word[:N]
+    logs = delta.logs(len(word))
+    B = [0.0] * N
+    for m in range(len(word) - 1, 0, -1):
+        f = fail[m]
+        cand = math.exp(logs[m] - logs[f]) * (1.0 + B[m])
+        if cand > B[f]:
+            B[f] = cand
+    w = OrderDiagnostic(delta[0] * B[0], "", word[::-1])
+    m = B.index(max(B))
+    return OrderDiagnostic(B[m], word[:m][::-1], ""), w
+
+
+def _fast_engine(spec, delta, N):
+    chain = _branching_chain(spec, N)
+    if chain is None:
+        raise TypeError("no fast engine for %r" % (spec,))
+    return _chain_engine(chain, delta, N)
+
+
+def lipschitz_estimate_fast(spec, delta, N):
+    """Evaluation of C(N) for full shifts and Sturmian specs through
+    closed-form branching structure; agrees with the tree engine but
+    scales to depths in the thousands."""
+    return _fast_engine(spec, delta, N)[0]
+
+
+def continuity_witness_fast(spec, delta, N):
+    """Fast evaluation of W(N) for full shifts and Sturmian specs."""
+    return _fast_engine(spec, delta, N)[1]
+
+
+def order_diagnostics(source, delta, schedule):
+    """[(C(N), W(N)) for N in an increasing schedule] from one structure:
+    source is a tree of words as deep as the schedule, or a spec, whose
+    branching chain or else tree of words is built once at the last depth.
+    Each depth then costs one pass for both values."""
+    engine, structure = _tree_engine, source
+    if not isinstance(source, LanguageTable):
+        structure = _branching_chain(source, schedule[-1])
+        if structure is None:
+            structure = build_tree(language_table(source, schedule[-1]))
+        else:
+            engine = _chain_engine
+    elif schedule[-1] > source.depth:
+        raise ValueError("schedule goes below the tree depth")
+    return [engine(structure, delta, N) for N in schedule]
+
+
+# ---------------------------------------------------------------------------
+# trend verdicts
+
+
+# growth of the last doubling step below TREND_FLAT reads as bounded, above
+# TREND_GROW as unbounded
+TREND_FLAT = 0.01
+TREND_GROW = 0.25
+
+
+def trend_verdict(values):
+    """Classify the last doubling step of a series as bounded ("yes"),
+    unbounded ("no") or "undecided"."""
+    if len(values) < 2 or values[-2] == 0:
+        return "undecided"
+    growth = (values[-1] - values[-2]) / values[-2]
+    if growth < TREND_FLAT:
+        return "yes"
+    if growth > TREND_GROW:
+        return "no"
+    return "undecided"

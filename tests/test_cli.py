@@ -262,6 +262,18 @@ def test_non_finite_rho_is_refused(tmp_path, capsys, rho):
     assert not out.exists()
 
 
+def test_non_integer_rho_passes_its_invariants(tmp_path):
+    # float entries reach 5e10 here, so the row sums round to about 4e-7
+    # in absolute terms while staying near 1e-16 of the terms they cancel
+    out = tmp_path / "lap"
+    assert main(["laplacian", "--spec", "full:2", "--depth", "7", "--rho",
+                 "0.5", "--measure", "random", "--seed", "1",
+                 "--out", str(out)]) == 0
+    checks = read_json(str(out / "laplacian_report.json"))["invariants"]
+    assert checks["row_ok"] and checks["adjoint_ok"]
+    assert checks["max_row_sum"] > 1e-12
+
+
 @pytest.mark.parametrize("command", ("lang", "lipschitz", "zeta"))
 def test_seed_is_a_laplacian_option(tmp_path, command):
     out = tmp_path / "out"
@@ -404,7 +416,9 @@ def test_cli_import_leaves_scipy_out():
 
 @pytest.mark.parametrize("command", (
     ["zeta", "--spec", "full:2", "--depth", "16"],
-    ["laplacian", "--spec", "full:2", "--depth", "3", "--pb"]))
+    ["laplacian", "--spec", "full:2", "--depth", "3", "--pb"],
+    ["lipschitz", "--spec", "full:2", "--depth", "64"],
+    ["lipschitz", "--spec", "subst:a=ab,b=ba", "--depth", "32"]))
 def test_zeta_and_laplacian_leave_scipy_out(tmp_path, command):
     argv = command + ["--out", str(tmp_path / "out")]
     assert not fresh_scipy_loaded(

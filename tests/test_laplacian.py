@@ -7,9 +7,9 @@ import pytest
 
 from ultratree.words import FullShift, fibonacci_spec
 from ultratree.tree import DeltaSequence, tree_for
-from ultratree.laplacian import (InvalidMeasureError, InvalidSelectionError,
+from ultratree.laplacian import (InvalidMeasureError,
                                  InvariantViolationError, LaplacianMatrix,
-                                 assemble_laplacian,
+                                 _assemble_bilinear, assemble_laplacian,
                                  assemble_laplacian_dirichlet,
                                  assemble_pb_laplacian, check_invariants,
                                  cylinder_measure, density,
@@ -191,13 +191,10 @@ def test_pb_nu_average_is_mean_of_singles_uniform():
                                pair_selection="nu-average")
     singles = []
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        sel = {}
-        for n in range(tree.depth):
-            for v in tree.levels[n]:
-                cs = tree.children[v]
-                sel[v] = (cs[i], cs[j])
-        m = assemble_pb_laplacian(tree, mu, 2, HARMONIC,
-                                  pair_selection="single", pairs=sel)
+        pair_list = [(n, tree.children[v][i], tree.children[v][j], 1)
+                     for n in range(1, tree.depth + 1)
+                     for v in tree.levels[n - 1]]
+        m = _assemble_bilinear(tree, mu, 2, HARMONIC, pair_list)
         singles.append(m.matrix)
     mean = sum(singles) / 3
     assert np.abs(nu.matrix - mean).max() <= 1e-15
@@ -206,9 +203,6 @@ def test_pb_nu_average_is_mean_of_singles_uniform():
 def test_pb_invalid_selection():
     tree = tree_for(FullShift(3), 2)
     mu = cylinder_measure(tree)
-    with pytest.raises(InvalidSelectionError):
-        assemble_pb_laplacian(tree, mu, 2, HARMONIC,
-                              pairs={"": ("a", "ba")})
     with pytest.raises(ValueError):
         assemble_pb_laplacian(tree, mu, 2, HARMONIC,
                               pair_selection="every-other")
@@ -240,6 +234,20 @@ def test_spectrum_trace_identity():
 def test_spectrum_refuses_broken_matrix():
     bad = LaplacianMatrix(1, ("a", "b"), ((1, 0), (0, 1)),
                           (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(InvariantViolationError):
+        spectrum(bad)
+
+
+def test_spectrum_refuses_large_float_row_defect():
+    # entries near 1e10 pass their rounding-sized absolute defects, but a
+    # row off by 1e-3 of its terms is still refused
+    big = 1e10
+    bad = LaplacianMatrix(1, ("a", "b"),
+                          ((big, -big), (-big, big * (1 + 1e-3))),
+                          (Fraction(1, 2), Fraction(1, 2)))
+    checks = check_invariants(bad, tol=1e-8)
+    assert checks["adjoint_ok"] and not checks["row_ok"]
+    assert checks["max_row_sum"] == pytest.approx(1e7)
     with pytest.raises(InvariantViolationError):
         spectrum(bad)
 

@@ -8,17 +8,15 @@ from hypothesis import given, settings, strategies as st
 from ultratree.words import (ExplicitWindow, FullShift, SturmianCF,
                              Substitution, alphabet, border_array,
                              fibonacci_spec, language_table)
-from ultratree.tree import (DeltaSequence, StructuralError,
+from ultratree.tree import (DeltaSequence, OrderDiagnostic, StructuralError,
                             approximation_graph, build_tree, choice_function,
-                            tree_for)
-from ultratree.metrics import (DepthMismatchError, OrderDiagnostic,
-                               common_prefix_length,
+                            order_diagnostics, tree_for)
+from ultratree.metrics import (DepthMismatchError, common_prefix_length,
                                continuity_witness, continuity_witness_fast,
                                delta_from_name, enumerate_choice_functions,
                                graph_distance_oracle, graph_distances,
                                inf_spectral_distance, lipschitz_estimate,
-                               lipschitz_estimate_fast, order_diagnostics,
-                               spectral_distance,
+                               lipschitz_estimate_fast, spectral_distance,
                                spectral_distance_range_bruteforce,
                                sup_spectral_distance, trend_verdict,
                                ultrametric_distance)

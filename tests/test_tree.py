@@ -4,7 +4,8 @@ from ultratree.words import (ExplicitWindow, FullShift, fibonacci_spec,
                              language_table)
 from ultratree.tree import (DeltaSequence, StructuralError,
                             approximation_graph, build_tree, choice_function,
-                            graph_is_connected, horizontal_edges, tree_for)
+                            horizontal_edges, tree_for)
+from ultratree.metrics import graph_distances
 
 
 def test_full_shift_tree_shape():
@@ -96,4 +97,6 @@ def test_graph_connected_on_specs():
                            ("seeded-random", {"seed": 3})):
             tau = choice_function(tree, policy=policy, **kw)
             graph = approximation_graph(tree, tau, delta)
-            assert graph_is_connected(graph)
+            # raises UnreachableVertexError on a disconnected graph
+            first = graph.vertices[0]
+            graph_distances(graph, [(first, v) for v in graph.vertices])
