@@ -12,8 +12,7 @@ restricted-pair variant and the scalar form included, reads one frame
 
 Assembly is dtype generic.  With rational child weights and an integer
 density exponent everything stays in exact Fractions, so conservation and
-self-adjointness hold exactly; the float view of the matrix is used for
-eigenvalue work only.
+self-adjointness hold exactly; only the eigensolve converts to floats.
 """
 
 import math
@@ -22,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-
-import numpy as np
 
 
 class InvalidMeasureError(ValueError):
@@ -105,28 +102,18 @@ class LaplacianMatrix:
     """Operator matrix on depth-N cylinder indicators.
 
     rows[i][j] is the coefficient of leaf i in the image of the leaf-j
-    indicator, kept in the assembly's own arithmetic (Fractions when the
-    inputs were rational); matrix is the float view and mu_leaves the
-    cylinder masses in leaf order.
+    indicator and mu_leaves the cylinder masses in leaf order, both kept in
+    the assembly's own arithmetic (Fractions when the inputs were rational).
     """
 
-    depth: int
     leaves: tuple
     rows: tuple = field(compare=False)
     mu_leaves: tuple = field(compare=False)
 
     @cached_property
-    def matrix(self):
-        return np.array([[float(x) for x in r] for r in self.rows])
-
-    @property
-    def mu_float(self):
-        return np.array([float(m) for m in self.mu_leaves])
-
-    @cached_property
     def defects(self):
         """(max |row sum|, max |mu_i M_ij - mu_j M_ji|) in assembly
-        arithmetic, computed on first use like the float view."""
+        arithmetic, computed on first use."""
         rows, mu = self.rows, self.mu_leaves
         row = max((abs(sum(r)) for r in rows), default=0)
         adj = 0
@@ -219,8 +206,7 @@ def assemble_laplacian(tree, mu, rho, delta):
                 lo, hi = span[u]
                 for i in range(lo, hi):
                     rows[i][j] -= off
-    return LaplacianMatrix(N, leaves, tuple(map(tuple, rows)),
-                           tuple(mu_leaf))
+    return LaplacianMatrix(leaves, tuple(map(tuple, rows)), tuple(mu_leaf))
 
 
 def _assemble_bilinear(tree, mu, rho, delta, pair_list):
@@ -247,7 +233,7 @@ def _assemble_bilinear(tree, mu, rho, delta, pair_list):
                 for k in range(olo, ohi):
                     row[k] -= fi * mu_leaf[k]
     rows = tuple(tuple(x / mu_leaf[i] for x in A[i]) for i in range(size))
-    return LaplacianMatrix(tree.depth, leaves, rows, tuple(mu_leaf))
+    return LaplacianMatrix(leaves, rows, tuple(mu_leaf))
 
 
 def assemble_laplacian_dirichlet(tree, mu, rho, delta):
@@ -344,7 +330,9 @@ def spectrum(lap):
     if not (checks["row_ok"] and checks["adjoint_ok"]):
         raise InvariantViolationError(
             "matrix fails pre-checks: %r" % (checks,))
-    d = np.sqrt(lap.mu_float)
-    sym = (d[:, None] * lap.matrix) / d[None, :]
+    # imported here so that the commands without an eigensolve start faster
+    import numpy as np
+    d = np.sqrt(np.array(lap.mu_leaves, dtype=float))
+    sym = (d[:, None] * np.array(lap.rows, dtype=float)) / d[None, :]
     sym = 0.5 * (sym + sym.T)
     return np.linalg.eigvalsh(sym)

@@ -99,18 +99,13 @@ def inf_spectral_distance(tree, delta, xi, eta):
 
 
 def _graph_csr(graph):
-    cached = getattr(graph, "_csr", None)
-    if cached is not None:
-        return cached
     n = len(graph.vertices)
     rows, cols, vals = [], [], []
     for (i, j), d in graph.edges.items():
         rows += [i, j]
         cols += [j, i]
         vals += [d, d]
-    mat = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    object.__setattr__(graph, "_csr", mat)
-    return mat
+    return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def graph_distances(graph, pairs):

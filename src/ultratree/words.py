@@ -116,8 +116,13 @@ class SturmianCF:
         for i, m in enumerate(self.mu):
             if m < 0 or (i >= 1 and m < 1):
                 raise ValueError("bad CF coefficient mu_%d = %r" % (i, m))
-        if self.tail is not None and self.tail[0] not in TAIL_FAMILIES:
+        if self.tail is None:
+            return
+        if self.tail[0] not in TAIL_FAMILIES:
             raise ValueError("unknown tail rule %r" % (self.tail,))
+        if self.tail[0] == "constant" and not self.tail[1] >= 1:
+            raise ValueError("constant CF tail %r is below 1"
+                             % (self.tail[1],))
 
     def coefficient(self, i):
         if i < len(self.mu):
@@ -162,7 +167,8 @@ def sturmian_characteristic(spec, min_len):
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
     # maintain the composed images A = Phi(a), B = Phi(b) where Phi is the
-    # product of the substitution powers taken so far, extended on the right
+    # product of the substitution powers taken so far, extended on the right;
+    # every mu_i from i = 1 on is at least 1, so each step lengthens an image
     a_img, b_img = "a", "b"
     i = 0
     while True:
@@ -176,9 +182,6 @@ def sturmian_characteristic(spec, min_len):
             # compose with sigma1^m: a -> a b^m, b -> b
             a_img = a_img + b_img * m
         i += 1
-        if i > 10_000:
-            raise InsufficientDataError(
-                "characteristic word did not reach length %d" % min_len)
 
 
 def substitution_fixed_point(spec, min_len):

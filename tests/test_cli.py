@@ -169,7 +169,7 @@ def test_laplacian_matrix_values_are_plain_floats(tmp_path):
     assert rows[0] == ["i", "j", "value"]
     assert len(rows) > 1
     for i, j, value in rows[1:]:
-        assert float(value) == lap.matrix[int(i), int(j)]
+        assert float(value) == float(lap.rows[int(i)][int(j)])
 
 
 def test_laplacian_pb_and_measure_file(tmp_path):
@@ -259,6 +259,35 @@ def test_non_finite_rho_is_refused(tmp_path, capsys, rho):
     assert main(["laplacian", "--spec", "full:2", "--depth", "2", "--rho",
                  rho, "--out", str(out)]) == 2
     assert "density exponent must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rho_above_limit_is_refused(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    argv = ["laplacian", "--spec", "full:2", "--depth", "2", "--rho"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "language_table", refuse)
+        for rho in ("65", "1e7"):
+            out = tmp_path / ("lap" + rho)
+            assert main(argv + [rho, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "limit of 64" in err
+            assert not out.exists()
+    # the limit is inclusive
+    assert main(argv + ["64", "--out", str(tmp_path / "lap64")]) == 0
+
+
+@pytest.mark.parametrize("command", (
+    ["lang"], ["lipschitz"], ["zeta"], ["laplacian"]))
+def test_sturmian_constant_tail_below_one_is_refused(tmp_path, capsys,
+                                                     command):
+    out = tmp_path / "cf0"
+    assert main(command + ["--spec", "sturmian:cf=0", "--depth", "8",
+                           "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad spec") and "below 1" in err
     assert not out.exists()
 
 
@@ -398,20 +427,23 @@ def test_laplacian_leaf_limit(tmp_path, capsys, monkeypatch):
     assert "8 leaves" in capsys.readouterr().err
 
 
-def fresh_scipy_loaded(code):
-    """Run code in a fresh interpreter; whether it left scipy loaded."""
-    code += "\nimport sys; print('scipy' in sys.modules)"
+def fresh_loaded(code):
+    """Run code in a fresh interpreter; which of numpy and scipy it left
+    loaded."""
+    code += ("\nimport sys; print('loaded:', *[m for m in ('numpy', 'scipy')"
+             " if m in sys.modules])")
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    return result.stdout.strip().splitlines()[-1] == "True"
+    return result.stdout.strip().splitlines()[-1].split()[1:]
 
 
 def test_cli_import_leaves_scipy_out():
-    assert not fresh_scipy_loaded("import ultratree.cli")
+    # numpy serves the Laplacian eigensolve only, scipy the Dijkstra oracle
+    assert fresh_loaded("import ultratree.cli") == []
 
 
 @pytest.mark.parametrize("command", (
@@ -420,9 +452,25 @@ def test_cli_import_leaves_scipy_out():
     ["lipschitz", "--spec", "full:2", "--depth", "64"],
     ["lipschitz", "--spec", "subst:a=ab,b=ba", "--depth", "32"]))
 def test_zeta_and_laplacian_leave_scipy_out(tmp_path, command):
-    argv = command + ["--out", str(tmp_path / "out")]
-    assert not fresh_scipy_loaded(
+    out = tmp_path / "out"
+    argv = command + ["--out", str(out)]
+    loaded = fresh_loaded(
         "from ultratree.cli import main\nassert main(%r) == 0" % (argv,))
+    if command[0] == "laplacian":
+        assert loaded == ["numpy"]
+        assert len(read_csv(out / "spectrum.csv")) == 1 + 8
+    else:
+        assert loaded == []
+
+
+@pytest.mark.parametrize("command", (
+    [], ["lang", "--spec", "sturmian:cf=1", "--depth", "16"]))
+def test_help_and_lang_leave_numpy_and_scipy_out(tmp_path, command):
+    argv = command + ["--out", str(tmp_path / "out")] if command else \
+        ["--help"]
+    code = ("from ultratree.cli import main\ntry:\n    assert main(%r) == 0"
+            "\nexcept SystemExit as exc:\n    assert exc.code == 0" % (argv,))
+    assert fresh_loaded(code) == []
 
 
 @pytest.mark.parametrize("command", (

@@ -65,6 +65,10 @@ def test_spec_validation():
         SturmianCF(mu=(1, 0))
     with pytest.raises(ValueError):
         SturmianCF(mu=(), tail=("cubic",))
+    # a constant tail of 0 gives mu_i = 0 for every i >= 1: no
+    # characteristic word grows past a fixed length
+    with pytest.raises(ValueError, match="below 1"):
+        SturmianCF((), ("constant", 0))
 
 
 def test_sturmian_characteristic_nesting():
