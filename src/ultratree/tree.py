@@ -18,6 +18,7 @@ Sturmian spec.
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -260,11 +261,21 @@ class OrderDiagnostic:
     per_level: tuple = field(default=(), compare=False)
 
 
+def _require_normal_delta(delta, N):
+    """The tree engine divides by delta_n for n < N in floats: refuse a
+    delta_(N-1), the smallest of them, that is subnormal or zero."""
+    if delta[N - 1] < sys.float_info.min:
+        raise ValueError("delta_%d = %r is below the smallest normal float, "
+                         "which the tree engine divides by"
+                         % (N - 1, delta[N - 1]))
+
+
 def _tree_engine(tree, delta, N):
     """(C(N), W(N)) from one bottom-up pass over the tree of words cut at
     depth N <= its depth.  A parent reads up[c] = T(c) + delta_n for a child
     c branching at level n, else T(c), and arg[v] is the lexicographically
     least child attaining T(v)."""
+    _require_normal_delta(delta, N)
     children = tree.children
     up = dict.fromkeys(tree.levels[N], 0.0)
     arg = {}
@@ -364,11 +375,13 @@ def order_diagnostics(source, delta, schedule):
     """[(C(N), W(N)) for N in an increasing schedule] from one structure:
     source is a tree of words as deep as the schedule, or a spec, whose
     branching chain or else tree of words is built once at the last depth.
-    Each depth then costs one pass for both values."""
+    Each depth then costs one pass for both values; the tree engine's
+    delta check comes before the table is built."""
     engine, structure = _tree_engine, source
     if not isinstance(source, LanguageTable):
         structure = _branching_chain(source, schedule[-1])
         if structure is None:
+            _require_normal_delta(delta, schedule[-1])
             structure = build_tree(language_table(source, schedule[-1]))
         else:
             engine = _chain_engine

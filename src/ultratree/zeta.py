@@ -9,7 +9,9 @@ the requested depths.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 
 # level_profile lives in .words; bench/ calls and traces it on this module
 from .words import LevelProfile, level_profile
@@ -26,16 +28,63 @@ class InsufficientDepthError(ValueError):
 VARIANTS = ("full", "low", "pb")
 
 _LOG_HUGE = 709.0  # exp overflows just above this
+_LOG_TINY = -746.0  # exp of anything below this is exactly 0.0
 
 
-def _series_coefficients(profile, variant):
+def _series_log_coefficients(profile, variant, depth):
+    """log c(n) for n < depth, None where c(n) = 0.  The doubled counts
+    are made one at a time, so no second tuple of big integers is held."""
     if variant == "full":
-        return profile.edge_weight
-    if variant == "low":
-        return tuple(2 * x for x in profile.g)
-    if variant == "pb":
-        return tuple(2 * x for x in profile.branching)
-    raise ValueError("unknown zeta variant %r" % variant)
+        coeff = profile.edge_weight
+    else:
+        counts = profile.g if variant == "low" else profile.branching
+        coeff = (2 * x for x in counts)
+    return tuple(math.log(c) if c > 0 else None for c in islice(coeff, depth))
+
+
+def _series_rows(log_coeff, log_delta, s_grid, schedule):
+    """One row of partial sums per exponent s for the series with these
+    log coefficients (None for a zero coefficient), adding its terms
+    exp(log c_n + s log delta_n) in level order.
+
+    Only terms that can still change a partial are evaluated, so every
+    partial equals the plain level-by-level sum.  A term whose log exceeds
+    _LOG_HUGE counts as inf, and inf plus a non-negative term stays inf, so
+    that partial and every later one is inf.  For finite s > 0, since the
+    logs of delta strictly decrease, bound[k] = sufmax[k] + s log delta_k
+    never increases with k and is at least the log of every term from k
+    on, also after rounding; from the first k where it falls below
+    _LOG_TINY every term is exactly 0.0 and no partial changes.
+    """
+    levels = [n for n, lc in enumerate(log_coeff) if lc is not None]
+    lcs = [log_coeff[n] for n in levels]
+    lds = [log_delta[n] for n in levels]
+    ends = [bisect_left(levels, stop) for stop in schedule]
+    sufmax = list(accumulate(reversed(lcs), max))[::-1]
+    rows = []
+    for s in s_grid:
+        # a non-finite s takes every term, as the plain sum does
+        finite = math.isfinite(s)
+        live = len(lcs)
+        if finite and s > 0:
+            live = bisect_left(range(live), True, key=lambda k: (
+                sufmax[k] + s * lds[k] < _LOG_TINY))
+        row = []
+        total = 0.0
+        k = 0
+        for end in ends:
+            end = min(end, live)
+            if k < end:
+                lts = [lc + s * ld for lc, ld in zip(lcs[k:end], lds[k:end])]
+                if finite and max(lts) > _LOG_HUGE:
+                    row += [math.inf] * (len(ends) - len(row))
+                    break
+                for term in map(math.exp, lts):
+                    total += term
+                k = end
+            row.append(total)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -54,7 +103,9 @@ def zeta_partials(source, delta, s_grid, schedule):
     """Evaluate the zeta partial sums.
 
     source may be a spec, table, or LevelProfile; schedule is the
-    increasing list of truncation depths.
+    increasing list of truncation depths.  Variants with equal log
+    coefficients share one pass: every Sturmian spec has c(n) = 2 in all
+    three, a full binary shift 2 * 2^n.
     """
     schedule = tuple(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -68,26 +119,14 @@ def zeta_partials(source, delta, s_grid, schedule):
         raise InsufficientDepthError(
             "profile depth %d below schedule %d" % (profile.depth, depth))
 
-    log_delta = [delta.log(n) for n in range(depth)]
+    log_delta = delta.logs(depth)
     out = {}
+    summed = {}  # log coefficients -> rows, one entry per distinct series
     for variant in VARIANTS:
-        coeff = _series_coefficients(profile, variant)
-        log_coeff = [math.log(c) if c > 0 else None for c in coeff[:depth]]
-        rows = []
-        for s in s_grid:
-            partials = []
-            total = 0.0
-            pos = 0
-            for stop in schedule:
-                while pos < stop:
-                    lc = log_coeff[pos]
-                    if lc is not None:
-                        lt = lc + s * log_delta[pos]
-                        total += math.inf if lt > _LOG_HUGE else math.exp(lt)
-                    pos += 1
-                partials.append(total)
-            rows.append(tuple(partials))
-        out[variant] = tuple(rows)
+        key = _series_log_coefficients(profile, variant, depth)
+        if key not in summed:
+            summed[key] = _series_rows(key, log_delta, s_grid, schedule)
+        out[variant] = summed[key]
     return ZetaPartials(tuple(float(s) for s in s_grid), schedule, out,
                         profile)
 

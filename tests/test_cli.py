@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
-from ultratree import cli
+from ultratree import cli, tree
 from ultratree.cli import ConfigError, main, parse_delta, parse_schedule, \
     parse_spec
 from ultratree.laplacian import assemble_laplacian, cylinder_measure
-from ultratree.tree import DeltaSequence, build_tree
+from ultratree.tree import DeltaSequence, build_tree, continuity_witness, \
+    lipschitz_estimate, tree_for
 from ultratree.words import ExplicitWindow, FullShift, SturmianCF, \
     Substitution, language_table
 
@@ -363,6 +364,46 @@ def test_delta_underflow_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "delta_162" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", (
+    ["--spec", "subst:a=ab,b=ba", "--depth", "800"],
+    ["--spec", "subst:a=ab,b=ba", "--depth", "400", "--delta", "geom:0.1"],
+    ["--spec", "subst:a=abc,b=bc,c=a", "--depth", "200", "--delta",
+     "geom:0.01"]))
+def test_tree_engine_delta_underflow_is_refused(tmp_path, capsys,
+                                                monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(tree, "language_table", refuse)
+    out = tmp_path / "lip"
+    assert main(["lipschitz"] + argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta_") and "Traceback" not in err
+    assert "smallest normal float" in err
+    assert not out.exists()
+
+
+def test_tree_engine_delta_boundary(tmp_path, capsys):
+    # geom:0.01 reaches the smallest normal float between delta_153 = 1e-306
+    # and delta_154 = 1e-308, and a depth-N run reads delta_(N-1)
+    argv = ["lipschitz", "--spec", "subst:a=ab,b=ba", "--delta", "geom:0.01"]
+    assert main(argv + ["--depth", "154", "--out",
+                        str(tmp_path / "154")]) == 0
+    out = tmp_path / "155"
+    assert main(argv + ["--depth", "155", "--out", str(out)]) == 2
+    assert "delta_154" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tree_engine_refuses_subnormal_delta():
+    words = tree_for(FullShift(2), 3)
+    for delta in (DeltaSequence.geometric(1e-200),
+                  DeltaSequence.table([1.0, 0.5, 1e-310])):
+        for engine in (lipschitz_estimate, continuity_witness):
+            with pytest.raises(ValueError, match="delta_2"):
+                engine(words, delta)
 
 
 @pytest.mark.parametrize("command, delta", (

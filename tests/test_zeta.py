@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from ultratree import zeta
 from ultratree.words import (ExplicitWindow, FullShift, SturmianCF,
-                             fibonacci_spec, language_table)
-from ultratree.tree import DeltaSequence, tree_for
+                             Substitution, fibonacci_spec, language_table)
+from ultratree.tree import DeltaSequence, delta_from_name, tree_for
 from ultratree.zeta import (InsufficientDepthError, LevelProfile,
                             abscissa_estimate, exponent_estimates,
                             level_profile, zeta_partials)
@@ -92,6 +93,165 @@ def test_overflow_reported_as_inf():
     delta = DeltaSequence.harmonic()
     partials = zeta_partials(FullShift(2), delta, [0.2], (2048,))
     assert math.isinf(partials.partials["full"][0][0])
+
+
+# ---------------------------------------------------------------------------
+# zeta_partials against the plain level-by-level sum
+
+
+def plain_partials(profile, delta, s_grid, schedule):
+    """Every term of every series at every s, added in level order: the
+    oracle for the cut-offs of zeta_partials."""
+    depth = schedule[-1]
+    log_delta = [delta.log(n) for n in range(depth)]
+    series = {"full": profile.edge_weight,
+              "low": tuple(2 * x for x in profile.g),
+              "pb": tuple(2 * x for x in profile.branching)}
+    out = {}
+    for variant, coeff in series.items():
+        log_coeff = [math.log(c) if c > 0 else None for c in coeff[:depth]]
+        rows = []
+        for s in s_grid:
+            partials = []
+            total = 0.0
+            pos = 0
+            for stop in schedule:
+                while pos < stop:
+                    lc = log_coeff[pos]
+                    if lc is not None:
+                        lt = lc + s * log_delta[pos]
+                        total += math.inf if lt > 709.0 else math.exp(lt)
+                    pos += 1
+                partials.append(total)
+            rows.append(tuple(partials))
+        out[variant] = tuple(rows)
+    return out
+
+
+ORACLE_SOURCES = {
+    "full:1": (FullShift(1), 1024),
+    "full:2": (FullShift(2), 1024),
+    "full:3": (FullShift(3), 1024),
+    "fibonacci": (fibonacci_spec(), 1024),
+    "cf=1,2,linear": (SturmianCF((1, 2), ("linear",)), 1024),
+    # sources below depth 1024 are read off their tables
+    "thue-morse": (Substitution.from_rules({"a": "ab", "b": "ba"}, "a"), 128),
+    "a=abc,b=bc,c=a": (Substitution.from_rules(
+        {"a": "abc", "b": "bc", "c": "a"}, "a"), 128),
+    # g is 0 at levels 5 and 6 and -1 from 7 on, no word branches past 6
+    "window": (ExplicitWindow("aabaaabaaaab"), 10),
+}
+ORACLE_GRIDS = {
+    "default": grid(0.2, 3.0, 0.05),
+    "negative": grid(-1.0, 1.0, 0.25),
+    "large": [0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0],
+}
+# powerlog:1.5,1 has delta_0 = ln 2, so on this grid the first Fibonacci
+# term, 2 (ln 2)^s, runs from e^-743 through the smallest subnormal float
+# (e^-745.13) to 0.0, and every later term is 0.0
+SUBNORMAL_GRID = grid(2030.0, 2036.0, 0.05)
+_profiles = {}
+
+
+def oracle_profile(name):
+    if name not in _profiles:
+        spec, N = ORACLE_SOURCES[name]
+        source = language_table(spec, N) if N < 1024 else spec
+        _profiles[name] = level_profile(source, N)
+    return _profiles[name]
+
+
+def oracle_mismatches(profile, delta_name, s_grid, schedule):
+    got = zeta_partials(profile, delta_from_name(delta_name), s_grid,
+                        schedule).partials
+    want = plain_partials(profile, delta_from_name(delta_name), s_grid,
+                          schedule)
+    return [v for v in zeta.VARIANTS if repr(got[v]) != repr(want[v])]
+
+
+@pytest.mark.parametrize("delta_name",
+                         ("exp", "harmonic", "geom:0.1", "powerlog:1.5,1"))
+@pytest.mark.parametrize("name", sorted(ORACLE_SOURCES))
+def test_partials_equal_plain_sum(name, delta_name):
+    profile = oracle_profile(name)
+    N = profile.depth
+    schedule = (N // 8, N // 4, N // 2, N)
+    for s_grid in ORACLE_GRIDS.values():
+        assert oracle_mismatches(profile, delta_name, s_grid,
+                                 schedule) == []
+
+
+def test_partials_overflow_mid_schedule():
+    profile = oracle_profile("full:3")
+    schedule = (128, 256, 512, 1024)
+    s_grid = ORACLE_GRIDS["default"]
+    rows = zeta_partials(profile, DeltaSequence.harmonic(), s_grid,
+                         schedule).partials["full"]
+    # 6 * 3^n (n + 1)^-0.2 passes e^709 near n = 645
+    assert math.isfinite(rows[0][2]) and math.isinf(rows[0][3])
+    assert oracle_mismatches(profile, "harmonic", s_grid, schedule) == []
+
+
+def test_partials_cut_on_a_schedule_point():
+    # every Sturmian coefficient is 2, so with exponential delta the log of
+    # term n is ln 2 - s n: it first falls below -746 at n = 374 for s = 2
+    # and at n = 747 for s = 1, both schedule points
+    profile = oracle_profile("fibonacci")
+    for s, cut in ((2.0, 374), (1.0, 747)):
+        assert math.log(2) - s * (cut - 1) >= -746.0 > math.log(2) - s * cut
+    assert oracle_mismatches(profile, "exp", [1.0, 2.0],
+                             (374, 747, 1024)) == []
+
+
+def test_partials_subnormal_totals():
+    profile = oracle_profile("fibonacci")
+    got = zeta_partials(profile, delta_from_name("powerlog:1.5,1"),
+                        SUBNORMAL_GRID, (4, 8)).partials["full"]
+    assert 0.0 < got[0][-1] < 1e-320 and got[-1][-1] == 0.0
+    assert oracle_mismatches(profile, "powerlog:1.5,1", SUBNORMAL_GRID,
+                             (4, 8)) == []
+
+
+def test_oracle_catches_a_cut_too_early(monkeypatch):
+    profile = oracle_profile("fibonacci")
+    monkeypatch.setattr(zeta, "_LOG_TINY", -740.0)
+    assert oracle_mismatches(profile, "powerlog:1.5,1", SUBNORMAL_GRID,
+                             (4, 8)) == list(zeta.VARIANTS)
+
+
+def test_partials_term_logs_that_fall_and_rise():
+    # ln(2 * 2^n) - 300 ln(n + 1) falls below -746 near n = 13 and climbs
+    # back past it near n = 2400, so the underflow cut must bound every
+    # later coefficient, not the current one
+    profile = level_profile(FullShift(2), 4096)
+    rows = zeta_partials(profile, DeltaSequence.harmonic(), [300.0],
+                         (512, 4096)).partials["full"]
+    assert 1.0 < rows[0][0] < rows[0][1] < math.inf
+    assert oracle_mismatches(profile, "harmonic", [300.0], (512, 4096)) == []
+
+
+def test_partials_negative_s_with_delta_above_one():
+    # s log delta_n rises with n when s < 0, so no underflow cut applies:
+    # the first six terms are 0.0, the last two are not
+    values = [10.0 ** e for e in (300, 299, 298, 297, 296, 295, 100, 0)]
+    profile = oracle_profile("fibonacci")
+    got = zeta_partials(profile, DeltaSequence.table(values), [-2.0],
+                        (4, 8)).partials["full"]
+    want = plain_partials(profile, DeltaSequence.table(values), [-2.0],
+                          (4, 8))["full"]
+    assert repr(got) == repr(want) and got[0] == (0.0, 2.0)
+
+
+def test_partials_series_differing_at_one_level():
+    # full and low agree but for the last level, so they are two series;
+    # level 1 has no term in any of the three
+    N = 4
+    prof = LevelProfile(N, (1, 2, 2, 3, 4), (1, 0, 1, 1), (2, 0, 2, 6),
+                        (1, 0, 1, 1))
+    got = zeta_partials(prof, DeltaSequence.harmonic(), [1.0, 2.0],
+                        (2, 4)).partials
+    want = plain_partials(prof, DeltaSequence.harmonic(), [1.0, 2.0], (2, 4))
+    assert repr(got) == repr(want) and got["full"] != got["low"]
 
 
 def test_schedule_validation():
