@@ -86,8 +86,6 @@ def parse_spec(text):
                 tail = ("constant", mu[-1])
             return SturmianCF(mu=mu, tail=tail)
         if kind == "window":
-            if not rest:
-                raise ConfigError("window spec needs a word")
             return ExplicitWindow(rest)
         if kind == "subst":
             rules, seed = [], None

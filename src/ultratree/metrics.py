@@ -52,41 +52,37 @@ def ultrametric_distance(xi, eta, delta):
     return delta[common_prefix_length(xi, eta)]
 
 
-def spectral_distance(tree, tau, delta, xi, eta):
-    """Closed-form spectral distance of the choice function tau."""
+def _two_tails(delta, xi, eta, deviations):
+    """delta at the fork m plus delta_n for each length-n prefix, m < n <
+    len(w), of either point w that deviations(w, m) flags.  Each tail is
+    summed ascending, bitwise as the factored enumeration over tails."""
     if len(xi) != len(eta):
         raise DepthMismatchError("points live at different depths")
     if xi == eta:
         return 0.0
-    N = len(xi)
     m = common_prefix_length(xi, eta)
-    # the two tails are summed separately (ascending), so the result is
-    # bitwise identical to the factored enumeration over tail choices
     tail_x = tail_y = 0.0
-    sel = tau.selection
-    for n in range(m + 1, N):
-        if sel[xi[:n]] != xi[:n + 1]:
+    for n, dx, dy in zip(range(m + 1, len(xi)), deviations(xi, m),
+                         deviations(eta, m)):
+        if dx:
             tail_x += delta[n]
-        if sel[eta[:n]] != eta[:n + 1]:
+        if dy:
             tail_y += delta[n]
     return delta[m] + tail_x + tail_y
+
+
+def spectral_distance(tree, tau, delta, xi, eta):
+    """Closed-form spectral distance of the choice function tau."""
+    sel = tau.selection
+    return _two_tails(delta, xi, eta, lambda w, m: [
+        sel[w[:n]][n] != w[n] for n in range(m + 1, len(w))])
 
 
 def sup_spectral_distance(tree, delta, xi, eta):
     """Supremum over choice functions, evaluated by the branching profile."""
-    if len(xi) != len(eta):
-        raise DepthMismatchError("points live at different depths")
-    if xi == eta:
-        return 0.0
-    N = len(xi)
-    m = common_prefix_length(xi, eta)
-    tail_x = tail_y = 0.0
-    for n in range(m + 1, N):
-        if tree.a(xi[:n]) > 0:
-            tail_x += delta[n]
-        if tree.a(eta[:n]) > 0:
-            tail_y += delta[n]
-    return delta[m] + tail_x + tail_y
+    children = tree.children
+    return _two_tails(delta, xi, eta, lambda w, m: [
+        len(children[w[:n]]) > 1 for n in range(m + 1, len(w))])
 
 
 def inf_spectral_distance(tree, delta, xi, eta):

@@ -9,18 +9,18 @@ from a DeltaSequence (delta_from_name parses a family name).  A choice
 function selects one child per vertex; quotienting the horizontal edges by
 those selections gives the metric approximation graph.
 
-The order diagnostics walk these trees with their edge lengths: the
-Lipschitz estimate C(N) and the continuity witness W(N) summarize how far
-the supremum spectral distance can drift from the ultrametric, from one
-pass over a tree of words or over the branching chain of a full shift or a
-Sturmian spec.
+The order diagnostics, the Lipschitz estimate C(N) and the continuity
+witness W(N), summarize how far the supremum spectral distance can drift
+from the ultrametric.  One engine computes both, in ratios of deltas at
+any depth, on a branching skeleton: the failure array of a full shift's
+or Sturmian spec's branching chain, or a tree's branching words.
 """
 
 import math
 import random
-import sys
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 from .words import LanguageTable, _branching_chain, language_table
 
@@ -250,7 +250,7 @@ def approximation_graph(tree, tau, delta):
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz and continuity diagnostics (generic tree engine)
+# Lipschitz and continuity diagnostics: one engine on a branching skeleton
 
 
 @dataclass(frozen=True)
@@ -261,133 +261,136 @@ class OrderDiagnostic:
     per_level: tuple = field(default=(), compare=False)
 
 
-def _require_normal_delta(delta, N):
-    """The tree engine divides by delta_n for n < N in floats: refuse a
-    delta_(N-1), the smallest of them, that is subnormal or zero."""
-    if delta[N - 1] < sys.float_info.min:
-        raise ValueError("delta_%d = %r is below the smallest normal float, "
-                         "which the tree engine divides by"
-                         % (N - 1, delta[N - 1]))
+def _push(lg, parent):
+    """B and its argmax on a skeleton in topological order, where node i
+    has log delta lg[i] and parent parent[i] < i: B[i] is the largest sum
+    of delta_j / delta_i over the nodes j of a path below i, in ratios that
+    divide by no delta; arg[i] is its child (the last pushed on ties) or 0."""
+    B = [0.0] * len(lg)
+    arg = [0] * len(lg)
+    exp = math.exp
+    for i in range(len(lg) - 1, 0, -1):
+        p = parent[i]
+        cand = exp(lg[i] - lg[p]) * (1.0 + B[i])
+        if cand >= B[p]:
+            B[p] = cand
+            arg[p] = i
+    return B, arg
 
 
-def _tree_engine(tree, delta, N):
-    """(C(N), W(N)) from one bottom-up pass over the tree of words cut at
-    depth N <= its depth.  A parent reads up[c] = T(c) + delta_n for a child
-    c branching at level n, else T(c), and arg[v] is the lexicographically
-    least child attaining T(v)."""
-    _require_normal_delta(delta, N)
+def _chain_diagnostics(chain, delta, N):
+    """(C(N), W(N)) on a branching chain at least N deep: node m is the
+    branching word at level m, and the failure array gives its parent."""
+    word = chain[0][:N]
+    B = _push(delta.logs(len(word) or 1), chain[1])[0]
+    m = B.index(max(B))
+    return (OrderDiagnostic(B[m], word[:m][::-1], ""),
+            OrderDiagnostic(delta[0] * B[0], "", word[::-1]))
+
+
+def _skeleton(tree, N):
+    """The root and the branching words below level N in lexicographic
+    order, so that ties go to the least child, the index of each one's
+    longest branching proper prefix (the root for none) and its level."""
     children = tree.children
-    up = dict.fromkeys(tree.levels[N], 0.0)
-    arg = {}
-    series = []
-    for n in range(N - 1, -1, -1):
-        level_best, level_v = -1.0, None
-        for v in tree.levels[n]:
-            cs = children[v]
-            best, best_c = -1.0, None
-            for c in cs:
-                val = up[c]
-                if val > best:
-                    best, best_c = val, c
-            arg[v] = best_c
-            if len(cs) > 1:
-                d = delta[n]
-                up[v] = best + d
-                if best / d > level_best:
-                    level_best, level_v = best / d, v
-            else:
-                up[v] = best
-        if level_v is not None:
-            series.append((n, level_best, level_v))
+    words = [""] + sorted(v for n in range(1, N) for v in tree.levels[n]
+                          if len(children[v]) > 1)
+    parent = [0] * len(words)
+    stack = [0]
+    for i in range(1, len(words)):
+        while not words[i].startswith(words[stack[-1]]):
+            stack.pop()
+        parent[i] = stack[-1]
+        stack.append(i)
+    return words, parent, [len(w) for w in words]
 
-    def descend(v):
-        while v in arg:
-            v = arg[v]
+
+def _tree_diagnostics(tree, skeleton, delta, N):
+    """(C(N), W(N)) on a tree of words cut at depth N, from its skeleton
+    at a depth >= N.  C is the largest B over branching nodes, at the
+    lowest level and then the least word; W is delta_0 B at the root.  A
+    path follows the argmax children, then the least children to depth N."""
+    words, parent, level = skeleton
+    if max(level) >= N:
+        keep = [i for i, m in enumerate(level) if m < N]
+        at = {i: j for j, i in enumerate(keep)}
+        words = [words[i] for i in keep]
+        parent = [at[parent[i]] for i in keep]
+        level = [level[i] for i in keep]
+    logs = delta.logs(N)
+    B, arg = _push([logs[m] for m in level], parent)
+    children = tree.children
+
+    def descend(j):
+        while arg[j]:
+            j = arg[j]
+        v = words[j]
+        while len(v) < N:
+            v = children[v][0]
         return v
 
-    w = OrderDiagnostic(best, "", descend(""), ())
-    series.reverse()
-    best, best_v = 0.0, None
-    for _, value, v in series:
-        if value > best:
-            best, best_v = value, v
-    if best_v is None:
-        return OrderDiagnostic(0.0, "", "", ()), w
-    return OrderDiagnostic(best, best_v, descend(best_v),
-                           tuple((m, value) for m, value, _ in series)), w
+    w = OrderDiagnostic(delta[0] * B[0], "", descend(0))
+    nodes = range(0 if len(children[""]) > 1 else 1, len(words))
+    top = {}
+    for j in nodes:
+        if B[j] > top.get(level[j], -1.0):
+            top[level[j]] = B[j]
+    series = tuple(sorted(top.items()))
+    m, value = max(series, key=itemgetter(1), default=(0, 0.0))
+    if not value > 0.0:
+        return OrderDiagnostic(0.0, "", ""), w
+    j = next(j for j in nodes if level[j] == m and B[j] == value)
+    return OrderDiagnostic(value, words[j], descend(j), series), w
+
+
+def order_diagnostics(source, delta, schedule):
+    """[(C(N), W(N)) for N in an increasing schedule] from one structure:
+    source is a tree of words as deep as the schedule, or a spec, whose
+    branching chain or else tree of words and its skeleton are built once
+    at the last depth.  Each depth costs one push for both values."""
+    if isinstance(source, LanguageTable):
+        if schedule[-1] > source.depth:
+            raise ValueError("schedule goes below the tree depth")
+        tree = source
+    else:
+        chain = _branching_chain(source, schedule[-1])
+        if chain is not None:
+            return [_chain_diagnostics(chain, delta, N) for N in schedule]
+        tree = build_tree(language_table(source, schedule[-1]))
+    skeleton = _skeleton(tree, schedule[-1])
+    return [_tree_diagnostics(tree, skeleton, delta, N) for N in schedule]
 
 
 def lipschitz_estimate(tree, delta):
     """C(N): the largest ratio T(v)/delta_m over branching nodes v at level
-    m, where T(v) is the maximal deviation-weighted delta sum along
-    descendant paths of v."""
-    return _tree_engine(tree, delta, tree.depth)[0]
+    m, where T(v) is the largest delta sum over the branching nodes of one
+    path below v."""
+    return order_diagnostics(tree, delta, (tree.depth,))[0][0]
 
 
 def continuity_witness(tree, delta):
     """W(N): the maximal branching-weighted delta sum over root-to-leaf
     paths, levels 1 through N-1."""
-    return _tree_engine(tree, delta, tree.depth)[1]
-
-
-# ---------------------------------------------------------------------------
-# branching chains from words._branching_chain: full shifts and Sturmian specs
-
-
-def _chain_engine(chain, delta, N):
-    """(C(N), W(N)) from a chain at least N deep.  B[m] is the largest sum
-    of delta_n/delta_m over chains lying strictly above level m and passing
-    through it."""
-    word, fail = chain
-    word = word[:N]
-    logs = delta.logs(len(word))
-    B = [0.0] * N
-    for m in range(len(word) - 1, 0, -1):
-        f = fail[m]
-        cand = math.exp(logs[m] - logs[f]) * (1.0 + B[m])
-        if cand > B[f]:
-            B[f] = cand
-    w = OrderDiagnostic(delta[0] * B[0], "", word[::-1])
-    m = B.index(max(B))
-    return OrderDiagnostic(B[m], word[:m][::-1], ""), w
+    return order_diagnostics(tree, delta, (tree.depth,))[0][1]
 
 
 def _fast_engine(spec, delta, N):
     chain = _branching_chain(spec, N)
     if chain is None:
         raise TypeError("no fast engine for %r" % (spec,))
-    return _chain_engine(chain, delta, N)
+    return _chain_diagnostics(chain, delta, N)
 
 
 def lipschitz_estimate_fast(spec, delta, N):
-    """Evaluation of C(N) for full shifts and Sturmian specs through
-    closed-form branching structure; agrees with the tree engine but
-    scales to depths in the thousands."""
+    """C(N) for full shifts and Sturmian specs on their branching chain,
+    without a table; agrees with lipschitz_estimate on the tree of words
+    and scales to depths in the thousands."""
     return _fast_engine(spec, delta, N)[0]
 
 
 def continuity_witness_fast(spec, delta, N):
-    """Fast evaluation of W(N) for full shifts and Sturmian specs."""
+    """W(N) for full shifts and Sturmian specs on their branching chain."""
     return _fast_engine(spec, delta, N)[1]
-
-
-def order_diagnostics(source, delta, schedule):
-    """[(C(N), W(N)) for N in an increasing schedule] from one structure:
-    source is a tree of words as deep as the schedule, or a spec, whose
-    branching chain or else tree of words is built once at the last depth.
-    Each depth then costs one pass for both values; the tree engine's
-    delta check comes before the table is built."""
-    engine, structure = _tree_engine, source
-    if not isinstance(source, LanguageTable):
-        structure = _branching_chain(source, schedule[-1])
-        if structure is None:
-            _require_normal_delta(delta, schedule[-1])
-            structure = build_tree(language_table(source, schedule[-1]))
-        else:
-            engine = _chain_engine
-    elif schedule[-1] > source.depth:
-        raise ValueError("schedule goes below the tree depth")
-    return [engine(structure, delta, N) for N in schedule]
 
 
 # ---------------------------------------------------------------------------

@@ -308,19 +308,21 @@ def language_table(spec, N):
     FullShift and ExplicitWindow are exact by construction; a full shift
     with more than DEFAULT_WINDOW_CAP words at length N, the bound a
     generated window obeys, or more than FULL_SHIFT_LETTER_CAP letters in
-    all is refused before anything is enumerated.  A Sturmian or
-    substitution window is cut to its recurrent prefix (see
-    _recurrent_prefix) and doubled until the per-length counts stop
-    changing; the flags record where that stabilization was observed.  Each
-    factor of a recurrent prefix extends to length N inside it, and the
-    windows nest (Sturmian ones as suffixes, substitution ones as prefixes),
-    so the counts hold exactly when the sorted distinct length-N factors
-    do.  Only those are compared, and the last of them build the table (see
-    _tree_of_words), as the length-N words of a full shift or an explicit
-    window do.
+    all, and an explicit window deeper than DEFAULT_WINDOW_CAP are refused
+    before anything is enumerated.  A Sturmian or substitution window is cut
+    to its recurrent prefix (see _recurrent_prefix) and doubled until the
+    per-length counts stop changing; the flags record where that
+    stabilization was observed.  Each factor of a recurrent prefix extends
+    to length N inside it, and the windows nest (Sturmian ones as suffixes,
+    substitution ones as prefixes), so the counts hold exactly when the
+    sorted distinct length-N factors do.  Only those are compared, and the
+    last of them build the table (see _tree_of_words), as the length-N words
+    of a full shift or an explicit window do.
     """
     if N < 1:
         raise ValueError("depth must be >= 1")
+    if isinstance(spec, ExplicitWindow) and N > DEFAULT_WINDOW_CAP:
+        raise ValueError("explicit window deeper than %d" % DEFAULT_WINDOW_CAP)
     window = ""
     flags = [True] * (N + 1)
     if isinstance(spec, FullShift):

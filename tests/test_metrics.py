@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,18 +272,19 @@ def fields(d):
 
 
 def rebuilt_c_and_w(tree, delta):
-    """C and W as two passes of the tree DP with a separate level scan for
-    C, the tree engine before it was one pass: the oracle."""
+    """C and W as two passes of the tree DP in absolute sums with a
+    separate level scan for C: the oracle.  It runs in the arithmetic of
+    the deltas, so exact Fractions give exact values and ties."""
     N = tree.depth
 
     def dp():
-        T = {w: 0.0 for w in tree.leaves()}
+        T = {w: 0 for w in tree.leaves()}
         arg = {w: None for w in tree.leaves()}
         for n in range(N - 1, -1, -1):
             for v in tree.levels[n]:
-                best, best_c = -1.0, None
+                best, best_c = -1, None
                 for c in tree.children[v]:
-                    gain = 0.0
+                    gain = 0
                     if len(c) <= N - 1 and tree.a(c) > 0:
                         gain = delta[len(c)]
                     if gain + T[c] > best:
@@ -296,9 +298,9 @@ def rebuilt_c_and_w(tree, delta):
         return v
 
     T, arg = dp()
-    best, best_v, series = 0.0, None, []
+    best, best_v, series = 0, None, []
     for m in range(N):
-        level_best, level_v = -1.0, None
+        level_best, level_v = -1, None
         for v in tree.levels[m]:
             if tree.a(v) > 0 and T[v] / delta[m] > level_best:
                 level_best, level_v = T[v] / delta[m], v
@@ -312,6 +314,42 @@ def rebuilt_c_and_w(tree, delta):
                             tuple(series))
     T, arg = dp()
     return c, OrderDiagnostic(T[""], "", descend(arg, ""), ())
+
+
+def assert_matches(got, want, rel):
+    """An engine's (C, W) against the oracle's: equal witnesses and
+    per_level levels, values within rel relative.  The engine carries
+    ratios and the oracle absolute sums, so only the floats may differ."""
+    for d, e in zip(got, want):
+        assert (d.witness_node, d.witness_path,
+                [m for m, _ in d.per_level]) == \
+            (e.witness_node, e.witness_path, [m for m, _ in e.per_level])
+        assert [d.value] + [v for _, v in d.per_level] == pytest.approx(
+            [float(e.value)] + [float(v) for _, v in e.per_level],
+            rel=rel, abs=0)
+
+
+def test_engine_matches_exact_oracle_where_delta_underflows():
+    # geom:0.01 is below the smallest normal float from delta_154 on and
+    # reaches 0.0 at delta_162; the oracle runs on exact powers of 1/100
+    tree = tree_for(Substitution.from_rules({"a": "ab", "b": "ba"}, "a"),
+                    160)
+    q = Fraction(1, 100)
+    exact = rebuilt_c_and_w(tree, [q ** n for n in range(160)])
+    assert_matches(order_diagnostics(tree, delta_from_name("geom:0.01"),
+                                     (160,))[0], exact, 1e-12)
+
+
+def test_engine_runs_on_subnormal_delta():
+    words = tree_for(FullShift(2), 3)
+    for delta, exact in (
+            (DeltaSequence.geometric(1e-200),
+             [Fraction(1e-200) ** n for n in range(3)]),
+            (DeltaSequence.table([1.0, 0.5, 1e-310]),
+             [Fraction(1), Fraction(1, 2), Fraction(1e-310)])):
+        assert_matches((lipschitz_estimate(words, delta),
+                        continuity_witness(words, delta)),
+                       rebuilt_c_and_w(words, exact), 1e-12)
 
 
 SCHEDULE_SUBSTITUTIONS = (
@@ -361,8 +399,9 @@ def test_schedule_from_one_table_matches_rebuild_per_depth(spec_depth, data,
     if isinstance(spec, FullShift):
         source = build_tree(language_table(spec, depth))
     got = order_diagnostics(source, delta, schedule)
-    assert [(fields(c), fields(w)) for c, w in got] == \
-        [(fields(c), fields(w)) for c, w in expected]
+    assert len(got) == len(expected)
+    for pair, want in zip(got, expected):
+        assert_matches(pair, want, 1e-13)
 
 
 def test_chain_schedule_matches_fast_engines():
