@@ -26,8 +26,8 @@ from itertools import zip_longest
 
 from . import EDGE_LENGTH_CONVENTION, __version__
 from .words import (ExplicitWindow, FullShift, SturmianCF, Substitution,
-                    language_table, level_profile, repetitivity_estimate,
-                    repulsiveness_estimates)
+                    _refuse_oversized, language_table, level_profile,
+                    repetitivity_estimate, repulsiveness_estimates)
 from .tree import (TREND_FLAT, TREND_GROW, DeltaSequence, build_tree,
                    delta_from_name, order_diagnostics, trend_verdict)
 from .zeta import abscissa_estimate, exponent_estimates, zeta_partials
@@ -335,10 +335,14 @@ def cmd_laplacian(args):
         # NaN and infinity are refused by density() as not finite
         raise ConfigError("density exponent %r exceeds the limit of %d"
                           % (args.rho, MAX_RHO))
-    tree = build_tree(language_table(spec, args.depth))
-    if len(tree.leaves()) > MAX_LAPLACIAN_LEAVES:
+    # count the leaves before any table: a closed form or the sorted leaves;
+    # a full shift's closed form holds every k^n, so its caps come first
+    _refuse_oversized(spec, args.depth)
+    count = level_profile(spec, args.depth).P[args.depth]
+    if count > MAX_LAPLACIAN_LEAVES:
         raise ConfigError("laplacian of %d leaves exceeds the limit of %d"
-                          % (len(tree.leaves()), MAX_LAPLACIAN_LEAVES))
+                          % (count, MAX_LAPLACIAN_LEAVES))
+    tree = build_tree(language_table(spec, args.depth))
     if args.measure == "uniform":
         mu = cylinder_measure(tree)
     elif args.measure == "random":

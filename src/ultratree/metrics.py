@@ -20,6 +20,7 @@ from .tree import _finish
 from .tree import (continuity_witness, continuity_witness_fast,  # noqa: F401
                    delta_from_name, lipschitz_estimate,
                    lipschitz_estimate_fast, trend_verdict)
+from .words import _common_prefix_length as common_prefix_length
 
 
 class DepthMismatchError(ValueError):
@@ -32,15 +33,6 @@ class UnreachableVertexError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # distances
-
-
-def common_prefix_length(x, y):
-    m = 0
-    for cx, cy in zip(x, y):
-        if cx != cy:
-            break
-        m += 1
-    return m
 
 
 def ultrametric_distance(xi, eta, delta):

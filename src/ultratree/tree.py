@@ -13,16 +13,19 @@ The order diagnostics, the Lipschitz estimate C(N) and the continuity
 witness W(N), summarize how far the supremum spectral distance can drift
 from the ultrametric.  One engine computes both, in ratios of deltas at
 any depth, on a branching skeleton: the failure array of a full shift's
-or Sturmian spec's branching chain, or a tree's branching words.
+or Sturmian spec's branching chain, or a tree's branching words, read
+from its sorted leaves.
 """
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 
-from .words import LanguageTable, _branching_chain, language_table
+from .words import (LanguageTable, _branching_chain, _leaves, _shape,
+                    language_table)
 
 
 class StructuralError(ValueError):
@@ -288,13 +291,11 @@ def _chain_diagnostics(chain, delta, N):
             OrderDiagnostic(delta[0] * B[0], "", word[::-1]))
 
 
-def _skeleton(tree, N):
+def _skeleton(forks, N):
     """The root and the branching words below level N in lexicographic
     order, so that ties go to the least child, the index of each one's
     longest branching proper prefix (the root for none) and its level."""
-    children = tree.children
-    words = [""] + sorted(v for n in range(1, N) for v in tree.levels[n]
-                          if len(children[v]) > 1)
+    words = sorted({"", *(v for v in forks if len(v) < N)})
     parent = [0] * len(words)
     stack = [0]
     for i in range(1, len(words)):
@@ -305,32 +306,23 @@ def _skeleton(tree, N):
     return words, parent, [len(w) for w in words]
 
 
-def _tree_diagnostics(tree, skeleton, delta, N):
-    """(C(N), W(N)) on a tree of words cut at depth N, from its skeleton
-    at a depth >= N.  C is the largest B over branching nodes, at the
-    lowest level and then the least word; W is delta_0 B at the root.  A
-    path follows the argmax children, then the least children to depth N."""
-    words, parent, level = skeleton
-    if max(level) >= N:
-        keep = [i for i, m in enumerate(level) if m < N]
-        at = {i: j for j, i in enumerate(keep)}
-        words = [words[i] for i in keep]
-        parent = [at[parent[i]] for i in keep]
-        level = [level[i] for i in keep]
+def _tree_diagnostics(leaves, forks, delta, N):
+    """(C(N), W(N)) on a tree of words cut at depth N, from its sorted
+    leaves and branching words (see words._shape) at a depth >= N.  C is
+    the largest B over branching nodes, at the lowest level and then the
+    least word; W is delta_0 B at the root.  A path follows the argmax
+    children, then the least children to depth N: the least leaf below."""
+    words, parent, level = _skeleton(forks, N)
     logs = delta.logs(N)
     B, arg = _push([logs[m] for m in level], parent)
-    children = tree.children
 
     def descend(j):
         while arg[j]:
             j = arg[j]
-        v = words[j]
-        while len(v) < N:
-            v = children[v][0]
-        return v
+        return leaves[bisect_left(leaves, words[j])][:N]
 
     w = OrderDiagnostic(delta[0] * B[0], "", descend(0))
-    nodes = range(0 if len(children[""]) > 1 else 1, len(words))
+    nodes = range(0 if "" in forks else 1, len(words))
     top = {}
     for j in nodes:
         if B[j] > top.get(level[j], -1.0):
@@ -346,19 +338,22 @@ def _tree_diagnostics(tree, skeleton, delta, N):
 def order_diagnostics(source, delta, schedule):
     """[(C(N), W(N)) for N in an increasing schedule] from one structure:
     source is a tree of words as deep as the schedule, or a spec, whose
-    branching chain or else tree of words and its skeleton are built once
-    at the last depth.  Each depth costs one push for both values."""
+    branching chain or else sorted leaves and their forks are read once at
+    the last depth, with no table.  Each depth costs one push for both."""
     if isinstance(source, LanguageTable):
         if schedule[-1] > source.depth:
             raise ValueError("schedule goes below the tree depth")
-        tree = source
+        leaves = source.leaves()
     else:
         chain = _branching_chain(source, schedule[-1])
         if chain is not None:
             return [_chain_diagnostics(chain, delta, N) for N in schedule]
-        tree = build_tree(language_table(source, schedule[-1]))
-    skeleton = _skeleton(tree, schedule[-1])
-    return [_tree_diagnostics(tree, skeleton, delta, N) for N in schedule]
+        leaves = _leaves(source, schedule[-1])[0]
+        if any(len(v) < schedule[-1] for v in leaves):
+            # a leaf above the depth is a word with no child: refused here
+            build_tree(language_table(source, schedule[-1]))
+    forks = _shape(leaves, len(leaves[0]))[0]
+    return [_tree_diagnostics(leaves, forks, delta, N) for N in schedule]
 
 
 def lipschitz_estimate(tree, delta):

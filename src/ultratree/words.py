@@ -12,8 +12,9 @@ branching chain, the closed forms of full-shift and Sturmian trees.
 """
 
 import string
+from collections import Counter
 from dataclasses import dataclass, field
-from bisect import insort
+from bisect import bisect_left, insort
 from itertools import accumulate, groupby, product
 from operator import itemgetter, mul
 
@@ -229,27 +230,25 @@ class LanguageTable:
         return self.levels[self.depth]
 
 
-def _tree_of_words(keys, N, window=""):
-    """Levels 0..N and child links of the prefixes of the keys.
+def _tree_of_words(leaves, N):
+    """Levels 0..N and child links of the tree with these sorted leaves.
 
-    keys are sorted distinct length-N words; window adds its suffixes
-    shorter than N, the only words that may lack a child.  Level n is the
-    run-deduplicated w[:-1] of level n + 1 plus that suffix, and each run is
-    its parent's children, built from the level's own string objects.
-    """
+    Level n is the run-deduplicated w[:-1] of level n + 1 plus the leaves of
+    length n, and each run is its parent's children, built from the level's
+    own string objects."""
     cut_last = itemgetter(slice(None, -1))
-    level = list(keys)
+    by_length = {n: list(vs)
+                 for n, vs in groupby(sorted(leaves, key=len), len)}
+    level = by_length.pop(N, [])
     levels = [tuple(level)]
     children = {}
     for n in range(N - 1, -1, -1):
         runs = {p: tuple(run) for p, run in groupby(level, cut_last)}
         level = list(runs)
         children.update(runs)
-        if n <= len(window):
-            suffix = window[len(window) - n:]
-            if suffix not in runs:
-                insort(level, suffix)
-                children[suffix] = ()
+        for v in by_length.get(n, ()):
+            insort(level, v)
+            children[v] = ()
         levels.append(tuple(level))
     return tuple(levels[::-1]), children
 
@@ -302,31 +301,17 @@ def _window_for(spec, length):
     raise TypeError("no window construction for %r" % (spec,))
 
 
-def language_table(spec, N):
-    """Enumerate the admissible words of length <= N for a spec.
-
-    FullShift and ExplicitWindow are exact by construction; a full shift
-    with more than DEFAULT_WINDOW_CAP words at length N, the bound a
-    generated window obeys, or more than FULL_SHIFT_LETTER_CAP letters in
-    all, and an explicit window deeper than DEFAULT_WINDOW_CAP are refused
-    before anything is enumerated.  A Sturmian or substitution window is cut
-    to its recurrent prefix (see _recurrent_prefix) and doubled until the
-    per-length counts stop changing; the flags record where that
-    stabilization was observed.  Each factor of a recurrent prefix extends
-    to length N inside it, and the windows nest (Sturmian ones as suffixes,
-    substitution ones as prefixes), so the counts hold exactly when the
-    sorted distinct length-N factors do.  Only those are compared, and the
-    last of them build the table (see _tree_of_words), as the length-N words
-    of a full shift or an explicit window do.
-    """
+def _refuse_oversized(spec, N):
+    """Refuse a depth below 1, an explicit window deeper than
+    DEFAULT_WINDOW_CAP, and a full shift with more than DEFAULT_WINDOW_CAP
+    words at length N (the bound a generated window obeys) or more than
+    FULL_SHIFT_LETTER_CAP letters in all, before anything is enumerated."""
     if N < 1:
         raise ValueError("depth must be >= 1")
     if isinstance(spec, ExplicitWindow) and N > DEFAULT_WINDOW_CAP:
         raise ValueError("explicit window deeper than %d" % DEFAULT_WINDOW_CAP)
-    window = ""
-    flags = [True] * (N + 1)
     if isinstance(spec, FullShift):
-        ab = alphabet(spec.k)
+        alphabet(spec.k)
         # k^64 is past the cap for every k > 1
         if spec.k ** min(N, 64) > DEFAULT_WINDOW_CAP:
             raise ValueError("full:%d at depth %d has more than %d words of "
@@ -336,39 +321,73 @@ def language_table(spec, N):
                 > FULL_SHIFT_LETTER_CAP:
             raise ValueError("full:%d at depth %d has more than %d letters"
                              % (spec.k, N, FULL_SHIFT_LETTER_CAP))
-        keys = map("".join, product(ab, repeat=N))
-    elif isinstance(spec, ExplicitWindow):
-        window = spec.window
-        keys = sorted({window[i:i + N] for i in range(len(window) - N + 1)})
-    else:
-        length = max(4 * N, 64)
-        prev = None
-        while True:
-            prefix = _recurrent_prefix(_window_for(spec, length), N)
-            keys = sorted({prefix[i:i + N]
-                           for i in range(len(prefix) - N + 1)})
-            if keys == prev:
-                break
-            if 2 * length > DEFAULT_WINDOW_CAP:
-                flags = [False] * (N + 1)
-                if prev is not None:
-                    flags = [a == b for a, b in zip(_level_counts(keys, N),
-                                                    _level_counts(prev, N))]
-                break
-            prev = keys
-            length *= 2
-    levels, children = _tree_of_words(keys, N, window)
-    return LanguageTable(N, levels, tuple(flags), children)
 
 
-def _level_counts(keys, N):
-    """Word counts at lengths 0..N of the factors of sorted length-N keys:
-    a key starts a new length-n word when it shares fewer than n letters
-    with the key before it."""
-    shared = [0] * N  # shared[h]: the keys sharing h letters with the last
-    for u, v in zip([""] + keys, keys):
-        shared[_common_prefix_length(u, v)] += 1
-    return [1, *accumulate(shared)]
+def _leaves(spec, N):
+    """The sorted leaves (the words with no child) of a spec's tree of
+    words at depth N, and the stabilization flags of its levels.
+
+    Full shifts and explicit windows are exact; a window's leaves are its
+    length-N factors and its shorter suffixes that occur only at its end.
+    A Sturmian or substitution window is cut to its recurrent prefix (see
+    _recurrent_prefix), whose length-N factors, or else the root, are the
+    leaves, and doubled until they stop changing.  Each factor of such a
+    prefix extends to length N in it and the windows nest (Sturmian ones as
+    suffixes, substitution ones as prefixes), so every count has then
+    settled; at the cap, the flags compare the counts of the last two."""
+    _refuse_oversized(spec, N)
+    flags = (True,) * (N + 1)
+    if isinstance(spec, FullShift):
+        return list(map("".join, product(alphabet(spec.k), repeat=N))), flags
+    if isinstance(spec, ExplicitWindow):
+        w, top = spec.window, min(N - 1, len(spec.window))
+        # a suffix that occurs earlier has a child, and so has each shorter
+        # one, one letter later: bisect for the first that occurs only last
+        first = 1 + bisect_left(range(1, top + 1), True,
+                                key=lambda n: w.find(w[-n:]) == len(w) - n)
+        return sorted({w[i:i + N] for i in range(len(w) - N + 1)}
+                      | {w[-n:] for n in range(first, top + 1)}), flags
+    length = max(4 * N, 64)
+    prev = None
+    while True:
+        prefix = _recurrent_prefix(_window_for(spec, length), N)
+        keys = sorted({prefix[i:i + N]
+                       for i in range(len(prefix) - N + 1)}) or [""]
+        if keys == prev:
+            return keys, flags
+        if 2 * length > DEFAULT_WINDOW_CAP:
+            if prev is None:
+                return keys, (False,) * (N + 1)
+            return keys, tuple(a == b for a, b in zip(_shape(keys, N)[1],
+                                                      _shape(prev, N)[1]))
+        prev = keys
+        length *= 2
+
+
+def _shape(leaves, N):
+    """(forks, P) of the depth-N tree of words with these sorted leaves.
+
+    The leaves below a word are contiguous, and two neighbours sharing h
+    letters part at the branching word of those letters.  So forks maps
+    each branching word to its child count minus one, the neighbour pairs
+    parting there, and P[n], the count of length-n words, is the leaves of
+    length >= n less the neighbour pairs sharing at least n letters."""
+    shared = list(map(_common_prefix_length, leaves, leaves[1:]))
+    forks = Counter(u[:h] for u, h in zip(leaves, shared))
+    net = [0] * (N + 1)  # leaves of length m less neighbour pairs sharing m
+    for v in leaves:
+        net[len(v)] += 1
+    for h in shared:
+        net[h] -= 1
+    return forks, tuple(accumulate(net[::-1]))[::-1]
+
+
+def language_table(spec, N):
+    """Enumerate the admissible words of length <= N for a spec: the tree
+    of words on the leaves that _leaves reads, with its flags."""
+    leaves, flags = _leaves(spec, N)
+    levels, children = _tree_of_words(leaves, N)
+    return LanguageTable(N, levels, flags, children)
 
 
 # ---------------------------------------------------------------------------
@@ -430,34 +449,34 @@ def level_profile(source, N=None):
 
     Full shifts (every word branches k ways) and Sturmian specs (one binary
     branching word per length) use closed forms, so that depths in the
-    thousands stay cheap; anything else goes through its table.
+    thousands stay cheap; anything else is read from its sorted leaves (see
+    _shape), and no table is built for a spec.
     """
     if isinstance(source, LanguageTable):
-        return _profile_from_table(source)
-    if N is None:
+        N = source.depth
+        leaves = sorted([*source.leaves(), *(
+            v for v, cs in source.children.items() if not cs)])
+    elif N is None:
         raise ValueError("a spec source needs an explicit depth")
-    if isinstance(source, FullShift):
+    elif isinstance(source, FullShift):
         k = source.k
         P = tuple(accumulate([k] * N, mul, initial=1))  # k^n, no powers
         g = tuple(P[n + 1] - P[n] for n in range(N))
         edge = tuple(P[n] * (k - 1) * k for n in range(N))
         branching = P[:N] if k > 1 else (0,) * N
         return LevelProfile(N, P, g, edge, branching)
-    if isinstance(source, SturmianCF):
+    elif isinstance(source, SturmianCF):
         P = tuple(n + 1 for n in range(N + 1))
         return LevelProfile(N, P, (1,) * N, (2,) * N, (1,) * N)
-    return _profile_from_table(language_table(source, N))
-
-
-def _profile_from_table(table):
-    P, g = complexity_profile(table)
-    children = table.children
-    edge, branching = [], []
-    for n in range(table.depth):
-        counts = [len(children[v]) for v in table.levels[n]]
-        edge.append(sum(c * (c - 1) for c in counts))
-        branching.append(sum(1 for c in counts if c > 1))
-    return LevelProfile(table.depth, P, g, tuple(edge), tuple(branching))
+    else:
+        leaves = _leaves(source, N)[0]
+    forks, P = _shape(leaves, N)
+    edge, branching = [0] * N, [0] * N
+    for v, a in forks.items():
+        edge[len(v)] += a * (a + 1)
+        branching[len(v)] += 1
+    g = tuple(P[n + 1] - P[n] for n in range(N))
+    return LevelProfile(N, P, g, tuple(edge), tuple(branching))
 
 
 def _branching_chain(spec, N):

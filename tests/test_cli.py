@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -132,8 +133,11 @@ def test_lipschitz_builds_one_table(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "language_table", counted)
     assert main(["lipschitz", "--spec", "subst:a=ab,b=ba,seed=a", "--depth",
                  "64", "--out", str(tmp_path / "lip")]) == 0
-    assert calls == [64]
+    assert calls == []
     assert len(read_csv(str(tmp_path / "lip" / "lipschitz.csv"))) == 5
+    assert main(["zeta", "--spec", "subst:a=ab,b=ba,seed=a", "--depth", "64",
+                 "--out", str(tmp_path / "zeta")]) == 0
+    assert calls == []
 
 
 def test_zeta_command(tmp_path):
@@ -471,6 +475,41 @@ def test_laplacian_leaf_limit(tmp_path, capsys, monkeypatch):
     assert main(["laplacian", "--spec", "full:2", "--depth", "3",
                  "--out", str(tmp_path / "lap3")]) == 2
     assert "8 leaves" in capsys.readouterr().err
+    # the count comes from the closed form or the sorted leaves, before any
+    # table: these tables would hold about 9.0e9 and 1.1e9 letters
+    monkeypatch.setattr(cli, "language_table", refuse)
+    for spec, depth, count in (("sturmian:cf=1", "3000", 3001),
+                               ("subst:a=ab,b=ba", "1024", 3070)):
+        out = tmp_path / ("lap" + depth)
+        assert main(["laplacian", "--spec", spec, "--depth", depth,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "%d leaves" % count in err
+        assert not out.exists()
+
+
+def limited_run(argv, limit=2 ** 30):
+    """Run the CLI in a fresh interpreter whose address space is capped, so
+    that a run which outgrows the cap fails fast; its exit code."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-m", "ultratree.cli", *argv],
+                          env=env, preexec_fn=cap, capture_output=True,
+                          timeout=120).returncode
+
+
+@pytest.mark.parametrize("command", (
+    ["lipschitz"], ["zeta", "--delta", "harmonic"]))
+def test_thue_morse_at_depth_2048_runs_in_1_gb(tmp_path, command):
+    # its table would hold about 9e9 letters; the sorted leaves hold 12 MB
+    out = tmp_path / "deep"
+    assert limited_run(command + ["--spec", "subst:a=ab,b=ba", "--depth",
+                                  "2048", "--out", str(out)]) == 0
+    assert all(os.path.getsize(out / name) > 0 for name in os.listdir(out))
+    assert len(os.listdir(out)) == 2
 
 
 def fresh_loaded(code):

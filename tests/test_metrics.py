@@ -352,6 +352,18 @@ def test_engine_runs_on_subnormal_delta():
                        rebuilt_c_and_w(words, exact), 1e-12)
 
 
+def test_exact_tie_goes_to_the_lowest_level():
+    # c (level 1) and bab (level 3) both have C = 7/6 here; a float oracle
+    # that sums deltas gets 1.166666666666667 at bab, above c's
+    # 1.1666666666666665 only by rounding, and names bab
+    spec = ExplicitWindow("cbbabbbababababccccbbabbbababababccc")
+    c = order_diagnostics(spec, DeltaSequence.harmonic(), (8,))[0][0]
+    assert (c.value, c.witness_node) == (1.1666666666666665, "c")
+    exact = rebuilt_c_and_w(tree_for(spec, 8),
+                            [Fraction(1, n + 1) for n in range(8)])[0]
+    assert (exact.value, exact.witness_node) == (Fraction(7, 6), "c")
+
+
 SCHEDULE_SUBSTITUTIONS = (
     {"a": "ab", "b": "ba"},              # Thue-Morse
     {"a": "ab", "b": "a"},               # Fibonacci

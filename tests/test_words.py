@@ -12,7 +12,8 @@ from ultratree.words import (ExplicitWindow, FullShift, InsufficientDataError,
                              repulsiveness_estimates, right_special_words,
                              substitution_apply, substitution_fixed_point,
                              sturmian_characteristic, level_profile,
-                             _recurrent_prefix, _tree_of_words, _window_for)
+                             LevelProfile, _leaves, _recurrent_prefix,
+                             _tree_of_words, _window_for)
 from ultratree import words
 from ultratree.tree import StructuralError, build_tree
 
@@ -196,8 +197,8 @@ def test_explicit_window_levels_are_sorted_factor_sets(w, N):
 
 def prefix_levels(prefix, N):
     """The levels a recurrent prefix's length-N factors build."""
-    keys = sorted({prefix[i:i + N] for i in range(len(prefix) - N + 1)})
-    return _tree_of_words(keys, N)[0]
+    leaves = sorted({prefix[i:i + N] for i in range(len(prefix) - N + 1)})
+    return _tree_of_words(leaves or [""], N)[0]
 
 
 def pruned_factor_levels(w, N):
@@ -285,6 +286,63 @@ def test_child_links_match_level_scans(table):
 
 
 # ---------------------------------------------------------------------------
+# the shape of a tree read from its sorted leaves
+
+
+def profile_by_walk(table):
+    """The level profile from a walk over the levels and child links: the
+    oracle for the leaf reader."""
+    P, g = complexity_profile(table)
+    children = table.children
+    edge, branching = [], []
+    for n in range(table.depth):
+        counts = [len(children[v]) for v in table.levels[n]]
+        edge.append(sum(c * (c - 1) for c in counts))
+        branching.append(sum(1 for c in counts if c > 1))
+    return LevelProfile(table.depth, P, g, tuple(edge), tuple(branching))
+
+
+def leaf_specs():
+    """Specs and depths: full shifts, explicit windows over 1-4 letters,
+    plain or doubled, and the substitutions of the order schedule
+    property."""
+    full = st.sampled_from(((1, 12), (2, 8), (3, 5))).flatmap(
+        lambda kd: st.tuples(st.just(FullShift(kd[0])),
+                             st.integers(1, kd[1])))
+    window = st.tuples(windows(4, 30), st.booleans(), st.integers(1, 12)).map(
+        lambda t: (ExplicitWindow(t[0] * (2 if t[1] else 1)), t[2]))
+    subst = st.tuples(st.sampled_from((
+        {"a": "ab", "b": "ba"},
+        {"a": "ab", "b": "a"},
+        {"a": "abc", "b": "bc", "c": "a"},
+        {"a": "aab", "b": "b"},
+        {"a": "ab", "b": "ac", "c": "a"})), st.integers(1, 12)).map(
+        lambda rN: (Substitution.from_rules(rN[0], "a"), rN[1]))
+    return st.one_of(full, window, subst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf_specs())
+def test_level_profile_reads_the_sorted_leaves(spec_depth):
+    spec, N = spec_depth
+    table = language_table(spec, N)
+    want = profile_by_walk(table)
+    assert level_profile(table) == want
+    assert level_profile(spec, N) == want
+    if isinstance(spec, ExplicitWindow):
+        # the depth-N words and the words with no child, from the window's
+        # factor sets alone
+        w = spec.window
+        factors = [{w[i:i + n] for i in range(len(w) - n + 1)}
+                   for n in range(N + 1)]
+        childless = set().union(*(factors[n] - {u[:-1] for u in factors[n + 1]}
+                                  for n in range(N)))
+        assert set(table.leaves()) == factors[N]
+        assert _leaves(spec, N) == (sorted(factors[N] | childless),
+                                    table.stabilized)
+
+
+# ---------------------------------------------------------------------------
 # window-generated tables are built once
 
 
@@ -350,9 +408,9 @@ def test_window_tables_match_the_doubling_loop(monkeypatch, cap, patterns):
 def test_window_table_is_built_once(monkeypatch):
     calls = []
 
-    def counted(keys, N, window=""):
+    def counted(leaves, N):
         calls.append(N)
-        return _tree_of_words(keys, N, window)
+        return _tree_of_words(leaves, N)
 
     monkeypatch.setattr(words, "_tree_of_words", counted)
     for spec in WINDOW_SPECS + (FullShift(2), ExplicitWindow("abaab")):
