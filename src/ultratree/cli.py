@@ -26,8 +26,9 @@ from itertools import zip_longest
 
 from . import EDGE_LENGTH_CONVENTION, __version__
 from .words import (ExplicitWindow, FullShift, SturmianCF, Substitution,
-                    _refuse_oversized, language_table, level_profile,
-                    repetitivity_estimate, repulsiveness_estimates)
+                    _refuse_oversized, language_table, leaf_count,
+                    level_profile, repetitivity_estimate,
+                    repulsiveness_estimates)
 from .tree import (TREND_FLAT, TREND_GROW, DeltaSequence, build_tree,
                    delta_from_name, order_diagnostics, trend_verdict)
 from .zeta import abscissa_estimate, exponent_estimates, zeta_partials
@@ -336,9 +337,9 @@ def cmd_laplacian(args):
         raise ConfigError("density exponent %r exceeds the limit of %d"
                           % (args.rho, MAX_RHO))
     # count the leaves before any table: a closed form or the sorted leaves;
-    # a full shift's closed form holds every k^n, so its caps come first
+    # the full-shift caps come first
     _refuse_oversized(spec, args.depth)
-    count = level_profile(spec, args.depth).P[args.depth]
+    count = leaf_count(spec, args.depth)
     if count > MAX_LAPLACIAN_LEAVES:
         raise ConfigError("laplacian of %d leaves exceeds the limit of %d"
                           % (count, MAX_LAPLACIAN_LEAVES))
@@ -358,8 +359,8 @@ def cmd_laplacian(args):
     checks["route_difference"] = matrix_difference(lap, oracle)
     eigenvalues = spectrum(lap)
 
-    triplets = [(i, j, v) for i, row in enumerate(lap.rows)
-                for j, v in enumerate(map(float, row)) if v != 0.0]
+    triplets = [(i, j, v) for i, row in enumerate(lap.floats)
+                for j, v in enumerate(row) if v != 0.0]
     files = [write_series(os.path.join(args.out, "laplacian_matrix"),
                           args.format, ("i", "j", "value"), triplets)]
     files.append(_write_json(os.path.join(args.out, "index_map.json"),

@@ -8,11 +8,21 @@ edge length at level n.  Two independent assembly routes exist: the
 closed-form action on indicators, and the bilinear Dirichlet form over
 sibling pairs; the tests hold them to agreement.  Every route, the
 restricted-pair variant and the scalar form included, reads one frame
-(_frame) and the pair routes one sibling-pair list (_sibling_pairs).
+(_frame) and the pair routes one sibling-pair list (_sibling_pairs); the
+Dirichlet oracle is built from that list alone, not from the indicator
+route.
 
 Assembly is dtype generic.  With rational child weights and an integer
 density exponent everything stays in exact Fractions, so conservation and
 self-adjointness hold exactly; only the eigensolve converts to floats.
+An off-diagonal entry has one value per (sibling subtree, leaf column)
+block: the sibling subtrees of a leaf's ancestors partition the other
+leaves, and sibling pairs partition the ordered off-diagonal leaf pairs.
+So each block value is computed once and written into its block by slice
+assignment, and exact rows share their entry objects.  The exact checks
+(conservation, self-adjointness, route differences) run on one integer view
+of numerators and denominators, and Fractions are formed only where two
+entries differ; the float view converts each distinct entry once.
 """
 
 import math
@@ -20,7 +30,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, compress, count, repeat
+from operator import mul, ne, or_
 
 
 class InvalidMeasureError(ValueError):
@@ -111,17 +122,97 @@ class LaplacianMatrix:
     mu_leaves: tuple = field(compare=False)
 
     @cached_property
+    def _entries(self):
+        """Each distinct entry object by its id, None when an entry is a
+        float.  Exact rows share one object per block, so there are few."""
+        types = set()
+        for r in self.rows:
+            types.update(map(type, r))
+        if not all(issubclass(t, (int, Fraction)) for t in types):
+            return None
+        entries = {}
+        for r in self.rows:
+            entries.update(zip(map(id, r), r))
+        return entries
+
+    @cached_property
+    def integers(self):
+        """The integer view of an exact matrix, None when an entry or a mass
+        is a float: per row a pair (numerators, denominators), then the
+        numerators and the denominators of the masses."""
+        entries = self._entries
+        if entries is None or not all(isinstance(x, (int, Fraction))
+                                      for x in self.mu_leaves):
+            return None
+        num = {k: x.numerator for k, x in entries.items()}.__getitem__
+        den = {k: x.denominator for k, x in entries.items()}.__getitem__
+        ids = (tuple(map(id, r)) for r in self.rows)
+        return (tuple((tuple(map(num, i)), tuple(map(den, i))) for i in ids),
+                tuple(x.numerator for x in self.mu_leaves),
+                tuple(x.denominator for x in self.mu_leaves))
+
+    @cached_property
+    def floats(self):
+        """The rows in floats, each distinct entry of an exact matrix
+        converted once."""
+        entries = self._entries
+        if entries is None:
+            return tuple(tuple(map(float, r)) for r in self.rows)
+        as_float = {k: float(x) for k, x in entries.items()}.__getitem__
+        return tuple(tuple(map(as_float, map(id, r))) for r in self.rows)
+
+    @cached_property
+    def _scaled(self):
+        """mu_i M_ij of a float matrix as a numpy array, rounded as
+        mu[i] * rows[i][j] rounds in Python floats."""
+        # imported here so that the commands without a Laplacian start faster
+        import numpy as np
+        return (np.array(self.mu_leaves, dtype=float)[:, None]
+                * np.array(self.floats))
+
+    @cached_property
     def defects(self):
         """(max |row sum|, max |mu_i M_ij - mu_j M_ji|) in assembly
-        arithmetic, computed on first use."""
+        arithmetic, computed on first use.
+
+        An exact matrix sums its rows and compares mu_i M_ij with mu_j M_ji
+        in integers; a defect is formed in Fractions only where they
+        differ.  A float matrix takes its pair defects from numpy,
+        whose elementwise products and differences round as Python's do,
+        and its row sums from Python's left-to-right sum.
+        """
         rows, mu = self.rows, self.mu_leaves
-        row = max((abs(sum(r)) for r in rows), default=0)
+        view = self.integers
+        if view is None:
+            import numpy as np
+            row = max((abs(sum(r)) for r in rows), default=0)
+            scaled = self._scaled
+            # fmax passes over NaN defects, as max() from 0 does
+            adj = np.fmax.reduce(np.abs(scaled - scaled.T), axis=None,
+                                 initial=0.0)
+            return row, float(adj)
+        # each row summed over the least common multiple of all the entries'
+        # denominators, each distinct entry scaled once
+        entries = self._entries
+        common = math.lcm(*{x.denominator for x in entries.values()})
+        scaled = {k: x.numerator * (common // x.denominator)
+                  for k, x in entries.items()}.__getitem__
+        sums = (sum(map(scaled, map(id, r))) for r in rows)
+        row = max((Fraction(abs(s), common) for s in sums if s), default=0)
+        # mu_i p_ij / q_ij = mu_j p_ji / q_ji, cross-multiplied
+        int_rows, mu_num, mu_den = view
+        cols_num = zip(*(nums for nums, _ in int_rows))
+        cols_den = zip(*(dens for _, dens in int_rows))
         adj = 0
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                d = abs(mu[i] * rows[i][j] - mu[j] * rows[j][i])
-                if d > adj:
-                    adj = d
+        for i, ((nums, dens), col_num, col_den) in enumerate(
+                zip(int_rows, cols_num, cols_den)):
+            k = i + 1
+            left = map(mul, map(mul, nums[k:], col_den[k:]),
+                       map(mul, mu_den[k:], repeat(mu_num[i])))
+            right = map(mul, map(mul, dens[k:], col_num[k:]),
+                        map(mul, mu_num[k:], repeat(mu_den[i])))
+            for j in compress(count(k), map(ne, left, right)):
+                adj = max(adj, abs(mu[i] * rows[i][j] - mu[j] * rows[j][i]))
         return row, adj
 
 
@@ -184,13 +275,17 @@ def assemble_laplacian(tree, mu, rho, delta):
     For a leaf gamma with ancestors gamma_n, the image of its indicator is
     sum over levels n of  w_n / mu(gamma_n) * ( a(gamma_{n-1}) chi_gamma
     - mu(gamma) * sum over siblings u of gamma_n of chi_u / mu(u) ).
+    The sibling subtrees u partition the leaves other than gamma, so each
+    column is written block by block and then transposed into rows.
     """
     N = tree.depth
     w, leaves, span, mu_leaf = _frame(tree, mu, rho, delta)
     size = len(leaves)
-    rows = [[0] * size for _ in range(size)]
+    cols = []
     for j, gamma in enumerate(leaves):
         mu_gamma = mu_leaf[j]
+        col = [0] * size
+        diag = 0
         for n in range(1, N + 1):
             parent = gamma[:n - 1]
             node = gamma[:n]
@@ -198,42 +293,54 @@ def assemble_laplacian(tree, mu, rho, delta):
             if a_parent == 0:
                 continue
             factor = w[n] / mu[node]
-            rows[j][j] += factor * a_parent
+            diag += factor * a_parent
             for u in tree.children[parent]:
-                if u == node:
-                    continue
-                off = factor * mu_gamma / mu[u]
-                lo, hi = span[u]
-                for i in range(lo, hi):
-                    rows[i][j] -= off
-    return LaplacianMatrix(leaves, tuple(map(tuple, rows)), tuple(mu_leaf))
+                if u != node:
+                    lo, hi = span[u]
+                    col[lo:hi] = [0 - factor * mu_gamma / mu[u]] * (hi - lo)
+        col[j] = diag
+        cols.append(col)
+    return LaplacianMatrix(leaves, tuple(zip(*cols)), tuple(mu_leaf))
 
 
 def _assemble_bilinear(tree, mu, rho, delta, pair_list):
     """Form matrix A with Q(f, g) = f^T A g, returned as M = D^{-1} A.
 
     Per pair (u, v) the form contributes the diagonal subtree-expectation
-    parts on the two blocks and the independence cross terms between them.
+    parts on the two blocks, A_ii += c mu_i / mu(u) for i under u, and the
+    independence cross terms between them, A_ik = -c mu_i mu_k / (mu(u)
+    mu(v)) for i under u and k under v.  The pairs cover each ordered
+    off-diagonal leaf pair at most once, so in exact arithmetic every row of
+    u carries the same block -(c / (mu(u) mu(v))) mu_k of M, computed once
+    and shared, and M_ii is the sum of c / mu(u).  Float entries keep the
+    rounding of A followed by the division, row by row.
     """
     w, leaves, span, mu_leaf = _frame(tree, mu, rho, delta)
     size = len(leaves)
-    A = [[0] * size for _ in range(size)]
+    exact = all(isinstance(x, (int, Fraction)) for x in chain(w[1:], mu_leaf))
+    m = mu_leaf if exact else [float(x) for x in mu_leaf]
+    rows = [[0] * size for _ in range(size)]
+    diag = [0] * size
     for n, u1, u2, coeff in pair_list:
         c = coeff * w[n]
         for u, other in ((u1, u2), (u2, u1)):
             lo, hi = span[u]
             olo, ohi = span[other]
             cu = c / mu[u]
-            for i in range(lo, hi):
-                A[i][i] += cu * mu_leaf[i]
             cc = cu / mu[other]
+            if exact:
+                block = [-(cc * x) for x in m[olo:ohi]]
+                for i in range(lo, hi):
+                    diag[i] += cu
+                    rows[i][olo:ohi] = block
+                continue
             for i in range(lo, hi):
-                row = A[i]
-                fi = cc * mu_leaf[i]
-                for k in range(olo, ohi):
-                    row[k] -= fi * mu_leaf[k]
-    rows = tuple(tuple(x / mu_leaf[i] for x in A[i]) for i in range(size))
-    return LaplacianMatrix(leaves, rows, tuple(mu_leaf))
+                diag[i] += cu * m[i]
+                fi = cc * m[i]
+                rows[i][olo:ohi] = [(0 - fi * x) / m[i] for x in m[olo:ohi]]
+    for i in range(size):
+        rows[i][i] = diag[i] if exact else diag[i] / mu_leaf[i]
+    return LaplacianMatrix(leaves, tuple(map(tuple, rows)), tuple(mu_leaf))
 
 
 def assemble_laplacian_dirichlet(tree, mu, rho, delta):
@@ -303,25 +410,50 @@ def check_invariants(lap, tol=1e-12):
     stay absolute.
     """
     row, adj = lap.defects
-    rows, mu = lap.rows, lap.mu_leaves
-    pairs = ((mu[i] * r[j], mu[j] * rows[j][i])
-             for i, r in enumerate(rows) for j in range(i + 1, len(rows)))
     return {"max_row_sum": float(row),
             "max_self_adjoint_defect": float(adj),
             "row_ok": bool(row <= tol or all(
-                abs(sum(r)) <= tol * max(1, sum(map(abs, r))) for r in rows)),
-            "adjoint_ok": bool(adj <= tol or all(
-                abs(x - y) <= tol * max(1, abs(x) + abs(y))
-                for x, y in pairs))}
+                abs(sum(r)) <= tol * max(1, sum(map(abs, r)))
+                for r in lap.rows)),
+            "adjoint_ok": bool(adj <= tol or _pairs_within(lap, tol))}
+
+
+def _pairs_within(lap, tol):
+    """Whether every pair defect is within tol times the terms it cancels;
+    a float matrix tests its pairs in numpy, with Python's rounding."""
+    if lap.integers is None:
+        import numpy as np
+        x = lap._scaled
+        y = x.T
+        ok = np.abs(x - y) <= tol * np.fmax(1.0, np.abs(x) + np.abs(y))
+        np.fill_diagonal(ok, True)
+        return bool(ok.all())
+    rows, mu = lap.rows, lap.mu_leaves
+    return all(abs(x - y) <= tol * max(1, abs(x) + abs(y))
+               for x, y in ((mu[i] * r[j], mu[j] * rows[j][i])
+                            for i, r in enumerate(rows)
+                            for j in range(i + 1, len(rows))))
 
 
 def matrix_difference(lap_a, lap_b):
-    """Largest entrywise difference, in assembly arithmetic."""
+    """Largest entrywise difference, in assembly arithmetic.
+
+    Exact matrices skip the rows whose integer views are equal and take
+    Fraction differences only at the entries that differ."""
     if lap_a.leaves != lap_b.leaves:
         raise ValueError("matrices index different leaf sets")
-    return float(max((abs(x - y)
-                      for ra, rb in zip(lap_a.rows, lap_b.rows)
-                      for x, y in zip(ra, rb)), default=0))
+    view_a, view_b = lap_a.integers, lap_b.integers
+    if view_a is None or view_b is None:
+        return float(max((abs(x - y)
+                          for ra, rb in zip(lap_a.rows, lap_b.rows)
+                          for x, y in zip(ra, rb)), default=0))
+    worst = 0
+    for ra, rb, ia, ib in zip(lap_a.rows, lap_b.rows, view_a[0], view_b[0]):
+        if ia != ib:
+            differ = map(or_, map(ne, ia[0], ib[0]), map(ne, ia[1], ib[1]))
+            worst = max(worst, max(abs(x - y) for x, y in
+                                   compress(zip(ra, rb), differ)))
+    return float(worst)
 
 
 def spectrum(lap):
@@ -333,6 +465,6 @@ def spectrum(lap):
     # imported here so that the commands without an eigensolve start faster
     import numpy as np
     d = np.sqrt(np.array(lap.mu_leaves, dtype=float))
-    sym = (d[:, None] * np.array(lap.rows, dtype=float)) / d[None, :]
+    sym = (d[:, None] * np.array(lap.floats)) / d[None, :]
     sym = 0.5 * (sym + sym.T)
     return np.linalg.eigvalsh(sym)

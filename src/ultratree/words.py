@@ -479,6 +479,17 @@ def level_profile(source, N=None):
     return LevelProfile(N, P, g, tuple(edge), tuple(branching))
 
 
+def leaf_count(spec, N):
+    """The number of depth-N words: k^N for a full shift and N + 1 for a
+    Sturmian spec, whose closed forms need no other level; any other spec
+    reads its sorted leaves (see level_profile)."""
+    if isinstance(spec, FullShift):
+        return spec.k ** N
+    if isinstance(spec, SturmianCF):
+        return N + 1
+    return level_profile(spec, N).P[N]
+
+
 def _branching_chain(spec, N):
     """(reversed branching path, its failure array) at depth N for a full
     shift or Sturmian spec; None for any other family.

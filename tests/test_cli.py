@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -486,6 +487,25 @@ def test_laplacian_leaf_limit(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "%d leaves" % count in err
         assert not out.exists()
+
+
+def test_sturmian_leaf_count_is_one_level(tmp_path, capsys):
+    # N + 1 leaves, counted without the N + 1 levels of a level profile
+    out = tmp_path / "lap"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["laplacian", "--spec", "sturmian:cf=1", "--depth",
+                     "10000000", "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and err == ("error: laplacian of 10000001 leaves "
+                                 "exceeds the limit of 2048\n")
+    assert peak < 2 ** 20 and elapsed < 1.0
+    assert not out.exists()
 
 
 def limited_run(argv, limit=2 ** 30):

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ultratree.words import FullShift, fibonacci_spec
+from ultratree.words import (ExplicitWindow, FullShift, SturmianCF, alphabet,
+                             fibonacci_spec)
 from ultratree.tree import DeltaSequence, tree_for
 from ultratree.laplacian import (InvalidMeasureError,
                                  InvariantViolationError, LaplacianMatrix,
-                                 _assemble_bilinear, assemble_laplacian,
+                                 _assemble_bilinear, _frame, _sibling_pairs,
+                                 assemble_laplacian,
                                  assemble_laplacian_dirichlet,
                                  assemble_pb_laplacian, check_invariants,
                                  cylinder_measure, density,
@@ -263,3 +266,234 @@ def test_matrix_difference_requires_same_leaves():
     b = assemble_laplacian(t2, mu2, 2, HARMONIC)
     with pytest.raises(ValueError):
         matrix_difference(a, b)
+
+
+# ---------------------------------------------------------------------------
+# block writes and integer checks against the entrywise loops they replaced
+
+
+def indicator_loop(tree, mu, rho, delta):
+    """assemble_laplacian's rows, each entry accumulated on its own."""
+    w, leaves, span, mu_leaf = _frame(tree, mu, rho, delta)
+    size = len(leaves)
+    rows = [[0] * size for _ in range(size)]
+    for j, gamma in enumerate(leaves):
+        for n in range(1, tree.depth + 1):
+            parent, node = gamma[:n - 1], gamma[:n]
+            a_parent = tree.a(parent)
+            if a_parent == 0:
+                continue
+            factor = w[n] / mu[node]
+            rows[j][j] += factor * a_parent
+            for u in tree.children[parent]:
+                if u == node:
+                    continue
+                off = factor * mu_leaf[j] / mu[u]
+                lo, hi = span[u]
+                for i in range(lo, hi):
+                    rows[i][j] -= off
+    return tuple(map(tuple, rows))
+
+
+def bilinear_loop(tree, mu, rho, delta, pair_list):
+    """_assemble_bilinear's rows: the form matrix A entry by entry, then
+    every row divided by its leaf mass."""
+    w, leaves, span, mu_leaf = _frame(tree, mu, rho, delta)
+    size = len(leaves)
+    A = [[0] * size for _ in range(size)]
+    for n, u1, u2, coeff in pair_list:
+        c = coeff * w[n]
+        for u, other in ((u1, u2), (u2, u1)):
+            lo, hi = span[u]
+            olo, ohi = span[other]
+            cu = c / mu[u]
+            for i in range(lo, hi):
+                A[i][i] += cu * mu_leaf[i]
+            cc = cu / mu[other]
+            for i in range(lo, hi):
+                fi = cc * mu_leaf[i]
+                for k in range(olo, ohi):
+                    A[i][k] -= fi * mu_leaf[k]
+    return tuple(tuple(x / mu_leaf[i] for x in A[i]) for i in range(size))
+
+
+def defects_loop(lap):
+    rows, mu = lap.rows, lap.mu_leaves
+    row = max((abs(sum(r)) for r in rows), default=0)
+    adj = 0
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            d = abs(mu[i] * rows[i][j] - mu[j] * rows[j][i])
+            if d > adj:
+                adj = d
+    return row, adj
+
+
+def difference_loop(lap_a, lap_b):
+    return float(max((abs(x - y) for ra, rb in zip(lap_a.rows, lap_b.rows)
+                      for x, y in zip(ra, rb)), default=0))
+
+
+def bits(values):
+    """Exact values as they are, floats by their repr (which tells every
+    bit, the sign of zero included)."""
+    if isinstance(values, (tuple, list)):
+        return [bits(v) for v in values]
+    return repr(values) if isinstance(values, float) else values
+
+
+def criterion_9_configurations():
+    """The trees, measures and exponents of acceptance criterion 9."""
+    caps = {FullShift(2): 8, FullShift(3): 5, fibonacci_spec(): 8,
+            SturmianCF((), ("linear",)): 8}
+    for spec, cap in caps.items():
+        for N in range(2, cap + 1):
+            tree = tree_for(spec, N)
+            for i in range(2):
+                wts = None if i == 0 else mild_weights(tree, 1000 + N + i)
+                yield tree, cylinder_measure(tree, weights=wts), (N + i) % 3
+
+
+def assert_matches_loops(lap, want_rows):
+    assert bits(lap.rows) == bits(want_rows)
+    assert lap.floats == tuple(tuple(map(float, r)) for r in lap.rows)
+
+
+def test_routes_match_the_entrywise_loops():
+    # the reported maxima: the defects of the indicator route and its
+    # difference from the Dirichlet oracle
+    count = 0
+    for tree, mu, rho in criterion_9_configurations():
+        lap = assemble_laplacian(tree, mu, rho, HARMONIC)
+        oracle = assemble_laplacian_dirichlet(tree, mu, rho, HARMONIC)
+        assert all(isinstance(x, (int, Fraction))
+                   for r in lap.rows + oracle.rows for x in r)
+        assert_matches_loops(lap, indicator_loop(tree, mu, rho, HARMONIC))
+        assert_matches_loops(oracle, bilinear_loop(
+            tree, mu, rho, HARMONIC, _sibling_pairs(tree, mu, "all")))
+        assert bits(lap.defects) == bits(defects_loop(lap))
+        assert matrix_difference(lap, oracle) == difference_loop(lap, oracle)
+        count += 1
+    assert count == 50
+
+
+@pytest.mark.parametrize("mode", ("single", "nu-average"))
+def test_pb_rows_and_differences_match_the_loops(mode):
+    # on full:3 the restricted-pair rows differ from the full ones, so the
+    # difference takes its Fraction path
+    tree = tree_for(FullShift(3), 4)
+    mu = cylinder_measure(tree, weights="random", seed=4)
+    lap = assemble_laplacian(tree, mu, 2, HARMONIC)
+    pb = assemble_pb_laplacian(tree, mu, 2, HARMONIC, pair_selection=mode)
+    assert_matches_loops(pb, bilinear_loop(tree, mu, 2, HARMONIC,
+                                           _sibling_pairs(tree, mu, mode)))
+    assert bits(pb.defects) == bits(defects_loop(pb))
+    got = matrix_difference(lap, pb)
+    assert got > 0 and got == difference_loop(lap, pb)
+    assert matrix_difference(pb, lap) == got
+
+
+@pytest.mark.parametrize("kind", (int, Fraction))
+def test_planted_defects_match_the_loop(kind):
+    # row 1 sums to 2/3; the pairs (0, 1) and (0, 2) are not mu-symmetric
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    rows = ((kind(2), kind(-1), kind(-1)),
+            (-half, 3 * half, -third),
+            (kind(-1), -third, 4 * third))
+    mu = (half, half / 2, half / 2)
+    bad = LaplacianMatrix(("a", "b", "c"), rows, mu)
+    assert bad.defects == (Fraction(2, 3), Fraction(3, 8))
+    assert bits(bad.defects) == bits(defects_loop(bad))
+    checks = check_invariants(bad)
+    assert not checks["row_ok"] and not checks["adjoint_ok"]
+    fixed = LaplacianMatrix(("a", "b", "c"),
+                            (rows[0], (-half, 5 * third / 2, -third), rows[2]),
+                            mu)
+    assert fixed.defects[0] == 0
+    # one entry differs from -1/3 in its denominator alone
+    other = LaplacianMatrix(("a", "b", "c"),
+                            (rows[0], (-half, 3 * half, -half), rows[2]), mu)
+    assert matrix_difference(bad, other) == difference_loop(bad, other) \
+        == float(Fraction(1, 6))
+    assert matrix_difference(bad, fixed) == difference_loop(bad, fixed) \
+        == float(Fraction(2, 3))
+    assert matrix_difference(bad, bad) == 0.0
+
+
+def invariants_loop(lap, tol):
+    """check_invariants on defects_loop, its pairs tested one by one."""
+    row, adj = defects_loop(lap)
+    rows, mu = lap.rows, lap.mu_leaves
+    pairs = ((mu[i] * r[j], mu[j] * rows[j][i])
+             for i, r in enumerate(rows) for j in range(i + 1, len(rows)))
+    return {"max_row_sum": float(row),
+            "max_self_adjoint_defect": float(adj),
+            "row_ok": bool(row <= tol or all(
+                abs(sum(r)) <= tol * max(1, sum(map(abs, r))) for r in rows)),
+            "adjoint_ok": bool(adj <= tol or all(
+                abs(x - y) <= tol * max(1, abs(x) + abs(y))
+                for x, y in pairs))}
+
+
+@pytest.mark.parametrize("delta", (HARMONIC, DeltaSequence.exponential()))
+def test_float_matrices_match_the_loops_bit_for_bit(delta):
+    # with exponential deltas the entries reach 1e4 and the largest pair
+    # defect, 1.8e-12, takes the relative test at tol 1e-12
+    tree = tree_for(FullShift(2), 8)
+    mu = cylinder_measure(tree, weights="random", seed=1)
+    lap = assemble_laplacian(tree, mu, 0.5, delta)
+    oracle = assemble_laplacian_dirichlet(tree, mu, 0.5, delta)
+    assert lap.integers is None and oracle.integers is None
+    assert_matches_loops(lap, indicator_loop(tree, mu, 0.5, delta))
+    assert_matches_loops(oracle, bilinear_loop(
+        tree, mu, 0.5, delta, _sibling_pairs(tree, mu, "all")))
+    assert bits(lap.defects) == bits(defects_loop(lap))
+    assert lap.defects[1] > 0
+    for tol in (1e-12, 1e-8, 1e-17):
+        assert check_invariants(lap, tol) == invariants_loop(lap, tol)
+    assert matrix_difference(lap, oracle) == difference_loop(lap, oracle)
+
+
+@pytest.mark.parametrize("kind", (float, Fraction))
+def test_planted_pair_tolerance_matches_the_loop(kind):
+    # mu_0 M_01 = -1/2 and mu_1 M_10 = -3/4: a defect of 1/4 against terms
+    # of 5/4, inside tol 1/4 but outside 1/8
+    rows = ((kind(1), kind(-1)), (kind(-1.5), kind(1.5)))
+    lap = LaplacianMatrix(("a", "b"), rows, (Fraction(1, 2),) * 2)
+    for tol in (0.25, 0.125, 1e-12):
+        assert check_invariants(lap, tol) == invariants_loop(lap, tol)
+    assert check_invariants(lap, 0.25)["adjoint_ok"]
+    assert not check_invariants(lap, 0.125)["adjoint_ok"]
+
+
+def trees_for_pairs():
+    full = st.sampled_from(((1, 6), (2, 6), (3, 4))).flatmap(
+        lambda kd: st.tuples(st.just(FullShift(kd[0])),
+                             st.integers(1, kd[1])))
+    # a doubled word w + w has every factor shorter than |w| + 2 extended
+    window = st.integers(1, 3).flatmap(
+        lambda k: st.text(alphabet(k), min_size=1, max_size=20)).flatmap(
+        lambda w: st.tuples(st.just(ExplicitWindow(w + w)),
+                            st.integers(1, min(8, len(w) + 1))))
+    return st.one_of(full, window).map(lambda sN: tree_for(*sN))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees_for_pairs())
+def test_sibling_pairs_partition_the_leaf_pairs(tree):
+    # the block writes rely on it: every ordered pair of distinct leaves
+    # lies under one sibling pair, in both of its directions, once
+    leaves = tree.leaves()
+    mu = cylinder_measure(tree)
+    for mode in ("all", "single", "nu-average"):
+        covered = {}
+        for _, u1, u2, _ in _sibling_pairs(tree, mu, mode):
+            for u, other in ((u1, u2), (u2, u1)):
+                for i, x in enumerate(leaves):
+                    for k, y in enumerate(leaves):
+                        if x.startswith(u) and y.startswith(other):
+                            covered[i, k] = covered.get((i, k), 0) + 1
+        assert all(i != k for i, k in covered)
+        assert max(covered.values(), default=1) == 1
+        if mode == "all":
+            assert len(covered) == len(leaves) * (len(leaves) - 1)
