@@ -171,10 +171,11 @@ def load_measure_weights(path):
 # output helpers
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_row(row):
+    """A row as csv writes it, floats by repr and other values by str, but
+    with None written as "None" rather than as an empty field."""
+    return row if None not in row else ["None" if x is None else x
+                                        for x in row]
 
 
 def _jsonsafe(value):
@@ -211,8 +212,7 @@ def write_series(path_base, fmt, header, rows):
     with _create(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(map(_csv_row, rows))
     return path
 
 

@@ -179,7 +179,8 @@ class LaplacianMatrix:
         in integers; a defect is formed in Fractions only where they
         differ.  A float matrix takes its pair defects from numpy,
         whose elementwise products and differences round as Python's do,
-        and its row sums from Python's left-to-right sum.
+        and its row sums from the built-in sum(), which adds left to right
+        before Python 3.12 and with compensated summation from 3.12 on.
         """
         rows, mu = self.rows, self.mu_leaves
         view = self.integers

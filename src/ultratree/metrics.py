@@ -3,12 +3,17 @@
 Points at finite resolution are depth-N words (root-to-leaf paths in the
 tree of words).  The ultrametric is d(x, y) = delta_m with m the length of
 the longest common prefix; the spectral distance of a choice function adds
-delta-weighted deviation terms along both tails.  The closed forms are
+delta-weighted deviation terms along both tails, and its supremum over
+choice functions adds the branching terms.  The flagged levels of every
+word, deviation or branching, are found in one top-down pass, once per
+choice function and once per tree.  A query then costs O(log N) for the
+fork plus its tails, each summed ascending from 0.0.  The closed forms are
 checked against Dijkstra on the approximation graph (scipy) and against
 exhaustive enumeration of choice functions.
 """
 
 import math
+from bisect import bisect_right
 from itertools import product
 
 from scipy.sparse import csr_matrix
@@ -44,37 +49,69 @@ def ultrametric_distance(xi, eta, delta):
     return delta[common_prefix_length(xi, eta)]
 
 
-def _two_tails(delta, xi, eta, deviations):
-    """delta at the fork m plus delta_n for each length-n prefix, m < n <
-    len(w), of either point w that deviations(w, m) flags.  Each tail is
-    summed ascending, bitwise as the factored enumeration over tails."""
+def _flagged_levels(tree, cache, selection):
+    """The cache, filled on first use: every node of the tree mapped to the
+    ascending tuple of the levels n < len(node) at which its path leaves a
+    branching node v = node[:n] by a child other than selection.get(v).
+    With a choice function's selection these are its deviation levels, with
+    an empty one the branching levels.  One top-down pass over the nodes,
+    sharing the tuple of each unflagged child with its parent."""
+    if not cache:
+        cache[""] = ()
+        children, kept = tree.children, selection.get
+        for n in range(tree.depth):
+            for v in tree.levels[n]:
+                t, cs = cache[v], children[v]
+                if len(cs) == 1:
+                    cache[cs[0]] = t
+                    continue
+                keep, off = kept(v), t + (n,)
+                for c in cs:
+                    cache[c] = t if c == keep else off
+    return cache
+
+
+def _tail(delta, levels, w, m):
+    """delta_n summed ascending from 0.0 over the flagged levels n > m of
+    the word w."""
+    try:
+        t = levels[w]
+    except KeyError:
+        raise ValueError("word %r is not in the tree" % (w,)) from None
+    total = 0.0
+    i = bisect_right(t, m)
+    if i < len(t):
+        vals = delta.values(t[-1] + 1)
+        for n in t[i:]:
+            total += vals[n]
+    return total
+
+
+def _two_tails(delta, xi, eta, levels):
+    """delta at the fork m plus, for either point, its tail over the levels
+    above m that levels flags."""
     if len(xi) != len(eta):
         raise DepthMismatchError("points live at different depths")
     if xi == eta:
         return 0.0
     m = common_prefix_length(xi, eta)
-    tail_x = tail_y = 0.0
-    for n, dx, dy in zip(range(m + 1, len(xi)), deviations(xi, m),
-                         deviations(eta, m)):
-        if dx:
-            tail_x += delta[n]
-        if dy:
-            tail_y += delta[n]
-    return delta[m] + tail_x + tail_y
+    return delta[m] + _tail(delta, levels, xi, m) \
+        + _tail(delta, levels, eta, m)
 
 
 def spectral_distance(tree, tau, delta, xi, eta):
-    """Closed-form spectral distance of the choice function tau."""
-    sel = tau.selection
-    return _two_tails(delta, xi, eta, lambda w, m: [
-        sel[w[:n]][n] != w[n] for n in range(m + 1, len(w))])
+    """Closed-form spectral distance of the choice function tau: its
+    deviation levels, sel[w[:n]][n] != w[n], are found once per tau."""
+    return _two_tails(delta, xi, eta, _flagged_levels(
+        tree, tau.deviation_levels, tau.selection))
 
 
 def sup_spectral_distance(tree, delta, xi, eta):
-    """Supremum over choice functions, evaluated by the branching profile."""
-    children = tree.children
-    return _two_tails(delta, xi, eta, lambda w, m: [
-        len(children[w[:n]]) > 1 for n in range(m + 1, len(w))])
+    """Supremum over choice functions, evaluated by the branching profile:
+    the branching levels, len(children[w[:n]]) > 1, are found once per
+    tree."""
+    return _two_tails(delta, xi, eta, _flagged_levels(
+        tree, tree.branching_levels, {}))
 
 
 def inf_spectral_distance(tree, delta, xi, eta):

@@ -52,7 +52,7 @@ class DeltaSequence:
         self.name = name
         self._tail = tail_fn
         self._logs = []
-        self._values = {}
+        self._values = []
 
     def log(self, n):
         if n < 0:
@@ -74,11 +74,18 @@ class DeltaSequence:
         return self._logs[:N]
 
     def __getitem__(self, n):
-        lv = self.log(n)
-        v = self._values.get(n)
-        if v is None:
-            v = self._values[n] = math.exp(lv)
-        return v
+        vals = self._values
+        if not 0 <= n < len(vals):
+            self.log(n)
+            vals.extend(map(math.exp, self._logs[len(vals):n + 1]))
+        return vals[n]
+
+    def values(self, N):
+        """delta_n for n < N, and any realized beyond, as the cached list
+        itself: read it, do not change it."""
+        if N > 0:
+            self[N - 1]
+        return self._values
 
     def tail_bound(self, N):
         """Upper bound for sum of delta_n over n >= N, or None."""
@@ -189,10 +196,13 @@ def horizontal_edges(tree, n):
 @dataclass(frozen=True)
 class ChoiceFunction:
     """One selected child per non-leaf node, with the induced depth-N
-    representative of every node."""
+    representative of every node.  deviation_levels is filled by the first
+    spectral distance of this choice function (see metrics)."""
 
     selection: dict = field(compare=False)
     representative: dict = field(compare=False)
+    deviation_levels: dict = field(default_factory=dict, compare=False,
+                                   repr=False)
 
 
 def _finish(tree, selection):

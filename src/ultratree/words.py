@@ -212,12 +212,16 @@ class LanguageTable:
     every flag.  children maps every word below the depth to the sorted
     tuple of its one-letter extensions in the table (empty for a word with
     none).  The branching number a(v) is the child count minus one.
+    branching_levels is filled by the first supremum spectral distance on
+    the tree (see metrics).
     """
 
     depth: int
     levels: tuple
     stabilized: tuple
     children: dict = field(compare=False, repr=False)
+    branching_levels: dict = field(default_factory=dict, compare=False,
+                                   repr=False)
 
     @property
     def counts(self):

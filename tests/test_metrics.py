@@ -25,6 +25,14 @@ from ultratree.metrics import (DepthMismatchError, common_prefix_length,
 SPECS = (FullShift(2), FullShift(3), fibonacci_spec(),
          SturmianCF((), ("linear",)))
 
+SCHEDULE_SUBSTITUTIONS = (
+    {"a": "ab", "b": "ba"},              # Thue-Morse
+    {"a": "ab", "b": "a"},               # Fibonacci
+    {"a": "abc", "b": "bc", "c": "a"},
+    {"a": "aab", "b": "b"},              # needs a window of about 2^N
+    {"a": "ab", "b": "ac", "c": "a"},    # Tribonacci
+)
+
 
 # ---------------------------------------------------------------------------
 # delta sequences
@@ -54,6 +62,8 @@ def test_delta_table_and_errors():
     assert tab[1] == 0.25
     with pytest.raises(IndexError):
         tab[3]
+    with pytest.raises(IndexError):
+        tab[-1]
     with pytest.raises(ValueError):
         DeltaSequence.table([1.0, 0.0])
     increasing = DeltaSequence.table([0.5, 0.7])
@@ -189,6 +199,102 @@ def test_extremes_equal_closed_forms():
                                                             x, y)
                 assert lo == ultrametric_distance(x, y, delta)
                 assert hi == sup_spectral_distance(tree, delta, x, y)
+
+
+def two_tails_by_prefix(delta, xi, eta, flagged):
+    """The per-prefix loop, kept as the oracle of the closed forms: delta at
+    the fork m plus delta_n for each level m < n < len(w) that flagged(w, n)
+    marks on either point w, each tail summed ascending from 0.0."""
+    if xi == eta:
+        return 0.0
+    m = common_prefix_length(xi, eta)
+    tail_x = tail_y = 0.0
+    for n in range(m + 1, len(xi)):
+        if flagged(xi, n):
+            tail_x += delta[n]
+        if flagged(eta, n):
+            tail_y += delta[n]
+    return delta[m] + tail_x + tail_y
+
+
+def spectral_by_prefix(tree, tau, delta, xi, eta):
+    sel = tau.selection
+    return two_tails_by_prefix(delta, xi, eta,
+                               lambda w, n: sel[w[:n]][n] != w[n])
+
+
+def sup_by_prefix(tree, delta, xi, eta):
+    children = tree.children
+    return two_tails_by_prefix(delta, xi, eta,
+                               lambda w, n: len(children[w[:n]]) > 1)
+
+
+def distance_trees():
+    """Trees of words: full shifts, doubled random windows cut at most one
+    below their half, and the schedule substitutions."""
+    full = st.sampled_from(((1, 12), (2, 8), (3, 5))).flatmap(
+        lambda kd: st.tuples(st.just(FullShift(kd[0])),
+                             st.integers(1, kd[1])))
+    window = st.tuples(
+        st.integers(1, 3).flatmap(lambda k: st.text(alphabet(k), min_size=1,
+                                                   max_size=30)),
+        st.integers(1, 12)).map(
+        lambda t: (ExplicitWindow(t[0] * 2), min(t[1], len(t[0]) + 1)))
+    subst = st.tuples(st.sampled_from(SCHEDULE_SUBSTITUTIONS),
+                      st.integers(1, 12)).map(
+        lambda rN: (Substitution.from_rules(rN[0], "a"), rN[1]))
+    return st.one_of(full, window, subst).map(lambda sN: tree_for(*sN))
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance_trees(), st.integers(0, 2 ** 64 - 1),
+       st.sampled_from(("exp", "harmonic", "geom:0.5", "geom:0.01",
+                        "powerlog:1.5,1")),
+       st.data())
+def test_closed_forms_equal_per_prefix_loops(tree, seed, delta_name, data):
+    # queries at mixed levels in random order: all but the first answer of
+    # each closed form come from its cached levels
+    delta = delta_from_name(delta_name)
+    taus = (choice_function(tree),
+            choice_function(tree, policy="seeded-random", seed=seed))
+    queries = data.draw(st.lists(st.tuples(
+        st.integers(0, tree.depth), st.integers(0, 2 ** 32),
+        st.integers(0, 2 ** 32), st.integers(0, 2)), min_size=1,
+        max_size=40), label="queries")
+    for n, i, j, which in queries:
+        words = tree.levels[n]
+        x, y = words[i % len(words)], words[j % len(words)]
+        if which == 2:
+            assert sup_spectral_distance(tree, delta, x, y) == \
+                sup_by_prefix(tree, delta, x, y)
+        else:
+            tau = taus[which]
+            assert spectral_distance(tree, tau, delta, x, y) == \
+                spectral_by_prefix(tree, tau, delta, x, y)
+
+
+def test_two_choice_functions_keep_their_own_deviation_levels():
+    delta = DeltaSequence.harmonic()
+    tree = tree_for(FullShift(2), 6)
+    taus = [choice_function(tree),
+            choice_function(tree, policy="seeded-random", seed=3)]
+    x, y = "aaaaaa", "bbbbbb"
+    got = [spectral_distance(tree, tau, delta, x, y) for tau in taus * 2]
+    want = [spectral_by_prefix(tree, tau, delta, x, y) for tau in taus * 2]
+    assert got == want
+    assert got[0] != got[1]
+
+
+def test_word_outside_the_tree_is_named():
+    delta = DeltaSequence.exponential()
+    tree = tree_for(FullShift(2), 3)
+    tau = choice_function(tree)
+    for x, y in (("aaa", "zzz"), ("zzz", "aaa"), ("aba", "abz")):
+        bad = x if "z" in x else y
+        with pytest.raises(ValueError, match=repr(bad)):
+            sup_spectral_distance(tree, delta, x, y)
+        with pytest.raises(ValueError, match=repr(bad)):
+            spectral_distance(tree, tau, delta, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +468,6 @@ def test_exact_tie_goes_to_the_lowest_level():
     exact = rebuilt_c_and_w(tree_for(spec, 8),
                             [Fraction(1, n + 1) for n in range(8)])[0]
     assert (exact.value, exact.witness_node) == (Fraction(7, 6), "c")
-
-
-SCHEDULE_SUBSTITUTIONS = (
-    {"a": "ab", "b": "ba"},              # Thue-Morse
-    {"a": "ab", "b": "a"},               # Fibonacci
-    {"a": "abc", "b": "bc", "c": "a"},
-    {"a": "aab", "b": "b"},              # needs a window of about 2^N
-    {"a": "ab", "b": "ac", "c": "a"},    # Tribonacci
-)
 
 
 def schedule_specs():
