@@ -197,9 +197,13 @@ def horizontal_edges(tree, n):
 class ChoiceFunction:
     """One selected child per non-leaf node, with the induced depth-N
     representative of every node.  deviation_levels is filled by the first
-    spectral distance of this choice function (see metrics)."""
+    spectral distance of this choice function (see metrics).
 
-    selection: dict = field(compare=False)
+    Two choice functions are equal when their selections are; the
+    representatives follow from the selection.  The hash reads no field,
+    so choice functions stay hashable (all alike) though dicts are not."""
+
+    selection: dict = field(hash=False)
     representative: dict = field(compare=False)
     deviation_levels: dict = field(default_factory=dict, compare=False,
                                    repr=False)

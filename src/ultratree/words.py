@@ -13,10 +13,11 @@ branching chain, the closed forms of full-shift and Sturmian trees.
 
 import string
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from bisect import bisect_left, insort
 from itertools import accumulate, groupby, product
-from operator import itemgetter, mul
+from operator import eq, itemgetter
 
 ALPHABET = string.ascii_lowercase
 
@@ -431,6 +432,55 @@ def border_array(w):
 # family structure: level counts and branching chains
 
 
+class ScaledPowers(Sequence):
+    """The exact integers scale * k^n for start <= n < stop, read-only.
+
+    They are made one at a time by repeated multiplication as the sequence
+    is iterated, so a full shift's level counts hold a few small integers,
+    not Theta(N^2) bits of them.  Length, indexing, step-1 slicing (another
+    ScaledPowers) and equality behave as on the tuple of the same integers.
+    """
+
+    __slots__ = ("scale", "k", "start", "stop")
+
+    def __init__(self, scale, k, stop, start=0):
+        self.scale, self.k, self.start, self.stop = scale, k, start, stop
+
+    def __len__(self):
+        return self.stop - self.start
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            lo, hi, step = i.indices(len(self))
+            if step != 1:
+                return tuple(self)[i]
+            return ScaledPowers(self.scale, self.k, self.start + max(lo, hi),
+                                self.start + lo)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("ScaledPowers index out of range")
+        return self.scale * self.k ** (self.start + i)
+
+    def __iter__(self):
+        x = self.scale * self.k ** self.start
+        for _ in range(len(self)):
+            yield x
+            x *= self.k
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, ScaledPowers)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return "ScaledPowers(%r, %r, %r, %r)" % (self.scale, self.k,
+                                                  self.stop, self.start)
+
+
 @dataclass(frozen=True)
 class LevelProfile:
     """Per-level counts needed by the zeta series.
@@ -438,7 +488,8 @@ class LevelProfile:
     P[n] is the word count at length n (0..N); for n below N, edge_weight[n]
     is sum of a(v)(a(v)+1) over level-n vertices, g[n] = P(n+1) - P(n) and
     branching[n] counts the level-n vertices with a(v) > 0 (the right
-    special words).  Counts are exact integers.
+    special words).  Counts are exact integers, held in tuples, or in
+    ScaledPowers for a full shift.
     """
 
     depth: int
@@ -464,11 +515,10 @@ def level_profile(source, N=None):
         raise ValueError("a spec source needs an explicit depth")
     elif isinstance(source, FullShift):
         k = source.k
-        P = tuple(accumulate([k] * N, mul, initial=1))  # k^n, no powers
-        g = tuple(P[n + 1] - P[n] for n in range(N))
-        edge = tuple(P[n] * (k - 1) * k for n in range(N))
-        branching = P[:N] if k > 1 else (0,) * N
-        return LevelProfile(N, P, g, edge, branching)
+        return LevelProfile(N, ScaledPowers(1, k, N + 1),
+                            ScaledPowers(k - 1, k, N),
+                            ScaledPowers(k * (k - 1), k, N),
+                            ScaledPowers(int(k > 1), k, N))
     elif isinstance(source, SturmianCF):
         P = tuple(n + 1 for n in range(N + 1))
         return LevelProfile(N, P, (1,) * N, (2,) * N, (1,) * N)
@@ -506,7 +556,8 @@ def _branching_chain(spec, N):
     if isinstance(spec, FullShift):
         return ("", [0]) if spec.k == 1 else ("a" * N, [0, *range(N)])
     if isinstance(spec, SturmianCF):
-        word = sturmian_characteristic(spec, max(N, 2))[::-1][:N]
+        word = sturmian_characteristic(spec, max(N, 2))
+        word = word[len(word) - N:][::-1]
         return word, border_array(word)
     return None
 

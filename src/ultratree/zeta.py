@@ -225,11 +225,13 @@ def exponent_estimates(P, g, N):
     if len(P) <= N:
         raise InsufficientDepthError("P must reach index N")
     lo = N // 2
-    beta_vals = [math.log(P[n]) / math.log(n) for n in range(lo, N + 1)]
-    g_window = range(lo, min(N, len(g)))
-    eta_vals = [1.0 + math.log(max(g[n], 1)) / math.log(n) for n in g_window]
-    half = math.log(P[lo]) / math.log(lo)
-    full = math.log(P[N]) / math.log(N)
+    # slices, read in order: a full shift's counts are made one at a time
+    beta_vals = [math.log(p) / math.log(n)
+                 for n, p in zip(range(lo, N + 1), P[lo:N + 1])]
+    top = min(N, len(g))
+    eta_vals = [1.0 + math.log(max(x, 1)) / math.log(n)
+                for n, x in zip(range(lo, top), g[lo:top])]
+    half, full = beta_vals[0], beta_vals[-1]
     super_poly = full > 1.5 * half and full > 3.0
     return ExponentReport(min(beta_vals), max(beta_vals),
                           min(eta_vals), max(eta_vals),

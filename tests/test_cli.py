@@ -532,6 +532,17 @@ def test_thue_morse_at_depth_2048_runs_in_1_gb(tmp_path, command):
     assert len(os.listdir(out)) == 2
 
 
+def test_full_shift_zeta_at_depth_65536_runs_in_256_mb(tmp_path):
+    # tuples of the counts 2^n would hold about 1 GB; streamed, 30 MB
+    out = tmp_path / "deep"
+    assert limited_run(["zeta", "--spec", "full:2", "--delta", "harmonic",
+                        "--depth", "65536", "--out", str(out)],
+                       limit=2 ** 28) == 0
+    assert sorted(os.listdir(out)) == ["zeta_partials.csv",
+                                       "zeta_report.json"]
+    assert all(os.path.getsize(out / name) > 0 for name in os.listdir(out))
+
+
 def fresh_loaded(code):
     """Run code in a fresh interpreter; which of numpy and scipy it left
     loaded."""

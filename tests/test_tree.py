@@ -61,6 +61,18 @@ def test_seeded_choice_deterministic():
     assert t1.selection != t3.selection
 
 
+def test_choice_functions_compare_by_selection():
+    tree = tree_for(FullShift(2), 3)
+    canonical = choice_function(tree)
+    seeded = choice_function(tree, policy="seeded-random", seed=3)
+    again = choice_function(tree, policy="seeded-random", seed=3)
+    assert canonical.selection != seeded.selection
+    assert canonical != seeded
+    assert seeded == again and seeded is not again
+    # hashable, with equal functions kept once
+    assert len({canonical, seeded, again}) == 2
+
+
 def test_unknown_policy():
     tree = tree_for(FullShift(2), 2)
     with pytest.raises(ValueError):

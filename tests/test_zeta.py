@@ -1,4 +1,6 @@
 import math
+from itertools import accumulate
+from operator import mul
 
 import pytest
 
@@ -34,6 +36,58 @@ def test_level_profile_from_table():
 def test_level_profile_needs_depth_for_spec():
     with pytest.raises(ValueError):
         level_profile(FullShift(2))
+
+
+def tuple_profile(k, N):
+    """The full-shift profile as tuples of big integers, built as before
+    the counts were streamed: the oracle for ScaledPowers."""
+    P = tuple(accumulate([k] * N, mul, initial=1))
+    g = tuple(P[n + 1] - P[n] for n in range(N))
+    edge = tuple(P[n] * (k - 1) * k for n in range(N))
+    branching = P[:N] if k > 1 else (0,) * N
+    return LevelProfile(N, P, g, edge, branching)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+@pytest.mark.parametrize("N", (1, 2, 17, 300))
+def test_streamed_full_shift_profile_reads_as_tuples(k, N):
+    got, want = level_profile(FullShift(k), N), tuple_profile(k, N)
+    assert got == want and want == got
+    for name in ("P", "g", "edge_weight", "branching"):
+        seq, ref = getattr(got, name), getattr(want, name)
+        assert not isinstance(seq, tuple)
+        n = len(ref)
+        assert len(seq) == n and tuple(seq) == ref
+        assert seq == ref and ref == seq and not seq != ref
+        assert seq != ref[:-1] and seq != list(ref)
+        assert hash(seq) == hash(ref)
+        assert [seq[i] for i in range(-n, n)] == [ref[i] for i in range(-n, n)]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                seq[i]
+        bounds = (None, 0, 1, n // 2, n - 1, n, n + 3, -1, -n, -n - 3)
+        for lo in bounds:
+            for hi in bounds:
+                part = seq[lo:hi]
+                assert len(part) == len(ref[lo:hi]) and part == ref[lo:hi]
+                assert part[1:] == ref[lo:hi][1:]
+        assert seq[::3] == ref[::3] and seq[::-1] == ref[::-1]
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_streamed_full_shift_zeta_equals_tuple_route(k):
+    N = 2048
+    schedule = (512, 1024, N)
+    tuples = tuple_profile(k, N)
+    for name in ("exp", "harmonic", "powerlog:1.5,1", "geom:0.5"):
+        delta = delta_from_name(name)
+        got = zeta_partials(FullShift(k), delta, ORACLE_GRIDS["default"],
+                            schedule)
+        want = zeta_partials(tuples, delta, ORACLE_GRIDS["default"], schedule)
+        assert repr(got.partials) == repr(want.partials), name
+    streamed = level_profile(FullShift(k), N)
+    assert (exponent_estimates(streamed.P, streamed.g, N)
+            == exponent_estimates(tuples.P, tuples.g, N))
 
 
 def test_full_binary_partial_value():
