@@ -8,16 +8,15 @@ choice functions adds the branching terms.  The flagged levels of every
 word, deviation or branching, are found in one top-down pass, once per
 choice function and once per tree.  A query then costs O(log N) for the
 fork plus its tails, each summed ascending from 0.0.  The closed forms are
-checked against Dijkstra on the approximation graph (scipy) and against
-exhaustive enumeration of choice functions.
+checked against Dijkstra on the approximation graph and against
+exhaustive enumeration of choice functions.  Only the Dijkstra oracle
+uses scipy, and imports it on its first call, so importing this module
+loads neither scipy nor numpy.
 """
 
 import math
 from bisect import bisect_right
 from itertools import product
-
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .tree import _finish
 # defined in .tree and re-exported for callers that read them on this module
@@ -124,6 +123,7 @@ def inf_spectral_distance(tree, delta, xi, eta):
 
 
 def _graph_csr(graph):
+    from scipy.sparse import csr_matrix
     n = len(graph.vertices)
     rows, cols, vals = [], [], []
     for (i, j), d in graph.edges.items():
@@ -136,6 +136,7 @@ def _graph_csr(graph):
 def graph_distances(graph, pairs):
     """Shortest-path lengths for vertex pairs (Dijkstra, one run per
     distinct source)."""
+    from scipy.sparse.csgraph import dijkstra
     sources = sorted({graph.index[u] for u, _ in pairs})
     src_pos = {s: i for i, s in enumerate(sources)}
     dist = dijkstra(_graph_csr(graph), directed=False, indices=sources)

@@ -14,18 +14,22 @@ witness W(N), summarize how far the supremum spectral distance can drift
 from the ultrametric.  One engine computes both, in ratios of deltas at
 any depth, on a branching skeleton: the failure array of a full shift's
 or Sturmian spec's branching chain, or a tree's branching words, read
-from its sorted leaves.
+from its sorted leaves.  Each structure is computed once and shared:
+a spec's chain is built once and read at every depth up to the one it
+was built for, the two fast engines on one (spec, delta, N) share one
+push, and a table's shape is read once and kept on it.  The chain and
+result caches keep a few entries each.
 """
 
 import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, islice
+from operator import gt, itemgetter
 
-from .words import (LanguageTable, _branching_chain, _leaves, _shape,
-                    language_table)
+from .words import (LanguageTable, RecentValues, _branching_chain, _leaves,
+                    _shape, language_table, spec_key)
 
 
 class StructuralError(ValueError):
@@ -58,15 +62,35 @@ class DeltaSequence:
         if n < 0:
             raise IndexError("delta index must be >= 0")
         c = self._logs
-        while len(c) <= n:
-            lv = self._log_fn(len(c))
-            if not math.isfinite(lv):
-                raise ValueError("delta is not finite at %d" % len(c))
-            if c and not lv < c[-1]:
-                raise ValueError(
-                    "delta is not strictly decreasing at %d" % len(c))
-            c.append(lv)
+        if len(c) <= n:
+            self._realize(n + 1)
         return c[n]
+
+    def _realize(self, stop):
+        """Realize the logs below stop in one pass, then check them.  The
+        first that is not finite or not below the one before raises, with
+        the logs before it kept; an error of the log function itself is
+        raised once every log before it has passed."""
+        c = self._logs
+        new, error = [], None
+        try:
+            new.extend(map(self._log_fn, range(len(c), stop)))
+        except Exception as exc:
+            error = exc
+        seq = c[-1:] + new
+        if all(map(math.isfinite, new)) and all(map(gt, seq,
+                                                    islice(seq, 1, None))):
+            c += new
+        else:
+            for lv in new:
+                if not math.isfinite(lv):
+                    raise ValueError("delta is not finite at %d" % len(c))
+                if c and not lv < c[-1]:
+                    raise ValueError(
+                        "delta is not strictly decreasing at %d" % len(c))
+                c.append(lv)
+        if error is not None:
+            raise error
 
     def logs(self, N):
         """log(delta_n) for n < N, as a list."""
@@ -320,13 +344,20 @@ def _skeleton(forks, N):
     return words, parent, [len(w) for w in words]
 
 
-def _tree_diagnostics(leaves, forks, delta, N):
+def _tree_diagnostics(leaves, shape, delta, N):
     """(C(N), W(N)) on a tree of words cut at depth N, from its sorted
-    leaves and branching words (see words._shape) at a depth >= N.  C is
-    the largest B over branching nodes, at the lowest level and then the
-    least word; W is delta_0 B at the root.  A path follows the argmax
-    children, then the least children to depth N: the least leaf below."""
-    words, parent, level = _skeleton(forks, N)
+    leaves at a depth >= N and shape, a dict filled on first use that keeps
+    their branching words (see words._shape) and the skeleton at their
+    depth.  C is the largest B over branching nodes, at the lowest level
+    and then the least word; W is delta_0 B at the root.  A path follows
+    the argmax children, then the least children to depth N: the least
+    leaf below."""
+    if not shape:
+        depth = len(leaves[0])
+        forks = _shape(leaves, depth)[0]
+        shape.update(forks=forks, skeleton=(depth, _skeleton(forks, depth)))
+    forks, (depth, skeleton) = shape["forks"], shape["skeleton"]
+    words, parent, level = skeleton if N == depth else _skeleton(forks, N)
     logs = delta.logs(N)
     B, arg = _push([logs[m] for m in level], parent)
 
@@ -351,23 +382,24 @@ def _tree_diagnostics(leaves, forks, delta, N):
 
 def order_diagnostics(source, delta, schedule):
     """[(C(N), W(N)) for N in an increasing schedule] from one structure:
-    source is a tree of words as deep as the schedule, or a spec, whose
-    branching chain or else sorted leaves and their forks are read once at
-    the last depth, with no table.  Each depth costs one push for both."""
+    source is a tree of words as deep as the schedule, whose shape is read
+    once per table, or a spec, whose branching chain (built once per spec
+    and depth, see words._branching_chain) or else sorted leaves and their
+    forks are read at the last depth, with no table.  Each depth costs one
+    push for both."""
     if isinstance(source, LanguageTable):
         if schedule[-1] > source.depth:
             raise ValueError("schedule goes below the tree depth")
-        leaves = source.leaves()
+        leaves, shape = source.leaves(), source.shape
     else:
         chain = _branching_chain(source, schedule[-1])
         if chain is not None:
             return [_chain_diagnostics(chain, delta, N) for N in schedule]
-        leaves = _leaves(source, schedule[-1])[0]
+        leaves, shape = _leaves(source, schedule[-1])[0], {}
         if any(len(v) < schedule[-1] for v in leaves):
             # a leaf above the depth is a word with no child: refused here
             build_tree(language_table(source, schedule[-1]))
-    forks = _shape(leaves, len(leaves[0]))[0]
-    return [_tree_diagnostics(leaves, forks, delta, N) for N in schedule]
+    return [_tree_diagnostics(leaves, shape, delta, N) for N in schedule]
 
 
 def lipschitz_estimate(tree, delta):
@@ -383,11 +415,20 @@ def continuity_witness(tree, delta):
     return order_diagnostics(tree, delta, (tree.depth,))[0][1]
 
 
+# (C(N), W(N)) of the (spec, delta, N) asked for last, so that the two
+# fast engines on one of them share one push
+_RESULTS = RecentValues(4)
+
+
 def _fast_engine(spec, delta, N):
-    chain = _branching_chain(spec, N)
-    if chain is None:
-        raise TypeError("no fast engine for %r" % (spec,))
-    return _chain_diagnostics(chain, delta, N)
+    key = (spec_key(spec), delta, N)
+    pair = _RESULTS.get(key)
+    if pair is None:
+        chain = _branching_chain(spec, N)
+        if chain is None:
+            raise TypeError("no fast engine for %r" % (spec,))
+        pair = _RESULTS.put(key, _chain_diagnostics(chain, delta, N))
+    return pair
 
 
 def lipschitz_estimate_fast(spec, delta, N):

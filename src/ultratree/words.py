@@ -160,29 +160,39 @@ def substitution_apply(rules, w):
 
 
 def sturmian_characteristic(spec, min_len):
-    """A long suffix of the left-infinite Sturmian characteristic word.
+    """The last min_len letters of the left-infinite Sturmian
+    characteristic word.
 
-    Returns the first word R_k = sigma0^mu_0 sigma1^mu_1 ... sigma0^mu_2k (b)
-    of length at least min_len.  Successive R_k nest as suffixes, so any
-    returned word is a suffix of every longer one.
+    They are the last min_len letters of the first word
+    R_k = sigma0^mu_0 sigma1^mu_1 ... sigma0^mu_2k (b) at least that long.
+    Successive R_k nest as suffixes, so a shorter result is a suffix of
+    every longer one.
     """
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
     # maintain the composed images A = Phi(a), B = Phi(b) where Phi is the
     # product of the substitution powers taken so far, extended on the right;
-    # every mu_i from i = 1 on is at least 1, so each step lengthens an image
+    # every mu_i from i = 1 on is at least 1, so each step lengthens an image.
+    # An image is held as its length and its last min_len letters (all of
+    # it when shorter), and a power of it as only as many copies as those
+    # letters need.
+    a_len, b_len = 1, 1
     a_img, b_img = "a", "b"
     i = 0
     while True:
         m = spec.coefficient(i)
         if i % 2 == 0:
             # compose with sigma0^m: a -> a, b -> b a^m
-            b_img = b_img + a_img * m
-            if len(b_img) >= min_len:
+            b_len += a_len * m
+            b_img = (b_img + a_img * min(m, min_len // len(a_img) + 1)
+                     )[-min_len:]
+            if b_len >= min_len:
                 return b_img
         else:
             # compose with sigma1^m: a -> a b^m, b -> b
-            a_img = a_img + b_img * m
+            a_len += b_len * m
+            a_img = (a_img + b_img * min(m, min_len // len(b_img) + 1)
+                     )[-min_len:]
         i += 1
 
 
@@ -214,7 +224,7 @@ class LanguageTable:
     tuple of its one-letter extensions in the table (empty for a word with
     none).  The branching number a(v) is the child count minus one.
     branching_levels is filled by the first supremum spectral distance on
-    the tree (see metrics).
+    the tree (see metrics), shape by its first order diagnostic (see tree).
     """
 
     depth: int
@@ -223,6 +233,7 @@ class LanguageTable:
     children: dict = field(compare=False, repr=False)
     branching_levels: dict = field(default_factory=dict, compare=False,
                                    repr=False)
+    shape: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def counts(self):
@@ -471,6 +482,10 @@ class ScaledPowers(Sequence):
     def __eq__(self, other):
         if not isinstance(other, (tuple, ScaledPowers)):
             return NotImplemented
+        if isinstance(other, ScaledPowers) and (
+                self.scale, self.k, self.start, self.stop) == (
+                other.scale, other.k, other.start, other.stop):
+            return True
         return len(self) == len(other) and all(map(eq, self, other))
 
     def __hash__(self):
@@ -544,22 +559,63 @@ def leaf_count(spec, N):
     return level_profile(spec, N).P[N]
 
 
+class RecentValues:
+    """A few values under their keys; past size, the least recently used
+    one is dropped."""
+
+    def __init__(self, size):
+        self.size = size
+        self.entries = {}  # the most recently used last
+
+    def get(self, key):
+        value = self.entries.pop(key, None)
+        if value is not None:
+            self.entries[key] = value
+        return value
+
+    def put(self, key, value):
+        self.entries.pop(key, None)
+        self.entries[key] = value
+        if len(self.entries) > self.size:
+            del self.entries[next(iter(self.entries))]
+        return value
+
+
+def spec_key(spec):
+    """A spec's type and repr: a key for a spec with list fields too, which
+    has no hash, that follows such fields if they change."""
+    return type(spec), repr(spec)
+
+
+# (depth, chain) of the specs whose branching chains were built last
+_CHAINS = RecentValues(8)
+
+
 def _branching_chain(spec, N):
-    """(reversed branching path, its failure array) at depth N for a full
-    shift or Sturmian spec; None for any other family.
+    """(reversed branching path, its failure array) at least N deep for a
+    full shift or Sturmian spec; None for any other family.
 
     A Sturmian path's branching prefixes form a border chain of the suffixes
     of the characteristic word, encoded by the failure array of its reversal.
     In a full shift the path a^N attains every maximum, and its failure
-    array border_array("a" * N) is fail[m] = m - 1.
+    array border_array("a" * N) is fail[m] = m - 1.  The chain at depth N is
+    a prefix of every deeper one, so each spec's chain is built once and
+    read at every depth up to the one it was built for.
     """
+    if not isinstance(spec, (FullShift, SturmianCF)):
+        return None
+    key = spec_key(spec)
+    entry = _CHAINS.get(key)
+    if entry is None or entry[0] < N:
+        entry = _CHAINS.put(key, (N, _build_chain(spec, N)))
+    return entry[1]
+
+
+def _build_chain(spec, N):
     if isinstance(spec, FullShift):
         return ("", [0]) if spec.k == 1 else ("a" * N, [0, *range(N)])
-    if isinstance(spec, SturmianCF):
-        word = sturmian_characteristic(spec, max(N, 2))
-        word = word[len(word) - N:][::-1]
-        return word, border_array(word)
-    return None
+    word = sturmian_characteristic(spec, max(N, 2))[::-1][:N]
+    return word, border_array(word)
 
 
 REPULSIVENESS_INF = float("inf")

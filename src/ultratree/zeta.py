@@ -11,10 +11,10 @@ the requested depths.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate
 
 # level_profile lives in .words; bench/ calls and traces it on this module
-from .words import LevelProfile, level_profile
+from .words import LevelProfile, ScaledPowers, level_profile
 
 
 class InsufficientDepthError(ValueError):
@@ -31,15 +31,22 @@ _LOG_HUGE = 709.0  # exp overflows just above this
 _LOG_TINY = -746.0  # exp of anything below this is exactly 0.0
 
 
-def _series_log_coefficients(profile, variant, depth):
-    """log c(n) for n < depth, None where c(n) = 0.  The doubled counts
-    are made one at a time, so no second tuple of big integers is held."""
+def _series_coefficients(profile, variant, depth):
+    """c(n) for n < depth.  A full shift's doubled counts are ScaledPowers
+    with twice the scale, so they are never multiplied out level by level,
+    and equal series are found without reading them."""
     if variant == "full":
-        coeff = profile.edge_weight
-    else:
-        counts = profile.g if variant == "low" else profile.branching
-        coeff = (2 * x for x in counts)
-    return tuple(math.log(c) if c > 0 else None for c in islice(coeff, depth))
+        return profile.edge_weight[:depth]
+    counts = (profile.g if variant == "low" else profile.branching)[:depth]
+    if isinstance(counts, ScaledPowers):
+        return ScaledPowers(2 * counts.scale, counts.k, counts.stop,
+                            counts.start)
+    return tuple(2 * x for x in counts)
+
+
+def _log_coefficients(coeff):
+    """log c(n), None where c(n) = 0."""
+    return tuple(math.log(c) if c > 0 else None for c in coeff)
 
 
 def _series_rows(log_coeff, log_delta, s_grid, schedule):
@@ -103,9 +110,10 @@ def zeta_partials(source, delta, s_grid, schedule):
     """Evaluate the zeta partial sums.
 
     source may be a spec, table, or LevelProfile; schedule is the
-    increasing list of truncation depths.  Variants with equal log
-    coefficients share one pass: every Sturmian spec has c(n) = 2 in all
-    three, a full binary shift 2 * 2^n.
+    increasing list of truncation depths.  Variants with equal
+    coefficients are found before any log is taken and share one pass:
+    every Sturmian spec has c(n) = 2 in all three, a full binary shift
+    2 * 2^n.
     """
     schedule = tuple(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -121,12 +129,15 @@ def zeta_partials(source, delta, s_grid, schedule):
 
     log_delta = delta.logs(depth)
     out = {}
-    summed = {}  # log coefficients -> rows, one entry per distinct series
+    summed = []  # (coefficients, rows), one entry per distinct series
     for variant in VARIANTS:
-        key = _series_log_coefficients(profile, variant, depth)
-        if key not in summed:
-            summed[key] = _series_rows(key, log_delta, s_grid, schedule)
-        out[variant] = summed[key]
+        coeff = _series_coefficients(profile, variant, depth)
+        rows = next((r for c, r in summed if c == coeff), None)
+        if rows is None:
+            rows = _series_rows(_log_coefficients(coeff), log_delta, s_grid,
+                                schedule)
+            summed.append((coeff, rows))
+        out[variant] = rows
     return ZetaPartials(tuple(float(s) for s in s_grid), schedule, out,
                         profile)
 

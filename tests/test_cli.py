@@ -562,6 +562,17 @@ def test_cli_import_leaves_scipy_out():
     assert fresh_loaded("import ultratree.cli") == []
 
 
+def test_metrics_import_leaves_scipy_out_until_dijkstra():
+    assert fresh_loaded("import ultratree.metrics") == []
+    assert "scipy" in fresh_loaded(
+        "from ultratree import metrics, tree, words\n"
+        "t = tree.tree_for(words.FullShift(2), 3)\n"
+        "g = tree.approximation_graph(t, tree.choice_function(t), "
+        "tree.DeltaSequence.harmonic())\n"
+        "assert metrics.graph_distances(g, [('aaa', 'bbb')]) == "
+        "[1 + 1 / 2 + 1 / 3]")
+
+
 @pytest.mark.parametrize("command", (
     ["zeta", "--spec", "full:2", "--depth", "16"],
     ["laplacian", "--spec", "full:2", "--depth", "3", "--pb"],

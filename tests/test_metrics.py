@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultratree.words import (ExplicitWindow, FullShift, SturmianCF,
-                             Substitution, alphabet, border_array,
-                             fibonacci_spec, language_table)
+from ultratree import tree as tree_module, words
+from ultratree.words import (ExplicitWindow, FullShift, RecentValues,
+                             SturmianCF, Substitution, alphabet,
+                             border_array, fibonacci_spec, language_table)
 from ultratree.tree import (DeltaSequence, OrderDiagnostic, StructuralError,
                             approximation_graph, build_tree, choice_function,
                             order_diagnostics, tree_for)
@@ -71,6 +72,64 @@ def test_delta_table_and_errors():
         increasing[1]
     with pytest.raises(ValueError):
         DeltaSequence.geometric(1.5)
+
+
+def loop_log(log_fn, logs, n):
+    """log(delta_n), realizing the missing logs one index at a time as
+    DeltaSequence.log did: the oracle for its bulk pass."""
+    c = logs
+    while len(c) <= n:
+        lv = log_fn(len(c))
+        if not math.isfinite(lv):
+            raise ValueError("delta is not finite at %d" % len(c))
+        if c and not lv < c[-1]:
+            raise ValueError(
+                "delta is not strictly decreasing at %d" % len(c))
+        c.append(lv)
+    return c[n]
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("values", (
+    [0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0],      # runs out at 8
+    [0.0, -1.0, -2.0, math.inf, -4.0, -5.0],
+    [0.0, -1.0, -2.0, -3.0, math.nan, -5.0, -6.0],
+    [0.0, -1.0, -2.0, -3.0, -4.0, -math.inf, -7.0],
+    [0.0, -1.0, -2.0, -2.0, -3.0, -4.0],                   # equal at 3
+    [0.0, -1.0, -2.0, -1.5, math.nan, -4.0],               # rises at 3
+    [0.5, -1.0, -0.5, -3.0, -4.0, math.inf, -6.0, -7.0],   # two faults
+    [math.nan, 0.0, -1.0],
+    [-math.inf]))
+def test_bulk_delta_logs_fail_like_the_loop(values):
+    def log_fn(n):
+        if n >= len(values):
+            raise IndexError("delta table exhausted at index %d" % n)
+        return values[n]
+
+    for reads in ((0,), (2,), (5,), (9,), (1, 4, 12), (12, 0, 12, 6)):
+        delta, logs = DeltaSequence(log_fn, "t"), []
+        for n in reads:
+            assert outcome(delta.log, n) == outcome(loop_log, log_fn, logs, n)
+            assert delta._logs == logs
+
+
+def test_bulk_delta_logs_equal_the_loop_on_every_family():
+    for name in ("exp", "harmonic", "geom:0.5", "powerlog:1.5,1",
+                 "powerlog:0.5,2"):
+        delta = delta_from_name(name)
+        logs = []
+        loop_log(delta._log_fn, logs, 2999)
+        assert delta.logs(3000) == logs
+    short = DeltaSequence.table([1.0, 0.5, 0.25])
+    with pytest.raises(IndexError, match="exhausted at index 3"):
+        short.logs(10)
+    assert short.logs(3) == [math.log(v) for v in (1.0, 0.5, 0.25)]
 
 
 def test_delta_powerlog_decreasing():
@@ -486,18 +545,28 @@ def schedule_specs():
     return st.one_of(full, window, subst)
 
 
-@settings(max_examples=200, deadline=None)
-@given(schedule_specs(), st.data(),
-       st.sampled_from(("exp", "harmonic", "geom:0.5", "powerlog:1.5,1")))
-def test_schedule_from_one_table_matches_rebuild_per_depth(spec_depth, data,
-                                                          delta_name):
-    spec, depth = spec_depth
-    schedule = sorted(data.draw(st.sets(st.integers(1, depth), min_size=1),
-                                label="schedule") | {depth})
+# the rational deltas as exact Fractions, for the oracle's ties
+EXACT_DELTAS = {"harmonic": lambda n: Fraction(1, n + 1),
+                "geom:0.5": lambda n: Fraction(1, 2 ** n)}
+
+
+def oracle_delta(delta_name, delta, N):
+    """What the oracle sums at depth N: exact Fractions for a rational
+    delta, so that it breaks ties exactly; the DeltaSequence otherwise."""
+    if delta_name in EXACT_DELTAS:
+        return [EXACT_DELTAS[delta_name](n) for n in range(N)]
+    return delta
+
+
+def check_schedule(spec, schedule, delta_name):
+    """The engine on one structure for the whole schedule against the
+    oracle on a table rebuilt at each depth."""
+    depth = schedule[-1]
     delta = delta_from_name(delta_name)
     try:
         expected = [rebuilt_c_and_w(build_tree(language_table(spec, N)),
-                                    delta) for N in schedule]
+                                    oracle_delta(delta_name, delta, N))
+                    for N in schedule]
     except StructuralError as exc:
         with pytest.raises(StructuralError, match=re.escape(str(exc))):
             order_diagnostics(spec, delta, schedule)
@@ -511,6 +580,24 @@ def test_schedule_from_one_table_matches_rebuild_per_depth(spec_depth, data,
     assert len(got) == len(expected)
     for pair, want in zip(got, expected):
         assert_matches(pair, want, 1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule_specs(), st.data(),
+       st.sampled_from(("exp", "harmonic", "geom:0.5", "powerlog:1.5,1")))
+def test_schedule_from_one_table_matches_rebuild_per_depth(spec_depth, data,
+                                                          delta_name):
+    spec, depth = spec_depth
+    schedule = sorted(data.draw(st.sets(st.integers(1, depth), min_size=1),
+                                label="schedule") | {depth})
+    check_schedule(spec, schedule, delta_name)
+
+
+def test_schedule_with_an_exact_tie_matches_the_exact_oracle():
+    # c (level 1) and bab (level 3) tie at C = 7/6 at N = 8 (see
+    # test_exact_tie_goes_to_the_lowest_level)
+    check_schedule(ExplicitWindow("cbbabbbababababccccbbabbbababababccc"),
+                   (3, 5, 8), "harmonic")
 
 
 def test_chain_schedule_matches_fast_engines():
@@ -539,3 +626,132 @@ def test_trend_verdict():
     assert trend_verdict([1.0, 1.5]) == "no"
     assert trend_verdict([1.0, 1.1]) == "undecided"
     assert trend_verdict([1.0]) == "undecided"
+
+
+# ---------------------------------------------------------------------------
+# structures shared between calls: chains, fast-engine results, tree shapes
+
+
+FIB, LIN, POW2 = (fibonacci_spec(), SturmianCF((1,), ("linear",)),
+                  SturmianCF((1,), ("pow2",)))
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty chain and result caches of the same sizes, for one test."""
+    monkeypatch.setattr(words, "_CHAINS", RecentValues(words._CHAINS.size))
+    monkeypatch.setattr(tree_module, "_RESULTS",
+                        RecentValues(tree_module._RESULTS.size))
+
+
+def cold(spec, delta_name, N):
+    """(C(N), W(N)) from a chain and a delta made for this call alone."""
+    return tree_module._chain_diagnostics(words._build_chain(spec, N),
+                                          delta_from_name(delta_name), N)
+
+
+@pytest.mark.parametrize("calls", (
+    # deeper depth first, then shallower, then deeper than any before
+    ((FIB, "harmonic", 300, "C"), (FIB, "harmonic", 40, "W"),
+     (FIB, "harmonic", 40, "C"), (FIB, "harmonic", 700, "W"),
+     (FIB, "harmonic", 300, "W"), (FIB, "harmonic", 700, "C")),
+    # W before C
+    ((LIN, "exp", 64, "W"), (LIN, "exp", 64, "C"), (LIN, "exp", 128, "W"),
+     (LIN, "exp", 128, "C")),
+    # two deltas interleaved
+    ((POW2, "exp", 200, "C"), (POW2, "harmonic", 200, "C"),
+     (POW2, "exp", 200, "W"), (POW2, "harmonic", 200, "W"),
+     (POW2, "exp", 100, "C"), (POW2, "harmonic", 100, "W")),
+    # a different spec in between
+    ((FIB, "harmonic", 100, "C"), (FullShift(3), "harmonic", 100, "C"),
+     (LIN, "harmonic", 100, "W"), (FIB, "harmonic", 100, "W"),
+     (FullShift(3), "harmonic", 50, "W"), (FullShift(1), "harmonic", 50, "C"),
+     (FIB, "harmonic", 100, "C"))))
+def test_fast_engines_equal_a_cold_computation_in_any_order(fresh_caches,
+                                                            calls):
+    deltas = {}
+    for spec, name, N, which in calls:
+        delta = deltas.setdefault(name, delta_from_name(name))
+        engine = lipschitz_estimate_fast if which == "C" else \
+            continuity_witness_fast
+        got = engine(spec, delta, N)
+        assert fields(got) == fields(cold(spec, name, N)[which == "W"])
+        # order_diagnostics reads the same chains
+        assert [tuple(map(fields, pair)) for pair in order_diagnostics(
+            spec, delta, (N // 2 + 1, N))] == [
+            tuple(map(fields, cold(spec, name, M))) for M in (N // 2 + 1, N)]
+
+
+def test_sweep_builds_one_chain_per_depth_increase_and_one_push_per_pair(
+        fresh_caches, monkeypatch):
+    built, pushed = [], []
+    build, push = words._build_chain, tree_module._chain_diagnostics
+    monkeypatch.setattr(words, "_build_chain",
+                        lambda spec, N: built.append(N) or build(spec, N))
+    monkeypatch.setattr(tree_module, "_chain_diagnostics",
+                        lambda *a: pushed.append(a[2]) or push(*a))
+    for name in ("exp", "harmonic", "powerlog:1.5,1"):
+        delta = delta_from_name(name)
+        for N in (100, 200, 400):
+            for spec in (POW2, FullShift(2)):
+                lipschitz_estimate_fast(spec, delta, N)
+                continuity_witness_fast(spec, delta, N)
+    assert built == [100, 100, 200, 200, 400, 400]
+    assert pushed == [100, 100, 200, 200, 400, 400] * 3
+    order_diagnostics(POW2, delta, (50, 200, 400))
+    assert len(built) == 6
+
+
+def test_caches_stay_small(fresh_caches):
+    delta = DeltaSequence.harmonic()
+    for k in range(1, 30):
+        lipschitz_estimate_fast(SturmianCF((k,), ("constant", 1)), delta, 64)
+    assert len(words._CHAINS.entries) == words._CHAINS.size <= 8
+    assert len(tree_module._RESULTS.entries) == tree_module._RESULTS.size \
+        <= 8
+
+
+def test_spec_with_list_fields_is_served_and_followed(fresh_caches):
+    spec = SturmianCF(mu=[1, 2], tail=("constant", 1))
+    with pytest.raises(TypeError):
+        hash(spec)
+    delta = DeltaSequence.harmonic()
+    for mu in ((1, 2), (1, 3)):
+        spec.mu[1] = mu[1]
+        want = SturmianCF(mu, ("constant", 1))
+        for N in (5, 50, 20):
+            assert fields(lipschitz_estimate_fast(spec, delta, N)) == \
+                fields(cold(want, "harmonic", N)[0])
+            assert fields(continuity_witness_fast(spec, delta, N)) == \
+                fields(cold(want, "harmonic", N)[1])
+        assert [tuple(map(fields, p)) for p in order_diagnostics(
+            spec, delta, (3, 60))] == [tuple(map(fields, cold(
+                want, "harmonic", N))) for N in (3, 60)]
+
+
+def test_table_shape_is_read_once_and_left_out_of_equality(monkeypatch):
+    shaped, plain = tree_for(fibonacci_spec(), 30), \
+        tree_for(fibonacci_spec(), 30)
+
+    def diagnostics(table):
+        out = []
+        for name in ("exp", "harmonic"):
+            delta = delta_from_name(name)
+            out += [fields(lipschitz_estimate(table, delta)),
+                    fields(continuity_witness(table, delta))]
+            out += [tuple(map(fields, pair))
+                    for pair in order_diagnostics(table, delta, (12, 30))]
+        return out
+
+    reads, cuts = [], []
+    shape, skeleton = tree_module._shape, tree_module._skeleton
+    monkeypatch.setattr(tree_module, "_shape",
+                        lambda *a: reads.append(a[1]) or shape(*a))
+    monkeypatch.setattr(tree_module, "_skeleton",
+                        lambda *a: cuts.append(a[1]) or skeleton(*a))
+    got = diagnostics(shaped)
+    assert reads == [30] and cuts == [30, 12, 12]
+    assert shaped.shape and not plain.shape
+    assert shaped == plain and hash(shaped) == hash(plain)
+    assert repr(shaped) == repr(plain)
+    assert got == diagnostics(plain)

@@ -1,4 +1,8 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +81,53 @@ def test_sturmian_characteristic_nesting():
     words = [sturmian_characteristic(fib, n) for n in (2, 5, 12, 30)]
     for shorter, longer in zip(words, words[1:]):
         assert longer.endswith(shorter)
+
+
+def characteristic_from_whole_images(spec, min_len):
+    """The first R_k of length at least min_len, built from images held
+    whole: the oracle for the last letters that sturmian_characteristic
+    keeps."""
+    a_img, b_img = "a", "b"
+    i = 0
+    while True:
+        m = spec.coefficient(i)
+        if i % 2 == 0:
+            b_img = b_img + a_img * m
+            if len(b_img) >= min_len:
+                return b_img
+        else:
+            a_img = a_img + b_img * m
+        i += 1
+
+
+@pytest.mark.parametrize("spec", (
+    fibonacci_spec(), SturmianCF((1,), ("pow2",)),
+    SturmianCF((1,), ("linear",)), SturmianCF((0, 3), ("pow2",)),
+    SturmianCF((1, 1, 9, 1), ("pow2",)), SturmianCF((7, 2), ("constant", 3))))
+def test_characteristic_suffix_equals_whole_images(spec):
+    for length in (1, 2, 3, 5, 8, 13, 64, 100, 127, 1000, 4097, 20000):
+        want = characteristic_from_whole_images(spec, length)[-length:]
+        assert sturmian_characteristic(spec, length) == want
+
+
+def test_pow2_characteristic_at_six_million_runs_in_512_mb():
+    # the first R_k that long has 196,328,807,846 letters; the images are
+    # held as their last letters only.  A child under RLIMIT_AS, since
+    # whole images would exhaust the memory of the test run
+    code = ("from ultratree.words import SturmianCF, sturmian_characteristic"
+            " as c\nspec = SturmianCF((1,), ('pow2',))\n"
+            "word = c(spec, 6000000)\n"
+            "assert len(word) == 6000000 and word.endswith(c(spec, 20000))")
+    limit = 2 ** 29
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            preexec_fn=cap, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()[-500:]
 
 
 def test_sturmian_cf_coefficients():

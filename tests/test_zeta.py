@@ -5,8 +5,9 @@ from operator import mul
 import pytest
 
 from ultratree import zeta
-from ultratree.words import (ExplicitWindow, FullShift, SturmianCF,
-                             Substitution, fibonacci_spec, language_table)
+from ultratree.words import (ExplicitWindow, FullShift, ScaledPowers,
+                             SturmianCF, Substitution, fibonacci_spec,
+                             language_table)
 from ultratree.tree import DeltaSequence, delta_from_name, tree_for
 from ultratree.zeta import (InsufficientDepthError, LevelProfile,
                             abscissa_estimate, exponent_estimates,
@@ -88,6 +89,31 @@ def test_streamed_full_shift_zeta_equals_tuple_route(k):
     streamed = level_profile(FullShift(k), N)
     assert (exponent_estimates(streamed.P, streamed.g, N)
             == exponent_estimates(tuples.P, tuples.g, N))
+
+
+@pytest.mark.parametrize("spec, series", (
+    (FullShift(2), 1), (FullShift(3), 3), (FullShift(1), 1),
+    (fibonacci_spec(), 1),
+    (Substitution.from_rules({"a": "ab", "b": "ba"}, "a"), 1),
+    (Substitution.from_rules({"a": "ab", "b": "ac", "c": "a"}, "a"), 3)))
+def test_each_distinct_series_is_logged_once(monkeypatch, spec, series):
+    logged = []
+    log_coefficients = zeta._log_coefficients
+    monkeypatch.setattr(zeta, "_log_coefficients",
+                        lambda c: logged.append(c) or log_coefficients(c))
+    zeta_partials(spec, DeltaSequence.harmonic(), [1.0, 2.0], (8, 16, 32))
+    assert len(logged) == series
+    # a full shift's doubled counts are never multiplied out: equal
+    # ScaledPowers compare by their parameters
+    if isinstance(spec, FullShift):
+        assert all(isinstance(c, ScaledPowers) for c in logged)
+
+
+def test_scaled_powers_equal_by_parameters_without_reading(monkeypatch):
+    a, b = ScaledPowers(2, 2, 10 ** 9), ScaledPowers(2, 2, 10 ** 9)
+    assert ScaledPowers(2, 2, 300, 1)[:4] == (4, 8, 16, 32)
+    monkeypatch.setattr(ScaledPowers, "__iter__", None)
+    assert a == b and not a != b
 
 
 def test_full_binary_partial_value():
