@@ -8,17 +8,15 @@ choice functions adds the branching terms.  The flagged levels of every
 word, deviation or branching, are found in one top-down pass, once per
 choice function and once per tree.  A query then costs O(log N) for the
 fork plus its tails, each summed ascending from 0.0.  The closed forms are
-checked against Dijkstra on the approximation graph and against
-exhaustive enumeration of choice functions.  Only the Dijkstra oracle
-uses scipy, and imports it on its first call, so importing this module
-loads neither scipy nor numpy.
+checked against Dijkstra on the approximation graph, kept here, and
+against exhaustive enumeration of choice functions, a test oracle in
+tests/oracles.py.  Only the Dijkstra oracle uses scipy, and imports it on
+its first call, so importing this module loads neither scipy nor numpy.
 """
 
 import math
 from bisect import bisect_right
-from itertools import product
 
-from .tree import _finish
 # defined in .tree and re-exported for callers that read them on this module
 # (bench/workloads.py and the tracer in bench/tracing.py)
 from .tree import (continuity_witness, continuity_witness_fast,  # noqa: F401
@@ -153,49 +151,3 @@ def graph_distances(graph, pairs):
 def graph_distance_oracle(graph, u, v):
     """Shortest-path length between two vertices."""
     return graph_distances(graph, [(u, v)])[0]
-
-
-# ---------------------------------------------------------------------------
-# exhaustive choice-function oracles (small depth)
-
-
-def _tail_sums(tree, delta, word, m):
-    """All achievable deviation-sum values along the prefix chain of a word,
-    over every assignment of choices at its prefixes of lengths m+1..N-1."""
-    N = len(word)
-    sums = {0.0}
-    for n in range(m + 1, N):
-        v = word[:n]
-        opts = set()
-        for child in tree.children[v]:
-            opts.add(0.0 if child == word[:n + 1] else delta[n])
-        sums = {s + o for s in sums for o in opts}
-    return sums
-
-
-def spectral_distance_range_bruteforce(tree, delta, xi, eta):
-    """Exact min and max of the spectral distance over all choice functions.
-
-    The distance depends only on the selections at the prefixes of the two
-    points, and below the fork those selections are independent, so the
-    enumeration runs over the fork node's choices times all combinations
-    along the two tails.  Every combination is realized by some global
-    choice function.
-    """
-    if xi == eta:
-        return 0.0, 0.0
-    m = common_prefix_length(xi, eta)
-    base = delta[m]
-    sums_x = _tail_sums(tree, delta, xi, m)
-    sums_y = _tail_sums(tree, delta, eta, m)
-    lo = base + min(sums_x) + min(sums_y)
-    hi = base + max(sums_x) + max(sums_y)
-    return lo, hi
-
-
-def enumerate_choice_functions(tree):
-    """Yield every choice function of a small tree.  Exponential; tests only."""
-    nodes = [v for n in range(tree.depth) for v in tree.levels[n]]
-    child_lists = [tree.children[v] for v in nodes]
-    for combo in product(*child_lists):
-        yield _finish(tree, dict(zip(nodes, combo)))

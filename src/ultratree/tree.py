@@ -2,12 +2,15 @@
 
 Level n of the tree holds the admissible words of length n; a node's parent
 is its length-(n-1) prefix.  A LanguageTable is this tree: it carries the
-child links, and build_tree checks that every word below the depth has a
-child and returns the table.  Horizontal edges join distinct siblings, and
-the edge between children of a level-n vertex has length delta_n, read
-from a DeltaSequence (delta_from_name parses a family name).  A choice
-function selects one child per vertex; quotienting the horizontal edges by
-those selections gives the metric approximation graph.
+child links and the sorted leaves it was built from.  A word below the
+depth with no child is a leaf shorter than the depth, so one check of the
+sorted leaves refuses a table, or a spec's leaves, that is not a tree: the
+same check in build_tree and in the order diagnostics.  Horizontal edges
+join distinct siblings, and the edge between children of a level-n vertex
+has length delta_n, read from a DeltaSequence (delta_from_name parses a
+family name).  A choice function selects one child per vertex; quotienting
+the horizontal edges by those selections gives the metric approximation
+graph.
 
 The order diagnostics, the Lipschitz estimate C(N) and the continuity
 witness W(N), summarize how far the supremum spectral distance can drift
@@ -17,8 +20,9 @@ or Sturmian spec's branching chain, or a tree's branching words, read
 from its sorted leaves.  Each structure is computed once and shared:
 a spec's chain is built once and read at every depth up to the one it
 was built for, the two fast engines on one (spec, delta, N) share one
-push, and a table's shape is read once and kept on it.  The chain and
-result caches keep a few entries each.
+push, and a table's shape is read once and kept on it (see
+words.LanguageTable.shape).  The chain and result caches keep a few
+entries each.
 """
 
 import math
@@ -29,7 +33,7 @@ from itertools import combinations, islice
 from operator import gt, itemgetter
 
 from .words import (LanguageTable, RecentValues, _branching_chain, _leaves,
-                    _shape, language_table, spec_key)
+                    _shape, _skeleton, spec_key)
 
 
 class StructuralError(ValueError):
@@ -189,23 +193,26 @@ def delta_from_name(name):
 # trees of words and choice functions
 
 
+def _check_leaves(leaves, N):
+    """Refuse sorted leaves whose tree of words at depth N is not a tree:
+    a leaf shorter than N is a word below the depth with no child.  The
+    shortest, and the least of those (the first in sorted order), is the
+    first childless word that a walk of the levels in order would meet."""
+    short = min((v for v in leaves if len(v) < N), key=len, default=None)
+    if short is not None:
+        raise StructuralError(
+            "word %r at length %d has no extension" % (short, len(short)))
+
+
 def build_tree(table):
     """Check that a language table is a tree of words and return it.
 
     Every word below the depth must have a child, so that every node lies on
-    a root-to-leaf path.
+    a root-to-leaf path: the table's sorted leaves must all be as long as
+    its depth (see _check_leaves).
     """
-    children = table.children
-    for n in range(table.depth):
-        for v in table.levels[n]:
-            if not children[v]:
-                raise StructuralError(
-                    "word %r at length %d has no extension" % (v, len(v)))
+    _check_leaves(table.sorted_leaves, table.depth)
     return table
-
-
-def tree_for(spec, N):
-    return build_tree(language_table(spec, N))
 
 
 def horizontal_edges(tree, n):
@@ -329,35 +336,16 @@ def _chain_diagnostics(chain, delta, N):
             OrderDiagnostic(delta[0] * B[0], "", word[::-1]))
 
 
-def _skeleton(forks, N):
-    """The root and the branching words below level N in lexicographic
-    order, so that ties go to the least child, the index of each one's
-    longest branching proper prefix (the root for none) and its level."""
-    words = sorted({"", *(v for v in forks if len(v) < N)})
-    parent = [0] * len(words)
-    stack = [0]
-    for i in range(1, len(words)):
-        while not words[i].startswith(words[stack[-1]]):
-            stack.pop()
-        parent[i] = stack[-1]
-        stack.append(i)
-    return words, parent, [len(w) for w in words]
-
-
-def _tree_diagnostics(leaves, shape, delta, N):
+def _tree_diagnostics(leaves, forks, skeleton, delta, N):
     """(C(N), W(N)) on a tree of words cut at depth N, from its sorted
-    leaves at a depth >= N and shape, a dict filled on first use that keeps
-    their branching words (see words._shape) and the skeleton at their
-    depth.  C is the largest B over branching nodes, at the lowest level
-    and then the least word; W is delta_0 B at the root.  A path follows
-    the argmax children, then the least children to depth N: the least
-    leaf below."""
-    if not shape:
-        depth = len(leaves[0])
-        forks = _shape(leaves, depth)[0]
-        shape.update(forks=forks, skeleton=(depth, _skeleton(forks, depth)))
-    forks, (depth, skeleton) = shape["forks"], shape["skeleton"]
-    words, parent, level = skeleton if N == depth else _skeleton(forks, N)
+    leaves, all of one length >= N, their branching words forks (see
+    words._shape) and the skeleton at their length (see words._skeleton),
+    or None to cut it here.  C is the largest B over branching nodes, at
+    the lowest level and then the least word; W is delta_0 B at the root.
+    A path follows the argmax children, then the least children to depth
+    N: the least leaf below."""
+    words, parent, level = (skeleton if skeleton and N == len(leaves[0])
+                            else _skeleton(forks, N))
     logs = delta.logs(N)
     B, arg = _push([logs[m] for m in level], parent)
 
@@ -383,23 +371,26 @@ def _tree_diagnostics(leaves, shape, delta, N):
 def order_diagnostics(source, delta, schedule):
     """[(C(N), W(N)) for N in an increasing schedule] from one structure:
     source is a tree of words as deep as the schedule, whose shape is read
-    once per table, or a spec, whose branching chain (built once per spec
-    and depth, see words._branching_chain) or else sorted leaves and their
-    forks are read at the last depth, with no table.  Each depth costs one
-    push for both."""
+    once per table and kept on it, or a spec, whose branching chain (built
+    once per spec and depth, see words._branching_chain) or else sorted
+    leaves and their shape are read at the last depth, with no table.  The
+    leaves of either must pass the tree check of build_tree.  Each depth
+    costs one push for both."""
     if isinstance(source, LanguageTable):
         if schedule[-1] > source.depth:
             raise ValueError("schedule goes below the tree depth")
-        leaves, shape = source.leaves(), source.shape
+        leaves = build_tree(source).sorted_leaves
+        forks, _, skeleton = source.shape
     else:
         chain = _branching_chain(source, schedule[-1])
         if chain is not None:
             return [_chain_diagnostics(chain, delta, N) for N in schedule]
-        leaves, shape = _leaves(source, schedule[-1])[0], {}
-        if any(len(v) < schedule[-1] for v in leaves):
-            # a leaf above the depth is a word with no child: refused here
-            build_tree(language_table(source, schedule[-1]))
-    return [_tree_diagnostics(leaves, shape, delta, N) for N in schedule]
+        leaves = _leaves(source, schedule[-1])[0]
+        _check_leaves(leaves, schedule[-1])
+        # leaves read for this call alone: every depth is cut once
+        forks, skeleton = _shape(leaves, schedule[-1])[0], None
+    return [_tree_diagnostics(leaves, forks, skeleton, delta, N)
+            for N in schedule]
 
 
 def lipschitz_estimate(tree, delta):

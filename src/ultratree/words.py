@@ -5,10 +5,13 @@ order).  A subshift is described declaratively by a spec object and its
 language is materialized level by level, up to a depth bound, as a
 LanguageTable.  The table is the tree of words: level n holds the length-n
 words, a word's parent is its prefix, and the child links are built once
-with the table.  On top of it sit the usual combinatorial statistics:
-right special words, the complexity function, repetitivity, and the
-repulsiveness estimators, and each spec family's level counts and
-branching chain, the closed forms of full-shift and Sturmian trees.
+with the table.  A tree of words is its sorted leaves: the table keeps the
+ones it was built from, and its shape (branching words, level counts and
+skeleton) is read from them once.  On top of it sit the usual
+combinatorial statistics: right special words, the complexity function,
+repetitivity, and the repulsiveness estimators, and each spec family's
+level counts and branching chain, the closed forms of full-shift and
+Sturmian trees.
 """
 
 import string
@@ -16,6 +19,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from bisect import bisect_left, insort
+from functools import cached_property
 from itertools import accumulate, groupby, product
 from operator import eq, itemgetter
 
@@ -223,17 +227,20 @@ class LanguageTable:
     every flag.  children maps every word below the depth to the sorted
     tuple of its one-letter extensions in the table (empty for a word with
     none).  The branching number a(v) is the child count minus one.
-    branching_levels is filled by the first supremum spectral distance on
-    the tree (see metrics), shape by its first order diagnostic (see tree).
+    sorted_leaves holds the words with no child, in order: the leaves the
+    table was built from.  The table's shape is read from them once, on
+    first use, and kept; branching_levels is filled by the first supremum
+    spectral distance on the tree (see metrics).  None of the three takes
+    part in equality, hash or repr.
     """
 
     depth: int
     levels: tuple
     stabilized: tuple
     children: dict = field(compare=False, repr=False)
+    sorted_leaves: list = field(compare=False, repr=False)
     branching_levels: dict = field(default_factory=dict, compare=False,
                                    repr=False)
-    shape: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def counts(self):
@@ -244,6 +251,14 @@ class LanguageTable:
 
     def leaves(self):
         return self.levels[self.depth]
+
+    @cached_property
+    def shape(self):
+        """(forks, P, skeleton) of the tree: its branching words with their
+        child counts minus one and its level counts (see _shape), and its
+        skeleton at the table depth (see _skeleton)."""
+        forks, P = _shape(self.sorted_leaves, self.depth)
+        return forks, P, _skeleton(forks, self.depth)
 
 
 def _tree_of_words(leaves, N):
@@ -309,8 +324,7 @@ def _recurrent_prefix(window, N):
 
 def _window_for(spec, length):
     if isinstance(spec, SturmianCF):
-        word = sturmian_characteristic(spec, length)
-        return word[-length:] if len(word) > length else word
+        return sturmian_characteristic(spec, length)
     if isinstance(spec, Substitution):
         word = substitution_fixed_point(spec, length)
         return word[:length]
@@ -398,12 +412,27 @@ def _shape(leaves, N):
     return forks, tuple(accumulate(net[::-1]))[::-1]
 
 
+def _skeleton(forks, N):
+    """The root and the branching words below level N in lexicographic
+    order, so that ties go to the least child, the index of each one's
+    longest branching proper prefix (the root for none) and its level."""
+    words = sorted({"", *(v for v in forks if len(v) < N)})
+    parent = [0] * len(words)
+    stack = [0]
+    for i in range(1, len(words)):
+        while not words[i].startswith(words[stack[-1]]):
+            stack.pop()
+        parent[i] = stack[-1]
+        stack.append(i)
+    return words, parent, [len(w) for w in words]
+
+
 def language_table(spec, N):
     """Enumerate the admissible words of length <= N for a spec: the tree
     of words on the leaves that _leaves reads, with its flags."""
     leaves, flags = _leaves(spec, N)
     levels, children = _tree_of_words(leaves, N)
-    return LanguageTable(N, levels, flags, children)
+    return LanguageTable(N, levels, flags, children, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +549,11 @@ def level_profile(source, N=None):
     Full shifts (every word branches k ways) and Sturmian specs (one binary
     branching word per length) use closed forms, so that depths in the
     thousands stay cheap; anything else is read from its sorted leaves (see
-    _shape), and no table is built for a spec.
+    _shape): a table's from its shape, read once and kept on it, and a
+    spec's with no table built.
     """
     if isinstance(source, LanguageTable):
-        N = source.depth
-        leaves = sorted([*source.leaves(), *(
-            v for v, cs in source.children.items() if not cs)])
+        N, (forks, P, _) = source.depth, source.shape
     elif N is None:
         raise ValueError("a spec source needs an explicit depth")
     elif isinstance(source, FullShift):
@@ -538,8 +566,7 @@ def level_profile(source, N=None):
         P = tuple(n + 1 for n in range(N + 1))
         return LevelProfile(N, P, (1,) * N, (2,) * N, (1,) * N)
     else:
-        leaves = _leaves(source, N)[0]
-    forks, P = _shape(leaves, N)
+        forks, P = _shape(_leaves(source, N)[0], N)
     edge, branching = [0] * N, [0] * N
     for v, a in forks.items():
         edge[len(v)] += a * (a + 1)
@@ -670,31 +697,6 @@ def repulsiveness_estimates(table, N=None):
                     best_rs, best_rs_pair = ratio, (W[:k], W)
     witnesses = {"l_hat": best_pair, "l_hat_R": best_rs_pair}
     return best, best_rs, witnesses
-
-
-def repulsiveness_bruteforce(table, N=None, right_special_only=False):
-    """Quadratic pair scan over the whole table; test oracle only."""
-    if N is None:
-        N = table.depth
-    rs = None
-    if right_special_only:
-        rs = [right_special_words(table, n) for n in range(table.depth)]
-    best = REPULSIVENESS_INF
-    best_pair = None
-    for n in range(2, N + 1):
-        for W in table.levels[n]:
-            if right_special_only and (n > table.depth - 1 or W not in rs[n]):
-                continue
-            for k in range(1, n):
-                w = W[:k]
-                if W[n - k:] != w:
-                    continue
-                if right_special_only and w not in rs[k]:
-                    continue
-                ratio = (n - k) / k
-                if ratio < best:
-                    best, best_pair = ratio, (w, W)
-    return best, best_pair
 
 
 def repetitivity_estimate(table, n):

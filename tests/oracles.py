@@ -1,0 +1,98 @@
+"""Small-depth oracles that only the tests read.
+
+Each one computes by brute force what the library computes by a closed form
+or a shared structure: the tree check as a walk over every node, choice
+functions by exhaustive enumeration, the spectral distance range over all of
+them, and the repulsiveness estimators by a quadratic pair scan.  They are
+exponential or quadratic, so keep their inputs small.
+"""
+
+from itertools import product
+
+from ultratree.metrics import common_prefix_length
+from ultratree.tree import StructuralError, _finish, build_tree
+from ultratree.words import (REPULSIVENESS_INF, language_table,
+                             right_special_words)
+
+
+def tree_for(spec, N):
+    """The checked tree of words of a spec at depth N."""
+    return build_tree(language_table(spec, N))
+
+
+def walk_tree_check(table):
+    """The tree check as a walk over every node below the depth, level by
+    level in sorted order: the first word with no child is refused."""
+    for n in range(table.depth):
+        for v in table.levels[n]:
+            if not table.children[v]:
+                raise StructuralError(
+                    "word %r at length %d has no extension" % (v, len(v)))
+    return table
+
+
+def enumerate_choice_functions(tree):
+    """Yield every choice function of a small tree.  Exponential."""
+    nodes = [v for n in range(tree.depth) for v in tree.levels[n]]
+    child_lists = [tree.children[v] for v in nodes]
+    for combo in product(*child_lists):
+        yield _finish(tree, dict(zip(nodes, combo)))
+
+
+def _tail_sums(tree, delta, word, m):
+    """All achievable deviation-sum values along the prefix chain of a word,
+    over every assignment of choices at its prefixes of lengths m+1..N-1."""
+    N = len(word)
+    sums = {0.0}
+    for n in range(m + 1, N):
+        v = word[:n]
+        opts = set()
+        for child in tree.children[v]:
+            opts.add(0.0 if child == word[:n + 1] else delta[n])
+        sums = {s + o for s in sums for o in opts}
+    return sums
+
+
+def spectral_distance_range_bruteforce(tree, delta, xi, eta):
+    """Exact min and max of the spectral distance over all choice functions.
+
+    The distance depends only on the selections at the prefixes of the two
+    points, and below the fork those selections are independent, so the
+    enumeration runs over the fork node's choices times all combinations
+    along the two tails.  Every combination is realized by some global
+    choice function.
+    """
+    if xi == eta:
+        return 0.0, 0.0
+    m = common_prefix_length(xi, eta)
+    base = delta[m]
+    sums_x = _tail_sums(tree, delta, xi, m)
+    sums_y = _tail_sums(tree, delta, eta, m)
+    lo = base + min(sums_x) + min(sums_y)
+    hi = base + max(sums_x) + max(sums_y)
+    return lo, hi
+
+
+def repulsiveness_bruteforce(table, N=None, right_special_only=False):
+    """Quadratic pair scan over the whole table."""
+    if N is None:
+        N = table.depth
+    rs = None
+    if right_special_only:
+        rs = [right_special_words(table, n) for n in range(table.depth)]
+    best = REPULSIVENESS_INF
+    best_pair = None
+    for n in range(2, N + 1):
+        for W in table.levels[n]:
+            if right_special_only and (n > table.depth - 1 or W not in rs[n]):
+                continue
+            for k in range(1, n):
+                w = W[:k]
+                if W[n - k:] != w:
+                    continue
+                if right_special_only and w not in rs[k]:
+                    continue
+                ratio = (n - k) / k
+                if ratio < best:
+                    best, best_pair = ratio, (w, W)
+    return best, best_pair

@@ -15,13 +15,11 @@ import numpy as np
 
 from ultratree.words import (FullShift, SturmianCF, complexity_profile,
                              fibonacci_spec, language_table,
-                             repulsiveness_bruteforce,
                              repulsiveness_estimates, right_special_words)
 from ultratree.tree import (DeltaSequence, approximation_graph,
-                            choice_function, tree_for)
+                            choice_function)
 from ultratree.metrics import (continuity_witness_fast, graph_distances,
                                lipschitz_estimate_fast, spectral_distance,
-                               spectral_distance_range_bruteforce,
                                sup_spectral_distance, trend_verdict,
                                ultrametric_distance)
 from ultratree.zeta import abscissa_estimate, level_profile, zeta_partials
@@ -31,6 +29,9 @@ from ultratree.laplacian import (assemble_laplacian,
                                  cylinder_measure, matrix_difference,
                                  spectrum)
 from ultratree.cli import main as cli_main
+
+from oracles import (repulsiveness_bruteforce,
+                     spectral_distance_range_bruteforce, tree_for)
 
 SPECS = (FullShift(2), FullShift(3), fibonacci_spec(),
          SturmianCF((), ("linear",)))

@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -510,7 +511,7 @@ def test_sturmian_leaf_count_is_one_level(tmp_path, capsys):
 
 def limited_run(argv, limit=2 ** 30):
     """Run the CLI in a fresh interpreter whose address space is capped, so
-    that a run which outgrows the cap fails fast; its exit code."""
+    that a run which outgrows the cap fails fast; the finished process."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
@@ -518,7 +519,7 @@ def limited_run(argv, limit=2 ** 30):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     return subprocess.run([sys.executable, "-m", "ultratree.cli", *argv],
                           env=env, preexec_fn=cap, capture_output=True,
-                          timeout=120).returncode
+                          text=True, timeout=120)
 
 
 @pytest.mark.parametrize("command", (
@@ -527,9 +528,22 @@ def test_thue_morse_at_depth_2048_runs_in_1_gb(tmp_path, command):
     # its table would hold about 9e9 letters; the sorted leaves hold 12 MB
     out = tmp_path / "deep"
     assert limited_run(command + ["--spec", "subst:a=ab,b=ba", "--depth",
-                                  "2048", "--out", str(out)]) == 0
+                                  "2048", "--out", str(out)]).returncode == 0
     assert all(os.path.getsize(out / name) > 0 for name in os.listdir(out))
     assert len(os.listdir(out)) == 2
+
+
+def test_window_that_is_no_tree_is_refused_in_1_gb_without_a_table(tmp_path):
+    # 1489 of its 2990 sorted leaves are shorter than 1500: refused before
+    # the table, which would outgrow the cap, is built
+    rng = random.Random(7)
+    window = "".join(rng.choice("ab") for _ in range(3000))
+    out = tmp_path / "refused"
+    result = limited_run(["lipschitz", "--spec", "window:" + window,
+                          "--depth", "1500", "--out", str(out)])
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: word 'bbaaaaaaaba' at length 11 has no extension\n")
+    assert not out.exists()
 
 
 def test_full_shift_zeta_at_depth_65536_runs_in_256_mb(tmp_path):
@@ -537,7 +551,7 @@ def test_full_shift_zeta_at_depth_65536_runs_in_256_mb(tmp_path):
     out = tmp_path / "deep"
     assert limited_run(["zeta", "--spec", "full:2", "--delta", "harmonic",
                         "--depth", "65536", "--out", str(out)],
-                       limit=2 ** 28) == 0
+                       limit=2 ** 28).returncode == 0
     assert sorted(os.listdir(out)) == ["zeta_partials.csv",
                                        "zeta_report.json"]
     assert all(os.path.getsize(out / name) > 0 for name in os.listdir(out))
@@ -566,7 +580,7 @@ def test_metrics_import_leaves_scipy_out_until_dijkstra():
     assert fresh_loaded("import ultratree.metrics") == []
     assert "scipy" in fresh_loaded(
         "from ultratree import metrics, tree, words\n"
-        "t = tree.tree_for(words.FullShift(2), 3)\n"
+        "t = tree.build_tree(words.language_table(words.FullShift(2), 3))\n"
         "g = tree.approximation_graph(t, tree.choice_function(t), "
         "tree.DeltaSequence.harmonic())\n"
         "assert metrics.graph_distances(g, [('aaa', 'bbb')]) == "

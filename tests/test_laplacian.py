@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ultratree.words import (ExplicitWindow, FullShift, SturmianCF, alphabet,
                              fibonacci_spec)
-from ultratree.tree import DeltaSequence, tree_for
+from ultratree.tree import DeltaSequence
 from ultratree.laplacian import (InvalidMeasureError,
                                  InvariantViolationError, LaplacianMatrix,
                                  _assemble_bilinear, _frame, _sibling_pairs,
@@ -18,6 +18,8 @@ from ultratree.laplacian import (InvalidMeasureError,
                                  cylinder_measure, density,
                                  dirichlet_form_value, matrix_difference,
                                  spectrum)
+
+from oracles import tree_for
 
 HARMONIC = DeltaSequence.harmonic()
 UNIT = DeltaSequence.table([1.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -9,19 +10,21 @@ from hypothesis import given, settings, strategies as st
 from ultratree import tree as tree_module, words
 from ultratree.words import (ExplicitWindow, FullShift, RecentValues,
                              SturmianCF, Substitution, alphabet,
-                             border_array, fibonacci_spec, language_table)
+                             border_array, fibonacci_spec, language_table,
+                             level_profile)
 from ultratree.tree import (DeltaSequence, OrderDiagnostic, StructuralError,
                             approximation_graph, build_tree, choice_function,
-                            order_diagnostics, tree_for)
+                            order_diagnostics)
 from ultratree.metrics import (DepthMismatchError, common_prefix_length,
                                continuity_witness, continuity_witness_fast,
-                               delta_from_name, enumerate_choice_functions,
-                               graph_distance_oracle, graph_distances,
-                               inf_spectral_distance, lipschitz_estimate,
-                               lipschitz_estimate_fast, spectral_distance,
-                               spectral_distance_range_bruteforce,
-                               sup_spectral_distance, trend_verdict,
-                               ultrametric_distance)
+                               delta_from_name, graph_distance_oracle,
+                               graph_distances, inf_spectral_distance,
+                               lipschitz_estimate, lipschitz_estimate_fast,
+                               spectral_distance, sup_spectral_distance,
+                               trend_verdict, ultrametric_distance)
+
+from oracles import (enumerate_choice_functions,
+                     spectral_distance_range_bruteforce, tree_for)
 
 SPECS = (FullShift(2), FullShift(3), fibonacci_spec(),
          SturmianCF((), ("linear",)))
@@ -744,14 +747,59 @@ def test_table_shape_is_read_once_and_left_out_of_equality(monkeypatch):
         return out
 
     reads, cuts = [], []
-    shape, skeleton = tree_module._shape, tree_module._skeleton
-    monkeypatch.setattr(tree_module, "_shape",
+    shape, skeleton = words._shape, words._skeleton
+
+    def cut(*a):
+        cuts.append(a[1])
+        return skeleton(*a)
+
+    # the table's shape reads words' _shape and _skeleton; a shallower cut
+    # of the order diagnostics reads the _skeleton that tree imported
+    monkeypatch.setattr(words, "_shape",
                         lambda *a: reads.append(a[1]) or shape(*a))
-    monkeypatch.setattr(tree_module, "_skeleton",
-                        lambda *a: cuts.append(a[1]) or skeleton(*a))
+    monkeypatch.setattr(words, "_skeleton", cut)
+    monkeypatch.setattr(tree_module, "_skeleton", cut)
     got = diagnostics(shaped)
     assert reads == [30] and cuts == [30, 12, 12]
-    assert shaped.shape and not plain.shape
+    assert "shape" in vars(shaped) and "shape" not in vars(plain)
     assert shaped == plain and hash(shaped) == hash(plain)
     assert repr(shaped) == repr(plain)
     assert got == diagnostics(plain)
+
+
+def test_one_shape_per_table_serves_profiles_and_diagnostics(monkeypatch):
+    reads = []
+    shape = words._shape
+    monkeypatch.setattr(words, "_shape",
+                        lambda *a: reads.append(a[1]) or shape(*a))
+    spec = Substitution.from_rules({"a": "ab", "b": "ba"}, "a")
+    table = language_table(spec, 24)
+    profiles = [level_profile(table) for _ in range(4)]
+    pairs = order_diagnostics(table, delta_from_name("harmonic"), (6, 24))
+    assert reads == [24]
+    want = level_profile(spec, 24)
+    assert reads == [24, 24]
+    assert profiles == [want] * 4
+    # the profile reads the stored leaves, not the child links
+    bare = dataclasses.replace(table, children={})
+    assert level_profile(bare) == want and reads == [24, 24, 24]
+    from_spec = order_diagnostics(spec, delta_from_name("harmonic"), (6, 24))
+    assert [tuple(map(fields, p)) for p in pairs] == \
+        [tuple(map(fields, p)) for p in from_spec]
+
+
+@pytest.mark.parametrize("spec, N", ((FullShift(2), 6), (FIB, 40),
+                                     (ExplicitWindow("abaababaab"), 7),
+                                     (ExplicitWindow("ab"), 3)))
+def test_stored_leaves_and_shape_leave_equality_alone(spec, N):
+    table, other = language_table(spec, N), language_table(spec, N)
+    assert table.sorted_leaves == sorted([*table.leaves(), *(
+        v for v, cs in table.children.items() if not cs)])
+    level_profile(table)
+    assert "shape" in vars(table) and "shape" not in vars(other)
+    assert table == other and hash(table) == hash(other)
+    emptied = dataclasses.replace(other, sorted_leaves=[])
+    assert emptied == table and hash(emptied) == hash(table)
+    assert repr(table) == repr(other) == repr(emptied) == (
+        "LanguageTable(depth=%r, levels=%r, stabilized=%r)"
+        % (N, table.levels, table.stabilized))

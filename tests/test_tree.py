@@ -1,11 +1,17 @@
+import random
+
 import pytest
 
+from ultratree import tree as tree_module, words
 from ultratree.words import (ExplicitWindow, FullShift, fibonacci_spec,
                              language_table)
 from ultratree.tree import (DeltaSequence, StructuralError,
                             approximation_graph, build_tree, choice_function,
-                            horizontal_edges, tree_for)
+                            horizontal_edges, lipschitz_estimate,
+                            order_diagnostics)
 from ultratree.metrics import graph_distances
+
+from oracles import tree_for, walk_tree_check
 
 
 def test_full_shift_tree_shape():
@@ -32,6 +38,76 @@ def test_structural_errors():
     assert table.levels == (("",), ("a", "b"), ("aa", "ab"))
     with pytest.raises(StructuralError, match="'b' at length 1"):
         build_tree(table)
+
+
+def outcome(call):
+    """A call's result, or the message of the StructuralError it raised."""
+    try:
+        return call()
+    except StructuralError as exc:
+        return str(exc)
+
+
+def check_against_the_walk(spec, N):
+    """build_tree and order_diagnostics on the table and on the spec end as
+    the node walk does: the same refusal, or the table and equal
+    diagnostics.  True when the walk refused."""
+    table = language_table(spec, N)
+    want = outcome(lambda: walk_tree_check(table))
+    delta = DeltaSequence.harmonic()
+    got = [outcome(lambda: build_tree(table)),
+           outcome(lambda: order_diagnostics(table, delta, (N,))),
+           outcome(lambda: order_diagnostics(spec, delta, (N,)))]
+    if want is table:
+        assert got[0] is table
+        assert repr(got[1]) == repr(got[2])
+        return False
+    assert isinstance(want, str) and got == [want] * 3
+    return True
+
+
+def test_one_tree_check_matches_the_node_walk(monkeypatch):
+    rng = random.Random(11)
+    refused = 0
+    for _ in range(600):
+        letters = rng.choice(("ab", "ab", "abc"))
+        w = "".join(rng.choice(letters) for _ in range(rng.randint(1, 60)))
+        refused += check_against_the_walk(ExplicitWindow(w),
+                                          rng.randint(1, len(w) // 4 + 2))
+    assert 100 < refused < 500
+    # a tree of words whose only leaf is the root: the root has no child
+
+    def root_only(spec, N):
+        return [""], (True,) * (N + 1)
+
+    monkeypatch.setattr(words, "_leaves", root_only)
+    monkeypatch.setattr(tree_module, "_leaves", root_only)
+    for N in (1, 2, 7):
+        assert check_against_the_walk(ExplicitWindow("ab"), N)
+    with pytest.raises(StructuralError, match="^word '' at length 0 has no "
+                       "extension$"):
+        build_tree(language_table(ExplicitWindow("ab"), 3))
+
+
+def test_every_path_refuses_a_table_that_is_not_a_tree():
+    delta = DeltaSequence.harmonic()
+    # "b" ends the window, so no push may run on the table
+    table = language_table(ExplicitWindow("ab"), 3)
+    with pytest.raises(StructuralError,
+                       match="^word 'b' at length 1 has no extension$"):
+        lipschitz_estimate(table, delta)
+    # 16 of its leaves are shorter than 20, "abab" the shortest; every path
+    # refuses the same word
+    rng = random.Random(7)
+    spec = ExplicitWindow("".join(rng.choice("ab") for _ in range(60)))
+    table = language_table(spec, 20)
+    for call in (lambda: build_tree(table),
+                 lambda: lipschitz_estimate(table, delta),
+                 lambda: order_diagnostics(table, delta, (5, 20)),
+                 lambda: order_diagnostics(spec, delta, (5, 20))):
+        with pytest.raises(StructuralError, match="^word 'abab' at length 4 "
+                           "has no extension$"):
+            call()
 
 
 def test_horizontal_edges():

@@ -12,7 +12,6 @@ from ultratree.words import (ExplicitWindow, FullShift, InsufficientDataError,
                              UnknownSymbolError, alphabet, border_array,
                              complexity_profile, fibonacci_spec,
                              language_table, repetitivity_estimate,
-                             repulsiveness_bruteforce,
                              repulsiveness_estimates, right_special_words,
                              substitution_apply, substitution_fixed_point,
                              sturmian_characteristic, level_profile,
@@ -20,6 +19,8 @@ from ultratree.words import (ExplicitWindow, FullShift, InsufficientDataError,
                              _tree_of_words, _window_for)
 from ultratree import words
 from ultratree.tree import StructuralError, build_tree
+
+from oracles import repulsiveness_bruteforce
 
 
 def test_alphabet():

@@ -8,10 +8,12 @@ from ultratree import zeta
 from ultratree.words import (ExplicitWindow, FullShift, ScaledPowers,
                              SturmianCF, Substitution, fibonacci_spec,
                              language_table)
-from ultratree.tree import DeltaSequence, delta_from_name, tree_for
+from ultratree.tree import DeltaSequence, delta_from_name
 from ultratree.zeta import (InsufficientDepthError, LevelProfile,
                             abscissa_estimate, exponent_estimates,
                             level_profile, zeta_partials)
+
+from oracles import tree_for
 
 
 def grid(lo, hi, step):
