@@ -26,10 +26,10 @@ from itertools import zip_longest
 
 from . import EDGE_LENGTH_CONVENTION, __version__
 from .words import (ExplicitWindow, FullShift, SturmianCF, Substitution,
-                    _refuse_oversized, language_table, leaf_count,
+                    _leaves, _refuse_oversized, language_table, leaf_count,
                     level_profile, repetitivity_estimate,
-                    repulsiveness_estimates)
-from .tree import (TREND_FLAT, TREND_GROW, DeltaSequence, build_tree,
+                    repulsiveness_estimates, table_on_leaves)
+from .tree import (TREND_FLAT, TREND_GROW, DeltaSequence, _check_leaves,
                    delta_from_name, order_diagnostics, trend_verdict)
 from .zeta import abscissa_estimate, exponent_estimates, zeta_partials
 from .laplacian import (InvariantViolationError, assemble_laplacian,
@@ -336,14 +336,19 @@ def cmd_laplacian(args):
         # NaN and infinity are refused by density() as not finite
         raise ConfigError("density exponent %r exceeds the limit of %d"
                           % (args.rho, MAX_RHO))
-    # count the leaves before any table: a closed form or the sorted leaves;
-    # the full-shift caps come first
+    # count the leaves before any table: a closed form, or else the sorted
+    # leaves, read once and checked as a tree before they are counted and
+    # the table is built on them; the full-shift caps come first
     _refuse_oversized(spec, args.depth)
     count = leaf_count(spec, args.depth)
+    if count is None or count <= MAX_LAPLACIAN_LEAVES:
+        leaves, flags = _leaves(spec, args.depth)
+        _check_leaves(leaves, args.depth)
+        count = len(leaves)
     if count > MAX_LAPLACIAN_LEAVES:
         raise ConfigError("laplacian of %d leaves exceeds the limit of %d"
                           % (count, MAX_LAPLACIAN_LEAVES))
-    tree = build_tree(language_table(spec, args.depth))
+    tree = table_on_leaves(leaves, flags, args.depth)
     if args.measure == "uniform":
         mu = cylinder_measure(tree)
     elif args.measure == "random":

@@ -4,18 +4,21 @@ Points at finite resolution are depth-N words (root-to-leaf paths in the
 tree of words).  The ultrametric is d(x, y) = delta_m with m the length of
 the longest common prefix; the spectral distance of a choice function adds
 delta-weighted deviation terms along both tails, and its supremum over
-choice functions adds the branching terms.  The flagged levels of every
-word, deviation or branching, are found in one top-down pass, once per
-choice function and once per tree.  A query then costs O(log N) for the
-fork plus its tails, each summed ascending from 0.0.  The closed forms are
-checked against Dijkstra on the approximation graph, kept here, and
-against exhaustive enumeration of choice functions, a test oracle in
-tests/oracles.py.  Only the Dijkstra oracle uses scipy, and imports it on
-its first call, so importing this module loads neither scipy nor numpy.
+choice functions adds the branching terms.  Only the branching words of
+a point's path can add a term, and the tree keeps them once, as its
+skeleton (words.LanguageTable.shape).  A query finds the fork, checks each
+point against the sorted leaves and walks from the point's longest
+branching proper prefix up the skeleton's parent links to the fork,
+summing each tail ascending from 0.0; no per-node levels are kept.  The
+closed forms are checked against Dijkstra on the approximation graph,
+kept here, and against exhaustive enumeration of choice functions, a test
+oracle in tests/oracles.py.  Only the Dijkstra oracle uses scipy, and
+imports it on its first call, so importing this module loads neither
+scipy nor numpy.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 
 # defined in .tree and re-exported for callers that read them on this module
 # (bench/workloads.py and the tracer in bench/tracing.py)
@@ -46,69 +49,58 @@ def ultrametric_distance(xi, eta, delta):
     return delta[common_prefix_length(xi, eta)]
 
 
-def _flagged_levels(tree, cache, selection):
-    """The cache, filled on first use: every node of the tree mapped to the
-    ascending tuple of the levels n < len(node) at which its path leaves a
-    branching node v = node[:n] by a child other than selection.get(v).
-    With a choice function's selection these are its deviation levels, with
-    an empty one the branching levels.  One top-down pass over the nodes,
-    sharing the tuple of each unflagged child with its parent."""
-    if not cache:
-        cache[""] = ()
-        children, kept = tree.children, selection.get
-        for n in range(tree.depth):
-            for v in tree.levels[n]:
-                t, cs = cache[v], children[v]
-                if len(cs) == 1:
-                    cache[cs[0]] = t
-                    continue
-                keep, off = kept(v), t + (n,)
-                for c in cs:
-                    cache[c] = t if c == keep else off
-    return cache
-
-
-def _tail(delta, levels, w, m):
-    """delta_n summed ascending from 0.0 over the flagged levels n > m of
-    the word w."""
-    try:
-        t = levels[w]
-    except KeyError:
-        raise ValueError("word %r is not in the tree" % (w,)) from None
+def _tail(tree, delta, w, m, selection):
+    """delta_n summed ascending from 0.0 over the levels m < n < len(w) at
+    which the word w leaves a branching word v = w[:n]: every such level
+    for no selection, else those where w[n] is not the last letter of
+    selection[v].  The branching words on w's path are read from the tree's
+    skeleton: the last skeleton word before w leads by parent links to w's
+    longest branching proper prefix, and its parent links to the others."""
+    leaves = tree.sorted_leaves
+    i = bisect_left(leaves, w)
+    if i == len(leaves) or not leaves[i].startswith(w):
+        raise ValueError("word %r is not in the tree" % (w,))
+    words, parent, level = tree.shape[2]
+    j = bisect_left(words, w) - 1
+    while not w.startswith(words[j]):
+        j = parent[j]
+    flagged, n = [], level[j]
+    while n > m:
+        if selection is None or selection[words[j]][n] != w[n]:
+            flagged.append(n)
+        j = parent[j]
+        n = level[j]
     total = 0.0
-    i = bisect_right(t, m)
-    if i < len(t):
-        vals = delta.values(t[-1] + 1)
-        for n in t[i:]:
+    if flagged:
+        vals = delta.values(flagged[0] + 1)
+        for n in reversed(flagged):
             total += vals[n]
     return total
 
 
-def _two_tails(delta, xi, eta, levels):
-    """delta at the fork m plus, for either point, its tail over the levels
-    above m that levels flags."""
+def _two_tails(tree, delta, xi, eta, selection):
+    """delta at the fork m plus, for either point, its tail above m."""
     if len(xi) != len(eta):
         raise DepthMismatchError("points live at different depths")
     if xi == eta:
         return 0.0
     m = common_prefix_length(xi, eta)
-    return delta[m] + _tail(delta, levels, xi, m) \
-        + _tail(delta, levels, eta, m)
+    return delta[m] + _tail(tree, delta, xi, m, selection) \
+        + _tail(tree, delta, eta, m, selection)
 
 
 def spectral_distance(tree, tau, delta, xi, eta):
-    """Closed-form spectral distance of the choice function tau: its
-    deviation levels, sel[w[:n]][n] != w[n], are found once per tau."""
-    return _two_tails(delta, xi, eta, _flagged_levels(
-        tree, tau.deviation_levels, tau.selection))
+    """Closed-form spectral distance of the choice function tau: each tail
+    sums delta over the levels n at which its point deviates from tau,
+    sel[w[:n]][n] != w[n], read at the branching words of its path."""
+    return _two_tails(tree, delta, xi, eta, tau.selection)
 
 
 def sup_spectral_distance(tree, delta, xi, eta):
     """Supremum over choice functions, evaluated by the branching profile:
-    the branching levels, len(children[w[:n]]) > 1, are found once per
-    tree."""
-    return _two_tails(delta, xi, eta, _flagged_levels(
-        tree, tree.branching_levels, {}))
+    each tail sums delta over the levels of the branching words of its
+    path, read from the tree's skeleton."""
+    return _two_tails(tree, delta, xi, eta, None)
 
 
 def inf_spectral_distance(tree, delta, xi, eta):

@@ -227,8 +227,8 @@ def horizontal_edges(tree, n):
 @dataclass(frozen=True)
 class ChoiceFunction:
     """One selected child per non-leaf node, with the induced depth-N
-    representative of every node.  deviation_levels is filled by the first
-    spectral distance of this choice function (see metrics).
+    representative of every node.  A spectral distance reads the selection
+    at branching words only (see metrics).
 
     Two choice functions are equal when their selections are; the
     representatives follow from the selection.  The hash reads no field,
@@ -236,8 +236,6 @@ class ChoiceFunction:
 
     selection: dict = field(hash=False)
     representative: dict = field(compare=False)
-    deviation_levels: dict = field(default_factory=dict, compare=False,
-                                   repr=False)
 
 
 def _finish(tree, selection):

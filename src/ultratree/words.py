@@ -229,9 +229,9 @@ class LanguageTable:
     none).  The branching number a(v) is the child count minus one.
     sorted_leaves holds the words with no child, in order: the leaves the
     table was built from.  The table's shape is read from them once, on
-    first use, and kept; branching_levels is filled by the first supremum
-    spectral distance on the tree (see metrics).  None of the three takes
-    part in equality, hash or repr.
+    first use, and kept; its skeleton serves both order diagnostics and
+    spectral distances (see tree and metrics).  Neither takes part in
+    equality, hash or repr.
     """
 
     depth: int
@@ -239,8 +239,6 @@ class LanguageTable:
     stabilized: tuple
     children: dict = field(compare=False, repr=False)
     sorted_leaves: list = field(compare=False, repr=False)
-    branching_levels: dict = field(default_factory=dict, compare=False,
-                                   repr=False)
 
     @property
     def counts(self):
@@ -430,7 +428,12 @@ def _skeleton(forks, N):
 def language_table(spec, N):
     """Enumerate the admissible words of length <= N for a spec: the tree
     of words on the leaves that _leaves reads, with its flags."""
-    leaves, flags = _leaves(spec, N)
+    return table_on_leaves(*_leaves(spec, N), N)
+
+
+def table_on_leaves(leaves, flags, N):
+    """The depth-N tree of words on these sorted leaves, with their
+    stabilization flags."""
     levels, children = _tree_of_words(leaves, N)
     return LanguageTable(N, levels, flags, children, leaves)
 
@@ -576,14 +579,14 @@ def level_profile(source, N=None):
 
 
 def leaf_count(spec, N):
-    """The number of depth-N words: k^N for a full shift and N + 1 for a
-    Sturmian spec, whose closed forms need no other level; any other spec
-    reads its sorted leaves (see level_profile)."""
+    """The number of depth-N words in closed form, level_profile's P[N]
+    with no other level: k^N for a full shift and N + 1 for a Sturmian
+    spec; None for any other spec, whose count is its sorted leaves."""
     if isinstance(spec, FullShift):
         return spec.k ** N
     if isinstance(spec, SturmianCF):
         return N + 1
-    return level_profile(spec, N).P[N]
+    return None
 
 
 class RecentValues:

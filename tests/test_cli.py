@@ -276,6 +276,7 @@ def test_rho_above_limit_is_refused(tmp_path, capsys, monkeypatch):
     argv = ["laplacian", "--spec", "full:2", "--depth", "2", "--rho"]
     with monkeypatch.context() as patch:
         patch.setattr(cli, "language_table", refuse)
+        patch.setattr(cli, "table_on_leaves", refuse)
         for rho in ("65", "1e7"):
             out = tmp_path / ("lap" + rho)
             assert main(argv + [rho, "--out", str(out)]) == 2
@@ -480,6 +481,7 @@ def test_laplacian_leaf_limit(tmp_path, capsys, monkeypatch):
     # the count comes from the closed form or the sorted leaves, before any
     # table: these tables would hold about 9.0e9 and 1.1e9 letters
     monkeypatch.setattr(cli, "language_table", refuse)
+    monkeypatch.setattr(cli, "table_on_leaves", refuse)
     for spec, depth, count in (("sturmian:cf=1", "3000", 3001),
                                ("subst:a=ab,b=ba", "1024", 3070)):
         out = tmp_path / ("lap" + depth)
@@ -533,14 +535,32 @@ def test_thue_morse_at_depth_2048_runs_in_1_gb(tmp_path, command):
     assert len(os.listdir(out)) == 2
 
 
-def test_window_that_is_no_tree_is_refused_in_1_gb_without_a_table(tmp_path):
-    # 1489 of its 2990 sorted leaves are shorter than 1500: refused before
-    # the table, which would outgrow the cap, is built
+def no_tree_window():
+    """3000 random letters whose tree of words at depth 1500 is no tree:
+    1489 of its 2990 sorted leaves are shorter than 1500."""
     rng = random.Random(7)
-    window = "".join(rng.choice("ab") for _ in range(3000))
+    return "".join(rng.choice("ab") for _ in range(3000))
+
+
+def test_window_that_is_no_tree_is_refused_in_1_gb_without_a_table(tmp_path):
+    # refused before the table, which would outgrow the cap, is built
+    window = no_tree_window()
     out = tmp_path / "refused"
     result = limited_run(["lipschitz", "--spec", "window:" + window,
                           "--depth", "1500", "--out", str(out)])
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: word 'bbaaaaaaaba' at length 11 has no extension\n")
+    assert not out.exists()
+
+
+def test_laplacian_of_a_window_that_is_no_tree_is_refused_in_1_gb(tmp_path):
+    # its 1501 leaves of length 1500 are within the leaf limit; the tree
+    # check runs on the sorted leaves, read once, before any table
+    out = tmp_path / "refused"
+    start = time.perf_counter()
+    result = limited_run(["laplacian", "--spec", "window:" + no_tree_window(),
+                          "--depth", "1500", "--out", str(out)])
+    assert time.perf_counter() - start < 10.0
     assert (result.returncode, result.stdout, result.stderr) == (
         2, "", "error: word 'bbaaaaaaaba' at length 11 has no extension\n")
     assert not out.exists()

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -314,8 +315,8 @@ def distance_trees():
                         "powerlog:1.5,1")),
        st.data())
 def test_closed_forms_equal_per_prefix_loops(tree, seed, delta_name, data):
-    # queries at mixed levels in random order: all but the first answer of
-    # each closed form come from its cached levels
+    # queries at mixed levels in random order, each answered by its own
+    # walk of the tree's skeleton
     delta = delta_from_name(delta_name)
     taus = (choice_function(tree),
             choice_function(tree, policy="seeded-random", seed=seed))
@@ -356,6 +357,47 @@ def test_word_outside_the_tree_is_named():
         with pytest.raises(ValueError, match=repr(bad)):
             sup_spectral_distance(tree, delta, x, y)
         with pytest.raises(ValueError, match=repr(bad)):
+            spectral_distance(tree, tau, delta, x, y)
+
+
+def test_thue_morse_distances_at_512_keep_no_per_node_levels():
+    # 414,297 nodes but 1,534 leaves: a query walks the branching words of
+    # its points' paths, where per-node tuples of levels peaked at 37 MB
+    tree = tree_for(Substitution.from_rules({"a": "ab", "b": "ba"}, "a"),
+                    512)
+    tau = choice_function(tree, policy="seeded-random", seed=17)
+    delta = DeltaSequence.harmonic()
+    leaves = tree.leaves()
+    rng = random.Random(8)
+    pairs = [(rng.choice(leaves), rng.choice(leaves)) for _ in range(1000)]
+    tracemalloc.start()
+    try:
+        got = [(sup_spectral_distance(tree, delta, x, y),
+                spectral_distance(tree, tau, delta, x, y)) for x, y in pairs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    assert got[:20] == [(sup_by_prefix(tree, delta, x, y),
+                         spectral_by_prefix(tree, tau, delta, x, y))
+                        for x, y in pairs[:20]]
+
+
+@pytest.mark.parametrize("spec, N", ((FullShift(2), 7), (FullShift(3), 4),
+                                     (fibonacci_spec(), 40),
+                                     (ExplicitWindow("abaababaab" * 2), 7)))
+def test_distances_read_neither_child_links_nor_levels(spec, N):
+    tree = tree_for(spec, N)
+    bare = dataclasses.replace(tree, children={}, levels=())
+    tau = choice_function(tree, policy="seeded-random", seed=N)
+    delta = DeltaSequence.harmonic()
+    rng = random.Random(N)
+    for _ in range(200):
+        words = tree.levels[rng.randint(0, N)]
+        x, y = rng.choice(words), rng.choice(words)
+        assert sup_spectral_distance(bare, delta, x, y) == \
+            sup_spectral_distance(tree, delta, x, y)
+        assert spectral_distance(bare, tau, delta, x, y) == \
             spectral_distance(tree, tau, delta, x, y)
 
 
