@@ -13,29 +13,21 @@ Exit codes: 0 success, 2 invalid configuration or unwritable output (a
 refused run writes nothing, not even the --out directory), 3 internal
 invariant violation, which is the Laplacian pre-check before an eigensolve
 (InvariantViolationError).
+
+Loading this module loads no library layer, so --help starts as fast as
+argparse.  Each subcommand imports the layers it runs when it runs: lang
+loads words; lipschitz words and tree; zeta words, tree and zeta;
+laplacian words, tree and laplacian.  fractions loads only for a
+--measure file, and json and csv only when something is written.  (math
+is already loaded when the interpreter starts.)
 """
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
-from fractions import Fraction
-from itertools import zip_longest
 
 from . import EDGE_LENGTH_CONVENTION, __version__
-from .words import (ExplicitWindow, FullShift, SturmianCF, Substitution,
-                    _leaves, _refuse_oversized, language_table, leaf_count,
-                    level_profile, repetitivity_estimate,
-                    repulsiveness_estimates, table_on_leaves)
-from .tree import (TREND_FLAT, TREND_GROW, DeltaSequence, _check_leaves,
-                   delta_from_name, order_diagnostics, trend_verdict)
-from .zeta import abscissa_estimate, exponent_estimates, zeta_partials
-from .laplacian import (InvariantViolationError, assemble_laplacian,
-                        assemble_laplacian_dirichlet, assemble_pb_laplacian,
-                        check_invariants, cylinder_measure,
-                        matrix_difference, spectrum)
 
 
 class ConfigError(ValueError):
@@ -66,6 +58,7 @@ def parse_spec(text):
     list also continues with its last value so that e.g. cf=1 is the all-
     ones expansion.
     """
+    from .words import ExplicitWindow, FullShift, SturmianCF, Substitution
     kind, _, rest = text.partition(":")
     try:
         if kind == "full":
@@ -109,6 +102,7 @@ def parse_delta(text, depth=None):
     (one positive value per line, strictly decreasing).  A table must hold
     at least depth values, since a depth-N run reads delta_0 .. delta_(N-1).
     """
+    from .tree import DeltaSequence, delta_from_name
     if text.startswith("table:"):
         path = text.split(":", 1)[1]
         try:
@@ -145,6 +139,7 @@ def parse_schedule(text, depth):
 
 def parse_weight(text):
     """A probability entry from a measure file: fraction string or float."""
+    from fractions import Fraction
     if isinstance(text, str) and "/" in text:
         return Fraction(text)
     return Fraction(text) if isinstance(text, int) else float(text)
@@ -152,6 +147,7 @@ def parse_weight(text):
 
 def load_measure_weights(path):
     """A JSON object mapping words to lists of child probabilities."""
+    import json
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -197,6 +193,7 @@ def _create(path, newline=None):
 
 
 def _write_json(path, data):
+    import json
     with _create(path) as fh:
         json.dump(_jsonsafe(data), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -208,6 +205,7 @@ def write_series(path_base, fmt, header, rows):
     if fmt == "json":
         return _write_json(path_base + ".json",
                            [dict(zip(header, row)) for row in rows])
+    import csv
     path = path_base + ".csv"
     with _create(path, newline="") as fh:
         writer = csv.writer(fh)
@@ -233,6 +231,9 @@ def write_report(path, args, body):
 
 
 def cmd_lang(args):
+    from itertools import zip_longest
+    from .words import (language_table, level_profile, repetitivity_estimate,
+                        repulsiveness_estimates)
     spec = parse_spec(args.spec)
     table = language_table(spec, args.depth)
     profile = level_profile(table)
@@ -259,6 +260,7 @@ def cmd_lang(args):
 
 
 def cmd_lipschitz(args):
+    from .tree import TREND_FLAT, TREND_GROW, order_diagnostics, trend_verdict
     spec = parse_spec(args.spec)
     delta = parse_delta(args.delta, args.depth)
     schedule = parse_schedule(args.schedule, args.depth)
@@ -283,6 +285,7 @@ def cmd_lipschitz(args):
 
 
 def cmd_zeta(args):
+    from .zeta import abscissa_estimate, exponent_estimates, zeta_partials
     spec = parse_spec(args.spec)
     delta = parse_delta(args.delta, args.depth)
     schedule = parse_schedule(args.schedule, args.depth)
@@ -330,6 +333,12 @@ def cmd_zeta(args):
 
 
 def cmd_laplacian(args):
+    from .words import (_leaves, _refuse_large_table, _refuse_oversized,
+                        leaf_count, table_on_leaves)
+    from .tree import _check_leaves
+    from .laplacian import (assemble_laplacian, assemble_laplacian_dirichlet,
+                            assemble_pb_laplacian, check_invariants,
+                            cylinder_measure, matrix_difference, spectrum)
     spec = parse_spec(args.spec)
     delta = parse_delta(args.delta, args.depth)
     if math.isfinite(args.rho) and args.rho > MAX_RHO:
@@ -337,8 +346,9 @@ def cmd_laplacian(args):
         raise ConfigError("density exponent %r exceeds the limit of %d"
                           % (args.rho, MAX_RHO))
     # count the leaves before any table: a closed form, or else the sorted
-    # leaves, read once and checked as a tree before they are counted and
-    # the table is built on them; the full-shift caps come first
+    # leaves, read once and checked as a tree before they are counted; then
+    # the table's letters, before it is built on them.  The full-shift caps
+    # come first
     _refuse_oversized(spec, args.depth)
     count = leaf_count(spec, args.depth)
     if count is None or count <= MAX_LAPLACIAN_LEAVES:
@@ -348,6 +358,7 @@ def cmd_laplacian(args):
     if count > MAX_LAPLACIAN_LEAVES:
         raise ConfigError("laplacian of %d leaves exceeds the limit of %d"
                           % (count, MAX_LAPLACIAN_LEAVES))
+    _refuse_large_table(spec, args.depth, leaves)
     tree = table_on_leaves(leaves, flags, args.depth)
     if args.measure == "uniform":
         mu = cylinder_measure(tree)
@@ -437,6 +448,15 @@ def build_parser():
     return parser
 
 
+def _invariant_violation():
+    """InvariantViolationError when a command has loaded the laplacian
+    layer, the only one that raises it, and otherwise no class at all, so
+    that main names it without loading that layer; an except clause reads
+    its classes only when an exception reaches it."""
+    laplacian = sys.modules.get(__package__ + ".laplacian")
+    return () if laplacian is None else laplacian.InvariantViolationError
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -447,7 +467,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except InvariantViolationError as exc:
+    except _invariant_violation() as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return 3
     for path in files:

@@ -285,6 +285,10 @@ def _tree_of_words(leaves, N):
 DEFAULT_WINDOW_CAP = 2 ** 20
 # a full shift holds sum of n * k^n letters; full:1 passes this at 11,585
 FULL_SHIFT_LETTER_CAP = 2 ** 26
+# a table keeps each word of each level as a string of its own, sum of
+# n * P(n) letters in all: sturmian:cf=1 at depth 1024 holds 3.6e8 of them
+# in 473 MB of max RSS, and passes this cap at depth 1476
+TABLE_LETTER_CAP = 2 ** 30
 
 
 def _common_prefix_length(u, v):
@@ -344,9 +348,7 @@ def _refuse_oversized(spec, N):
         if spec.k ** min(N, 64) > DEFAULT_WINDOW_CAP:
             raise ValueError("full:%d at depth %d has more than %d words of "
                              "length %d" % (spec.k, N, DEFAULT_WINDOW_CAP, N))
-        # here N <= 20 if k > 1; for k = 1, 2^14 lengths exceed the cap
-        if sum(n * spec.k ** n for n in range(1, min(N, 2 ** 14) + 1)) \
-                > FULL_SHIFT_LETTER_CAP:
+        if table_letters(spec, N) > FULL_SHIFT_LETTER_CAP:
             raise ValueError("full:%d at depth %d has more than %d letters"
                              % (spec.k, N, FULL_SHIFT_LETTER_CAP))
 
@@ -359,10 +361,13 @@ def _leaves(spec, N):
     length-N factors and its shorter suffixes that occur only at its end.
     A Sturmian or substitution window is cut to its recurrent prefix (see
     _recurrent_prefix), whose length-N factors, or else the root, are the
-    leaves, and doubled until they stop changing.  Each factor of such a
-    prefix extends to length N in it and the windows nest (Sturmian ones as
-    suffixes, substitution ones as prefixes), so every count has then
-    settled; at the cap, the flags compare the counts of the last two."""
+    leaves, and doubled until they stop changing, and a Sturmian one also
+    until there are N + 1 of them: its language has that many words of
+    length N (leaf_count), and two windows can agree on fewer.  Each factor
+    of such a prefix extends to length N in it and the windows nest
+    (Sturmian ones as suffixes, substitution ones as prefixes), so every
+    count has then settled; at the cap, the flags compare the counts of the
+    last two."""
     _refuse_oversized(spec, N)
     flags = (True,) * (N + 1)
     if isinstance(spec, FullShift):
@@ -376,12 +381,12 @@ def _leaves(spec, N):
         return sorted({w[i:i + N] for i in range(len(w) - N + 1)}
                       | {w[-n:] for n in range(first, top + 1)}), flags
     length = max(4 * N, 64)
-    prev = None
+    prev, complete = None, leaf_count(spec, N)
     while True:
         prefix = _recurrent_prefix(_window_for(spec, length), N)
         keys = sorted({prefix[i:i + N]
                        for i in range(len(prefix) - N + 1)}) or [""]
-        if keys == prev:
+        if keys == prev and complete in (None, len(keys)):
             return keys, flags
         if 2 * length > DEFAULT_WINDOW_CAP:
             if prev is None:
@@ -425,10 +430,47 @@ def _skeleton(forks, N):
     return words, parent, [len(w) for w in words]
 
 
+def table_letters(spec, N, leaves=None):
+    """The letters in all the words of a spec's depth-N table, the sum of
+    n * P(n): in closed form for a full shift or a Sturmian spec, whose
+    P(n) leaf_count gives, and for any other spec from its sorted leaves,
+    or None when they are not given.  A length-n word is counted once for each leaf at
+    least n long below it, less once for each neighbour pair sharing its n
+    letters (see _shape), so the sum is that of n(n + 1)/2 over the leaves'
+    lengths less that over the neighbours' common prefix lengths."""
+    if isinstance(spec, FullShift):
+        k = spec.k
+        if k == 1:
+            return N * (N + 1) // 2
+        return (N * k ** (N + 2) - (N + 1) * k ** (N + 1) + k) // (k - 1) ** 2
+    if isinstance(spec, SturmianCF):
+        return N * (N + 1) * (N + 2) // 3
+    if leaves is None:
+        return None
+    shared = map(_common_prefix_length, leaves, leaves[1:])
+    return (sum(len(v) * (len(v) + 1) for v in leaves)
+            - sum(h * (h + 1) for h in shared)) // 2
+
+
+def _refuse_large_table(spec, N, leaves=None):
+    """Refuse a depth-N table of more than TABLE_LETTER_CAP letters before
+    it is built, counted by table_letters."""
+    letters = table_letters(spec, N, leaves)
+    if letters is not None and letters > TABLE_LETTER_CAP:
+        raise ValueError("table of %d letters exceeds the limit of %d"
+                         % (letters, TABLE_LETTER_CAP))
+
+
 def language_table(spec, N):
     """Enumerate the admissible words of length <= N for a spec: the tree
-    of words on the leaves that _leaves reads, with its flags."""
-    return table_on_leaves(*_leaves(spec, N), N)
+    of words on the leaves that _leaves reads, with its flags.  A table of
+    more than TABLE_LETTER_CAP letters is refused before it is built, and
+    a full shift's or Sturmian spec's before its leaves are read."""
+    _refuse_oversized(spec, N)
+    _refuse_large_table(spec, N)  # the closed forms
+    leaves, flags = _leaves(spec, N)
+    _refuse_large_table(spec, N, leaves)  # any other spec
+    return table_on_leaves(leaves, flags, N)
 
 
 def table_on_leaves(leaves, flags, N):

@@ -11,10 +11,11 @@ import tracemalloc
 
 import pytest
 
-from ultratree import cli
+from ultratree import cli, laplacian, words
 from ultratree.cli import ConfigError, main, parse_delta, parse_schedule, \
     parse_spec
-from ultratree.laplacian import assemble_laplacian, cylinder_measure
+from ultratree.laplacian import (InvariantViolationError, assemble_laplacian,
+                                 cylinder_measure)
 from ultratree.tree import DeltaSequence, build_tree
 from ultratree.words import ExplicitWindow, FullShift, SturmianCF, \
     Substitution, language_table
@@ -226,6 +227,20 @@ def test_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
+    # main names InvariantViolationError only once the laplacian layer is
+    # loaded, as cmd_laplacian loads it
+    def violated(lap, tol=1e-12):
+        raise InvariantViolationError("row sums off")
+
+    monkeypatch.setattr(laplacian, "check_invariants", violated)
+    out = tmp_path / "lap"
+    assert main(["laplacian", "--spec", "full:2", "--depth", "2",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "invariant violation: row sums off\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", (["--s-step", "0"], ["--s-step", "-0.1"],
                                   ["--s-min", "2", "--s-max", "1"]))
 def test_zeta_empty_s_grid_is_refused(tmp_path, capsys, grid):
@@ -275,8 +290,8 @@ def test_rho_above_limit_is_refused(tmp_path, capsys, monkeypatch):
 
     argv = ["laplacian", "--spec", "full:2", "--depth", "2", "--rho"]
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "language_table", refuse)
-        patch.setattr(cli, "table_on_leaves", refuse)
+        patch.setattr(words, "language_table", refuse)
+        patch.setattr(words, "table_on_leaves", refuse)
         for rho in ("65", "1e7"):
             out = tmp_path / ("lap" + rho)
             assert main(argv + [rho, "--out", str(out)]) == 2
@@ -465,7 +480,7 @@ def test_laplacian_leaf_limit(tmp_path, capsys, monkeypatch):
 
     out = tmp_path / "lap"
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "cylinder_measure", refuse)
+        patch.setattr(laplacian, "cylinder_measure", refuse)
         assert main(["laplacian", "--spec", "full:2", "--depth", "12",
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -480,8 +495,8 @@ def test_laplacian_leaf_limit(tmp_path, capsys, monkeypatch):
     assert "8 leaves" in capsys.readouterr().err
     # the count comes from the closed form or the sorted leaves, before any
     # table: these tables would hold about 9.0e9 and 1.1e9 letters
-    monkeypatch.setattr(cli, "language_table", refuse)
-    monkeypatch.setattr(cli, "table_on_leaves", refuse)
+    monkeypatch.setattr(words, "language_table", refuse)
+    monkeypatch.setattr(words, "table_on_leaves", refuse)
     for spec, depth, count in (("sturmian:cf=1", "3000", 3001),
                                ("subst:a=ab,b=ba", "1024", 3070)):
         out = tmp_path / ("lap" + depth)
@@ -566,6 +581,25 @@ def test_laplacian_of_a_window_that_is_no_tree_is_refused_in_1_gb(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, letters", (
+    # the window's 2990 sorted leaves are counted before any table
+    (["lang", "--spec", "window:" + no_tree_window(), "--depth", "1500"],
+     2252063262),
+    # 2001 leaves, within the leaf limit; n(n + 1) letters at each length n
+    (["laplacian", "--spec", "sturmian:cf=1", "--depth", "2000"],
+     2670668000)))
+def test_table_past_the_letter_cap_is_refused_in_1_gb(tmp_path, command,
+                                                      letters):
+    out = tmp_path / "refused"
+    start = time.perf_counter()
+    result = limited_run(command + ["--out", str(out)])
+    assert time.perf_counter() - start < 10.0
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: table of %d letters exceeds the limit of %d\n"
+        % (letters, 2 ** 30))
+    assert not out.exists()
+
+
 def test_full_shift_zeta_at_depth_65536_runs_in_256_mb(tmp_path):
     # tuples of the counts 2^n would hold about 1 GB; streamed, 30 MB
     out = tmp_path / "deep"
@@ -579,32 +613,48 @@ def test_full_shift_zeta_at_depth_65536_runs_in_256_mb(tmp_path):
 
 def fresh_loaded(code):
     """Run code in a fresh interpreter; which of numpy and scipy it left
-    loaded."""
+    loaded, and which ultratree modules, by their names in the package."""
     code += ("\nimport sys; print('loaded:', *[m for m in ('numpy', 'scipy')"
-             " if m in sys.modules])")
+             " if m in sys.modules])\nprint('modules:', *sorted("
+             "m.split('.', 1)[1] for m in sys.modules if m.startswith("
+             "'ultratree.')))")
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    return result.stdout.strip().splitlines()[-1].split()[1:]
+    loaded, modules = result.stdout.strip().splitlines()[-2:]
+    return loaded.split()[1:], modules.split()[1:]
+
+
+# the ultratree modules a command leaves loaded: cli and the layers it
+# runs, none for --help
+COMMAND_MODULES = {
+    "--help": ["cli"],
+    "lang": ["cli", "words"],
+    "lipschitz": ["cli", "tree", "words"],
+    "zeta": ["cli", "tree", "words", "zeta"],
+    "laplacian": ["cli", "laplacian", "tree", "words"],
+}
 
 
 def test_cli_import_leaves_scipy_out():
-    # numpy serves the Laplacian eigensolve only, scipy the Dijkstra oracle
-    assert fresh_loaded("import ultratree.cli") == []
+    # numpy serves the Laplacian eigensolve only, scipy the Dijkstra oracle;
+    # the CLI loads no layer until a command runs
+    assert fresh_loaded("import ultratree.cli") == ([], ["cli"])
 
 
 def test_metrics_import_leaves_scipy_out_until_dijkstra():
-    assert fresh_loaded("import ultratree.metrics") == []
+    assert fresh_loaded("import ultratree.metrics") == (
+        [], ["metrics", "tree", "words"])
     assert "scipy" in fresh_loaded(
         "from ultratree import metrics, tree, words\n"
         "t = tree.build_tree(words.language_table(words.FullShift(2), 3))\n"
         "g = tree.approximation_graph(t, tree.choice_function(t), "
         "tree.DeltaSequence.harmonic())\n"
         "assert metrics.graph_distances(g, [('aaa', 'bbb')]) == "
-        "[1 + 1 / 2 + 1 / 3]")
+        "[1 + 1 / 2 + 1 / 3]")[0]
 
 
 @pytest.mark.parametrize("command", (
@@ -615,13 +665,14 @@ def test_metrics_import_leaves_scipy_out_until_dijkstra():
 def test_zeta_and_laplacian_leave_scipy_out(tmp_path, command):
     out = tmp_path / "out"
     argv = command + ["--out", str(out)]
-    loaded = fresh_loaded(
+    loaded, modules = fresh_loaded(
         "from ultratree.cli import main\nassert main(%r) == 0" % (argv,))
     if command[0] == "laplacian":
         assert loaded == ["numpy"]
         assert len(read_csv(out / "spectrum.csv")) == 1 + 8
     else:
         assert loaded == []
+    assert modules == COMMAND_MODULES[command[0]]
 
 
 @pytest.mark.parametrize("command", (
@@ -631,7 +682,7 @@ def test_help_and_lang_leave_numpy_and_scipy_out(tmp_path, command):
         ["--help"]
     code = ("from ultratree.cli import main\ntry:\n    assert main(%r) == 0"
             "\nexcept SystemExit as exc:\n    assert exc.code == 0" % (argv,))
-    assert fresh_loaded(code) == []
+    assert fresh_loaded(code) == ([], COMMAND_MODULES[argv[0]])
 
 
 @pytest.mark.parametrize("command", (

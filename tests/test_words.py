@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -15,8 +16,9 @@ from ultratree.words import (ExplicitWindow, FullShift, InsufficientDataError,
                              repulsiveness_estimates, right_special_words,
                              substitution_apply, substitution_fixed_point,
                              sturmian_characteristic, level_profile,
-                             LevelProfile, _leaves, _recurrent_prefix,
-                             _tree_of_words, _window_for)
+                             LevelProfile, TABLE_LETTER_CAP, table_letters,
+                             _leaves, _recurrent_prefix, _tree_of_words,
+                             _window_for)
 from ultratree import words
 from ultratree.tree import StructuralError, build_tree
 
@@ -148,6 +150,13 @@ def test_fibonacci_language_is_sturmian():
     assert all(x == 1 for x in g)
     for n in range(1, 32):
         assert len(right_special_words(table, n)) == 1
+
+
+def test_sturmian_window_is_doubled_until_every_word_is_in():
+    # windows of 136, 272 and 544 letters agree on 32 words of length 34,
+    # where every Sturmian language has 35; one of 1088 letters holds them
+    table = language_table(SturmianCF((1, 1, 9, 1), ("pow2",)), 34)
+    assert table.counts == tuple(range(1, 36)) and all(table.stabilized)
 
 
 def test_substitution_fixed_point():
@@ -300,6 +309,56 @@ def small_tables():
         lambda rN: language_table(Substitution.from_rules(rN[0], "a"),
                                   rN[1]))
     return st.one_of(full, window, subst)
+
+
+def sturmian_specs():
+    """Sturmian specs with coefficients up to 9 and every tail rule."""
+    head = st.tuples(st.integers(0, 9), st.lists(st.integers(1, 9),
+                                                 max_size=4))
+    tail = st.one_of(st.integers(1, 9).map(lambda c: ("constant", c)),
+                     st.sampled_from((("linear",), ("pow2",))))
+    return st.builds(lambda h, t: SturmianCF((h[0], *h[1]), t), head, tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(windows(3, 60), st.integers(1, 70)).map(
+        lambda wN: (ExplicitWindow(wN[0]), wN[1])),
+    st.tuples(st.sampled_from(SMALL_SUBSTITUTIONS), st.integers(1, 30)).map(
+        lambda rN: (Substitution.from_rules(rN[0], "a"), rN[1])),
+    st.tuples(sturmian_specs(), st.integers(1, 40)),
+    st.sampled_from(((1, 12), (2, 8), (3, 5))).flatmap(
+        lambda kd: st.tuples(st.just(FullShift(kd[0])),
+                             st.integers(1, kd[1])))))
+def test_table_letters_count_the_table(spec_and_depth):
+    spec, N = spec_and_depth
+    table = language_table(spec, N)
+    letters = sum(len(w) for lv in table.levels for w in lv)
+    assert table_letters(spec, N, table.sorted_leaves) == letters
+    if isinstance(spec, (FullShift, SturmianCF)):
+        assert table_letters(spec, N) == letters
+    else:
+        assert table_letters(spec, N) is None
+
+
+def test_table_letter_cap(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("read past the refusal")
+
+    # sturmian:cf=1 passes the cap at depth 1476, counted in closed form
+    # before its leaves are read; a window's table is counted from its
+    # leaves before it is built
+    assert table_letters(fibonacci_spec(), 1475) <= TABLE_LETTER_CAP
+    monkeypatch.setattr(words, "_tree_of_words", refuse)
+    with monkeypatch.context() as patch:
+        patch.setattr(words, "_leaves", refuse)
+        with pytest.raises(ValueError, match="table of 1074038952 letters "
+                                             "exceeds the limit of 1073741824"):
+            language_table(fibonacci_spec(), 1476)
+    rng = random.Random(7)
+    window = "".join(rng.choice("ab") for _ in range(3000))
+    with pytest.raises(ValueError, match="table of 2252063262 letters"):
+        language_table(ExplicitWindow(window), 1500)
 
 
 @settings(max_examples=300, deadline=None)
