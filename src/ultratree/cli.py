@@ -333,9 +333,9 @@ def cmd_zeta(args):
 
 
 def cmd_laplacian(args):
-    from .words import (_leaves, _refuse_large_table, _refuse_oversized,
-                        leaf_count, table_on_leaves)
-    from .tree import _check_leaves
+    from .words import (LanguageTable, _leaves, _refuse_large_table,
+                        _refuse_oversized, leaf_count)
+    from .tree import build_tree
     from .laplacian import (assemble_laplacian, assemble_laplacian_dirichlet,
                             assemble_pb_laplacian, check_invariants,
                             cylinder_measure, matrix_difference, spectrum)
@@ -347,19 +347,18 @@ def cmd_laplacian(args):
                           % (args.rho, MAX_RHO))
     # count the leaves before any table: a closed form, or else the sorted
     # leaves, read once and checked as a tree before they are counted; then
-    # the table's letters, before it is built on them.  The full-shift caps
-    # come first
+    # the table's letters, before its levels are read for the measure.  The
+    # full-shift caps come first
     _refuse_oversized(spec, args.depth)
     count = leaf_count(spec, args.depth)
     if count is None or count <= MAX_LAPLACIAN_LEAVES:
-        leaves, flags = _leaves(spec, args.depth)
-        _check_leaves(leaves, args.depth)
-        count = len(leaves)
+        tree = build_tree(LanguageTable(args.depth,
+                                        *_leaves(spec, args.depth)))
+        count = len(tree.sorted_leaves)
     if count > MAX_LAPLACIAN_LEAVES:
         raise ConfigError("laplacian of %d leaves exceeds the limit of %d"
                           % (count, MAX_LAPLACIAN_LEAVES))
-    _refuse_large_table(spec, args.depth, leaves)
-    tree = table_on_leaves(leaves, flags, args.depth)
+    _refuse_large_table(spec, args.depth, tree.sorted_leaves)
     if args.measure == "uniform":
         mu = cylinder_measure(tree)
     elif args.measure == "random":

@@ -8,9 +8,10 @@ edge length at level n.  Two independent assembly routes exist: the
 closed-form action on indicators, and the bilinear Dirichlet form over
 sibling pairs; the tests hold them to agreement.  Every route, the
 restricted-pair variant and the scalar form included, reads one frame
-(_frame) and the pair routes one sibling-pair list (_sibling_pairs); the
-Dirichlet oracle is built from that list alone, not from the indicator
-route.
+(_frame) and the branching words, the only ones whose children have
+siblings (LanguageTable.branches), and the pair routes one sibling-pair
+list (_sibling_pairs); the Dirichlet oracle is built from that list alone,
+not from the indicator route.
 
 Assembly is dtype generic.  With rational child weights and an integer
 density exponent everything stays in exact Fractions, so conservation and
@@ -30,8 +31,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, compress, count, repeat
-from operator import mul, ne, or_
+from itertools import chain, combinations, compress, count, groupby, repeat
+from operator import itemgetter, mul, ne, or_
 
 
 class InvalidMeasureError(ValueError):
@@ -59,8 +60,11 @@ def cylinder_measure(tree, weights=None, seed=None):
     rng = random.Random(seed) if weights == "random" else None
     mu = {"": Fraction(1)}
     for n in range(tree.depth):
+        # the children of a level-n word are a run of level n + 1
+        runs = groupby(tree.levels[n + 1], itemgetter(slice(None, -1)))
+        children = {v: tuple(cs) for v, cs in runs}
         for v in tree.levels[n]:
-            cs = tree.children[v]
+            cs = children.get(v, ())
             if rng is not None:
                 raw = [rng.randint(1, 100) for _ in cs]
                 total = sum(raw)
@@ -219,8 +223,8 @@ class LaplacianMatrix:
 
 def _frame(tree, mu, rho, delta):
     """What every assembly route reads: the level weights w (w[n] for
-    n = 1..N), the sorted leaves, each node's leaf index range (a subtree is
-    a contiguous slice of the sorted leaves) and the leaf masses.
+    n = 1..N), the sorted leaves, the leaf index range of each leaf and of
+    each branching word's children (contiguous slices) and the leaf masses.
 
     w_n = rho(L_n) / L_n^2 with L_n = delta_{n-1} the length of sibling
     edges at level n; floats convert to Fractions exactly, so
@@ -239,10 +243,8 @@ def _frame(tree, mu, rho, delta):
                              % (n - 1, delta[n - 1])) from None
     leaves = tree.leaves()
     span = {x: (i, i + 1) for i, x in enumerate(leaves)}
-    for n in range(tree.depth - 1, -1, -1):
-        for v in tree.levels[n]:
-            cs = tree.children[v]
-            span[v] = (span[cs[0]][0], span[cs[-1]][1])
+    for _, cs in tree.branches():
+        span.update((c, (lo, hi)) for c, lo, hi in cs)
     for v in span:
         if v not in mu:
             raise InvalidMeasureError("measure missing mass for %r" % v)
@@ -250,23 +252,24 @@ def _frame(tree, mu, rho, delta):
 
 
 def _sibling_pairs(tree, mu, mode):
-    """(level, u, v, coefficient) for sibling pairs, node by node in the
-    order of horizontal_edges.
+    """(level, u, v, coefficient) for sibling pairs, branching word by
+    branching word in lexicographic order: each leaf meets the pairs above
+    it level by level, and each level its pairs in order.
 
     mode "all" takes every pair with coefficient 1 (the averaged operator);
     "single" the first pair of each branching node; "nu-average" every pair
     weighted by mu(u) mu(v) / sum of mu mu over the node's pairs.
     """
     out = []
-    for n in range(1, tree.depth + 1):
-        for v in tree.levels[n - 1]:
-            pairs = list(combinations(tree.children[v], 2))
-            if mode == "nu-average":
-                norm = sum(mu[a] * mu[b] for a, b in pairs)
-                out += [(n, a, b, mu[a] * mu[b] / norm) for a, b in pairs]
-            else:
-                out += [(n, a, b, 1)
-                        for a, b in (pairs[:1] if mode == "single" else pairs)]
+    for v, cs in tree.branches():
+        n = len(v) + 1
+        pairs = list(combinations([c for c, _, _ in cs], 2))
+        if mode == "nu-average":
+            norm = sum(mu[a] * mu[b] for a, b in pairs)
+            out += [(n, a, b, mu[a] * mu[b] / norm) for a, b in pairs]
+        else:
+            out += [(n, a, b, 1)
+                    for a, b in (pairs[:1] if mode == "single" else pairs)]
     return out
 
 
@@ -276,31 +279,25 @@ def assemble_laplacian(tree, mu, rho, delta):
     For a leaf gamma with ancestors gamma_n, the image of its indicator is
     sum over levels n of  w_n / mu(gamma_n) * ( a(gamma_{n-1}) chi_gamma
     - mu(gamma) * sum over siblings u of gamma_n of chi_u / mu(u) ).
-    The sibling subtrees u partition the leaves other than gamma, so each
-    column is written block by block and then transposed into rows.
+    Only a branching parent (a > 0) adds a term, and the branching words
+    come in lexicographic order, so each column meets those on its path
+    level by level.  The sibling subtrees u partition the leaves other than
+    gamma, so each column is written block by block, then transposed.
     """
-    N = tree.depth
-    w, leaves, span, mu_leaf = _frame(tree, mu, rho, delta)
+    w, leaves, _, mu_leaf = _frame(tree, mu, rho, delta)
     size = len(leaves)
-    cols = []
-    for j, gamma in enumerate(leaves):
-        mu_gamma = mu_leaf[j]
-        col = [0] * size
-        diag = 0
-        for n in range(1, N + 1):
-            parent = gamma[:n - 1]
-            node = gamma[:n]
-            a_parent = tree.a(parent)
-            if a_parent == 0:
-                continue
+    cols = [[0] * size for _ in leaves]
+    for parent, cs in tree.branches():
+        n, a_parent = len(parent) + 1, len(cs) - 1
+        for node, lo, hi in cs:
             factor = w[n] / mu[node]
-            diag += factor * a_parent
-            for u in tree.children[parent]:
-                if u != node:
-                    lo, hi = span[u]
-                    col[lo:hi] = [0 - factor * mu_gamma / mu[u]] * (hi - lo)
-        col[j] = diag
-        cols.append(col)
+            for j in range(lo, hi):
+                col, mu_gamma = cols[j], mu_leaf[j]
+                col[j] += factor * a_parent  # no sibling block covers j
+                for u, ulo, uhi in cs:
+                    if u != node:
+                        col[ulo:uhi] = [0 - factor * mu_gamma / mu[u]] * (
+                            uhi - ulo)
     return LaplacianMatrix(leaves, tuple(zip(*cols)), tuple(mu_leaf))
 
 

@@ -1,16 +1,16 @@
 """Truncated trees of words and their approximation graphs.
 
 Level n of the tree holds the admissible words of length n; a node's parent
-is its length-(n-1) prefix.  A LanguageTable is this tree: it carries the
-child links and the sorted leaves it was built from.  A word below the
-depth with no child is a leaf shorter than the depth, so one check of the
-sorted leaves refuses a table, or a spec's leaves, that is not a tree: the
-same check in build_tree and in the order diagnostics.  Horizontal edges
-join distinct siblings, and the edge between children of a level-n vertex
-has length delta_n, read from a DeltaSequence (delta_from_name parses a
-family name).  A choice function selects one child per vertex; quotienting
-the horizontal edges by those selections gives the metric approximation
-graph.
+is its length-(n-1) prefix.  A LanguageTable is this tree: its sorted
+leaves and the skeleton read from them, whose branching words carry their
+children's leaf ranges.  A word below the depth with no child is a leaf
+shorter than the depth, so one check of the sorted leaves refuses a table,
+or a spec's leaves, that is not a tree: the same check in build_tree and in
+the order diagnostics.  Horizontal edges join distinct siblings, and the
+edge between children of a level-n vertex has length delta_n, read from a
+DeltaSequence (delta_from_name parses a family name).  A choice function
+selects one child per branching word; quotienting the horizontal edges by
+those selections gives the metric approximation graph.
 
 The order diagnostics, the Lipschitz estimate C(N) and the continuity
 witness W(N), summarize how far the supremum spectral distance can drift
@@ -33,7 +33,7 @@ from itertools import combinations, islice
 from operator import gt, itemgetter
 
 from .words import (LanguageTable, RecentValues, _branching_chain, _leaves,
-                    _shape, _skeleton, spec_key)
+                    _skeleton, spec_key)
 
 
 class StructuralError(ValueError):
@@ -193,25 +193,19 @@ def delta_from_name(name):
 # trees of words and choice functions
 
 
-def _check_leaves(leaves, N):
-    """Refuse sorted leaves whose tree of words at depth N is not a tree:
-    a leaf shorter than N is a word below the depth with no child.  The
-    shortest, and the least of those (the first in sorted order), is the
-    first childless word that a walk of the levels in order would meet."""
-    short = min((v for v in leaves if len(v) < N), key=len, default=None)
-    if short is not None:
-        raise StructuralError(
-            "word %r at length %d has no extension" % (short, len(short)))
-
-
 def build_tree(table):
     """Check that a language table is a tree of words and return it.
 
     Every word below the depth must have a child, so that every node lies on
-    a root-to-leaf path: the table's sorted leaves must all be as long as
-    its depth (see _check_leaves).
+    a root-to-leaf path.  A leaf shorter than the depth has none; the least
+    of the shortest is the first that a walk of the levels would meet.
     """
-    _check_leaves(table.sorted_leaves, table.depth)
+    N = table.depth
+    short = min((v for v in table.sorted_leaves if len(v) < N), key=len,
+                default=None)
+    if short is not None:
+        raise StructuralError(
+            "word %r at length %d has no extension" % (short, len(short)))
     return table
 
 
@@ -220,48 +214,37 @@ def horizontal_edges(tree, n):
     level n-1, so each pair carries length delta_{n-1})."""
     if not 1 <= n <= tree.depth:
         raise ValueError("level out of range")
-    return [pair for v in tree.levels[n - 1]
-            for pair in combinations(tree.children[v], 2)]
+    return [pair for v, cs in tree.branches() if len(v) == n - 1
+            for pair in combinations([c for c, _, _ in cs], 2)]
 
 
 @dataclass(frozen=True)
 class ChoiceFunction:
-    """One selected child per non-leaf node, with the induced depth-N
-    representative of every node.  A spectral distance reads the selection
-    at branching words only (see metrics).
-
-    Two choice functions are equal when their selections are; the
-    representatives follow from the selection.  The hash reads no field,
-    so choice functions stay hashable (all alike) though dicts are not."""
+    """One selected child per branching word, the only selections a
+    spectral distance reads (see metrics); every other word has one child.
+    Two choice functions are equal when their selections are; the hash
+    reads no field, so they stay hashable (all alike) though dicts are not.
+    """
 
     selection: dict = field(hash=False)
-    representative: dict = field(compare=False)
-
-
-def _finish(tree, selection):
-    rep = {w: w for w in tree.leaves()}
-    for n in range(tree.depth - 1, -1, -1):
-        for v in tree.levels[n]:
-            rep[v] = rep[selection[v]]
-    return ChoiceFunction(selection, rep)
 
 
 def choice_function(tree, policy="canonical", seed=None):
     """Build a choice function.
 
     policy "canonical" takes the lexicographically least child everywhere;
-    "seeded-random" draws children uniformly from a 64-bit seed.
+    "seeded-random" draws children uniformly from a 64-bit seed, one draw
+    per branching word in lexicographic order.
     """
     if policy == "canonical":
-        return _finish(tree, {v: cs[0] for v, cs in tree.children.items()})
-    if policy == "seeded-random":
-        rng = random.Random(seed)
-        sel = {}
-        for n in range(tree.depth):
-            for v in tree.levels[n]:
-                sel[v] = rng.choice(tree.children[v])
-        return _finish(tree, sel)
-    raise ValueError("unknown policy %r" % policy)
+        pick = itemgetter(0)
+    elif policy == "seeded-random":
+        pick = random.Random(seed).choice
+    else:
+        raise ValueError("unknown policy %r" % policy)
+    leaves = tree.sorted_leaves
+    return ChoiceFunction({v: leaves[pick(bounds[:-1])][:len(v) + 1]
+                           for v, bounds in tree.shape[0].items()})
 
 
 @dataclass(frozen=True)
@@ -278,16 +261,24 @@ class MetricGraph:
 
 
 def approximation_graph(tree, tau, delta):
-    """The metric graph Gamma(tau) for edge lengths drawn from delta."""
-    vertices = tuple(tree.leaves())
+    """The metric graph Gamma(tau) for edge lengths drawn from delta.
+
+    A word's representative is the leaf its selections lead to: its one
+    leaf, or that of the branching word with the same leaves, which is the
+    representative of its selected child.  The branching words are read
+    deepest first, so the last one read whose leaves start at leaf i is
+    the one below a child starting there, if any: rep[i] holds its
+    representative, or i."""
+    vertices = tree.leaves()
     index = {w: i for i, w in enumerate(vertices)}
-    rep = tau.representative
-    edges = {}
-    for n in range(1, tree.depth + 1):
-        length = delta[n - 1]
-        for u1, u2 in horizontal_edges(tree, n):
-            ri = index[rep[u1]]
-            rj = index[rep[u2]]
+    rep = list(range(len(vertices)))
+    lengths, edges = delta.values(tree.depth), {}
+    for v, bounds in reversed(tree.shape[0].items()):
+        reps = [rep[lo] for lo in bounds[:-1]]
+        chosen = bisect_left(vertices, tau.selection[v], bounds[0])
+        rep[bounds[0]] = reps[bounds.index(chosen)]
+        length = lengths[len(v)]
+        for ri, rj in combinations(reps, 2):
             key = (ri, rj) if ri < rj else (rj, ri)
             old = edges.get(key)
             if old is None or length < old:
@@ -334,15 +325,15 @@ def _chain_diagnostics(chain, delta, N):
             OrderDiagnostic(delta[0] * B[0], "", word[::-1]))
 
 
-def _tree_diagnostics(leaves, forks, skeleton, delta, N):
-    """(C(N), W(N)) on a tree of words cut at depth N, from its sorted
-    leaves, all of one length >= N, their branching words forks (see
-    words._shape) and the skeleton at their length (see words._skeleton),
-    or None to cut it here.  C is the largest B over branching nodes, at
-    the lowest level and then the least word; W is delta_0 B at the root.
-    A path follows the argmax children, then the least children to depth
-    N: the least leaf below."""
-    words, parent, level = (skeleton if skeleton and N == len(leaves[0])
+def _tree_diagnostics(table, delta, N):
+    """(C(N), W(N)) on a checked tree of words cut at depth N, from its
+    sorted leaves, its branching words (see words._shape) and its skeleton,
+    cut again at N below the table depth (see words._skeleton).  C is
+    the largest B over branching nodes, at the lowest level and then the
+    least word; W is delta_0 B at the root.  A path follows the argmax
+    children, then the least children to depth N: the least leaf below."""
+    leaves, (forks, _, skeleton) = table.sorted_leaves, table.shape
+    words, parent, level = (skeleton if N == table.depth
                             else _skeleton(forks, N))
     logs = delta.logs(N)
     B, arg = _push([logs[m] for m in level], parent)
@@ -370,25 +361,21 @@ def order_diagnostics(source, delta, schedule):
     """[(C(N), W(N)) for N in an increasing schedule] from one structure:
     source is a tree of words as deep as the schedule, whose shape is read
     once per table and kept on it, or a spec, whose branching chain (built
-    once per spec and depth, see words._branching_chain) or else sorted
-    leaves and their shape are read at the last depth, with no table.  The
-    leaves of either must pass the tree check of build_tree.  Each depth
-    costs one push for both."""
+    once per spec and depth, see words._branching_chain) or else the shape
+    of a table on its sorted leaves is read at the last depth, with no word
+    levels built.  The leaves of either must pass the tree check of
+    build_tree.  Each depth costs one push for both."""
     if isinstance(source, LanguageTable):
         if schedule[-1] > source.depth:
             raise ValueError("schedule goes below the tree depth")
-        leaves = build_tree(source).sorted_leaves
-        forks, _, skeleton = source.shape
+        table = build_tree(source)
     else:
         chain = _branching_chain(source, schedule[-1])
         if chain is not None:
             return [_chain_diagnostics(chain, delta, N) for N in schedule]
-        leaves = _leaves(source, schedule[-1])[0]
-        _check_leaves(leaves, schedule[-1])
-        # leaves read for this call alone: every depth is cut once
-        forks, skeleton = _shape(leaves, schedule[-1])[0], None
-    return [_tree_diagnostics(leaves, forks, skeleton, delta, N)
-            for N in schedule]
+        table = build_tree(LanguageTable(schedule[-1],
+                                         *_leaves(source, schedule[-1])))
+    return [_tree_diagnostics(table, delta, N) for N in schedule]
 
 
 def lipschitz_estimate(tree, delta):

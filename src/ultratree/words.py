@@ -2,25 +2,24 @@
 
 Words are plain strings over the alphabet "a", "b", "c", ... (symbol index
 order).  A subshift is described declaratively by a spec object and its
-language is materialized level by level, up to a depth bound, as a
-LanguageTable.  The table is the tree of words: level n holds the length-n
-words, a word's parent is its prefix, and the child links are built once
-with the table.  A tree of words is its sorted leaves: the table keeps the
-ones it was built from, and its shape (branching words, level counts and
-skeleton) is read from them once.  On top of it sit the usual
-combinatorial statistics: right special words, the complexity function,
-repetitivity, and the repulsiveness estimators, and each spec family's
-level counts and branching chain, the closed forms of full-shift and
-Sturmian trees.
+language is read, up to a depth bound, as a LanguageTable.  A tree of words
+is its sorted leaves: a word's parent is its prefix, and the leaves below a
+word are contiguous.  The table keeps the leaves it was built from, and
+reads its shape from them once: the branching words with their children's
+leaf ranges, the level counts and the skeleton.  The words level by level
+are a view built on first read, for the scans that need every word.  On
+top of it sit the usual combinatorial statistics: right special words, the
+complexity function, repetitivity, and the repulsiveness estimators, and
+each spec family's level counts and branching chain, the closed forms of
+full-shift and Sturmian trees.
 """
 
 import string
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from bisect import bisect_left, insort
 from functools import cached_property
-from itertools import accumulate, groupby, product
+from itertools import accumulate, compress, groupby, islice, product
 from operator import eq, itemgetter
 
 ALPHABET = string.ascii_lowercase
@@ -221,65 +220,64 @@ def substitution_fixed_point(spec, min_len):
 class LanguageTable:
     """Admissible words per length up to a depth bound: the tree of words.
 
-    levels[n] is the sorted tuple of admissible words of length n (levels[0]
-    holds just the empty word).  stabilized[n] records whether the count at
-    length n was unchanged across the last window doubling; exact specs set
-    every flag.  children maps every word below the depth to the sorted
-    tuple of its one-letter extensions in the table (empty for a word with
-    none).  The branching number a(v) is the child count minus one.
     sorted_leaves holds the words with no child, in order: the leaves the
-    table was built from.  The table's shape is read from them once, on
-    first use, and kept; its skeleton serves both order diagnostics and
-    spectral distances (see tree and metrics).  Neither takes part in
-    equality, hash or repr.
+    table was built from, which fix every word in it.  stabilized[n]
+    records whether the count at length n was unchanged across the last
+    window doubling; exact specs set every flag.  The hash reads the depth
+    and the flags.  Two views are read from the leaves on first use and
+    kept, and take no part in equality, hash or repr: the shape (see _shape
+    and _skeleton), which the tree analyses read, and levels[n], the sorted
+    tuple of the length-n words, which counts and the statistics that scan
+    every word read.
     """
 
     depth: int
-    levels: tuple
+    sorted_leaves: list = field(hash=False)
     stabilized: tuple
-    children: dict = field(compare=False, repr=False)
-    sorted_leaves: list = field(compare=False, repr=False)
 
     @property
     def counts(self):
         return tuple(len(lv) for lv in self.levels)
 
-    def a(self, v):
-        return len(self.children[v]) - 1
-
     def leaves(self):
-        return self.levels[self.depth]
+        return tuple(v for v in self.sorted_leaves if len(v) == self.depth)
+
+    @cached_property
+    def levels(self):
+        return _tree_of_words(self.sorted_leaves, self.depth)
 
     @cached_property
     def shape(self):
         """(forks, P, skeleton) of the tree: its branching words with their
-        child counts minus one and its level counts (see _shape), and its
+        children's leaf ranges and its level counts (see _shape), and its
         skeleton at the table depth (see _skeleton)."""
         forks, P = _shape(self.sorted_leaves, self.depth)
         return forks, P, _skeleton(forks, self.depth)
 
+    def branches(self):
+        """Each branching word in lexicographic order with its children in
+        order, as (child, lo, hi): sorted_leaves[lo:hi] are its leaves."""
+        for v, bounds in self.shape[0].items():
+            yield v, [(self.sorted_leaves[lo][:len(v) + 1], lo, hi)
+                      for lo, hi in zip(bounds, bounds[1:])]
+
 
 def _tree_of_words(leaves, N):
-    """Levels 0..N and child links of the tree with these sorted leaves.
+    """Levels 0..N of the tree with these sorted leaves.
 
     Level n is the run-deduplicated w[:-1] of level n + 1 plus the leaves of
-    length n, and each run is its parent's children, built from the level's
-    own string objects."""
+    length n."""
     cut_last = itemgetter(slice(None, -1))
     by_length = {n: list(vs)
                  for n, vs in groupby(sorted(leaves, key=len), len)}
     level = by_length.pop(N, [])
     levels = [tuple(level)]
-    children = {}
     for n in range(N - 1, -1, -1):
-        runs = {p: tuple(run) for p, run in groupby(level, cut_last)}
-        level = list(runs)
-        children.update(runs)
+        level = [p for p, _ in groupby(level, cut_last)]
         for v in by_length.get(n, ()):
             insort(level, v)
-            children[v] = ()
         levels.append(tuple(level))
-    return tuple(levels[::-1]), children
+    return tuple(levels[::-1])
 
 
 DEFAULT_WINDOW_CAP = 2 ** 20
@@ -366,8 +364,9 @@ def _leaves(spec, N):
     length N (leaf_count), and two windows can agree on fewer.  Each factor
     of such a prefix extends to length N in it and the windows nest
     (Sturmian ones as suffixes, substitution ones as prefixes), so every
-    count has then settled; at the cap, the flags compare the counts of the
-    last two."""
+    count has then settled.  At the cap, a Sturmian window with fewer than
+    N + 1 leaves is refused, and otherwise the flags compare the counts of
+    the last two."""
     _refuse_oversized(spec, N)
     flags = (True,) * (N + 1)
     if isinstance(spec, FullShift):
@@ -389,6 +388,10 @@ def _leaves(spec, N):
         if keys == prev and complete in (None, len(keys)):
             return keys, flags
         if 2 * length > DEFAULT_WINDOW_CAP:
+            if complete is not None and len(keys) < complete:
+                raise ValueError(
+                    "Sturmian window of %d letters holds %d of the %d words "
+                    "of length %d" % (length, len(keys), complete, N))
             if prev is None:
                 return keys, (False,) * (N + 1)
             return keys, tuple(a == b for a, b in zip(_shape(keys, N)[1],
@@ -401,12 +404,30 @@ def _shape(leaves, N):
     """(forks, P) of the depth-N tree of words with these sorted leaves.
 
     The leaves below a word are contiguous, and two neighbours sharing h
-    letters part at the branching word of those letters.  So forks maps
-    each branching word to its child count minus one, the neighbour pairs
-    parting there, and P[n], the count of length-n words, is the leaves of
-    length >= n less the neighbour pairs sharing at least n letters."""
+    letters part at the branching word of those letters, so a branching
+    word of length h is a run of leaves sharing h letters, split into its
+    children where neighbours share no more: the LCP-interval tree of
+    Abouelhoda, Kurtz and Ohlebusch (2004), read with a stack of open runs.
+    forks maps each branching word, in lexicographic order, to the bounds
+    of its children's leaf ranges (child k holds bounds[k]:bounds[k + 1]),
+    and P[n], the count of length-n words, is the leaves of length >= n
+    less the neighbour pairs sharing n."""
     shared = list(map(_common_prefix_length, leaves, leaves[1:]))
-    forks = Counter(u[:h] for u, h in zip(leaves, shared))
+    found = {}
+    tops, runs = [-1], [[]]  # the open runs: their h, increasing, and bounds
+    for i, h in enumerate(shared + [-1], 1):  # leaves i - 1 and i share h
+        lo = i - 1
+        while tops[-1] > h:
+            bounds = runs.pop()
+            bounds.append(i)
+            lo = bounds[0]
+            found[leaves[lo][:tops.pop()]] = bounds
+        if tops[-1] == h:
+            runs[-1].append(i)
+        else:
+            tops.append(h)
+            runs.append([lo, i])
+    forks = {v: found[v] for v in sorted(found)}
     net = [0] * (N + 1)  # leaves of length m less neighbour pairs sharing m
     for v in leaves:
         net[len(v)] += 1
@@ -462,22 +483,15 @@ def _refuse_large_table(spec, N, leaves=None):
 
 
 def language_table(spec, N):
-    """Enumerate the admissible words of length <= N for a spec: the tree
-    of words on the leaves that _leaves reads, with its flags.  A table of
-    more than TABLE_LETTER_CAP letters is refused before it is built, and
-    a full shift's or Sturmian spec's before its leaves are read."""
+    """The admissible words of length <= N for a spec: the tree of words on
+    the leaves that _leaves reads, with its flags.  A table of more than
+    TABLE_LETTER_CAP letters is refused before it is built, and a full
+    shift's or Sturmian spec's before its leaves are read."""
     _refuse_oversized(spec, N)
     _refuse_large_table(spec, N)  # the closed forms
     leaves, flags = _leaves(spec, N)
     _refuse_large_table(spec, N, leaves)  # any other spec
-    return table_on_leaves(leaves, flags, N)
-
-
-def table_on_leaves(leaves, flags, N):
-    """The depth-N tree of words on these sorted leaves, with their
-    stabilization flags."""
-    levels, children = _tree_of_words(leaves, N)
-    return LanguageTable(N, levels, flags, children, leaves)
+    return LanguageTable(N, leaves, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +499,12 @@ def table_on_leaves(leaves, flags, N):
 
 
 def right_special_words(table, n):
-    """Length-n words with at least two one-letter right extensions."""
+    """Length-n words with at least two one-letter right extensions: the
+    words that level n + 1, cut by its last letter, gives twice in a row."""
     if n >= table.depth:
         raise OutOfDepthError("need length %d < depth %d" % (n, table.depth))
-    children = table.children
-    return {w for w in table.levels[n] if len(children[w]) >= 2}
+    cut = list(map(itemgetter(slice(None, -1)), table.levels[n + 1]))
+    return set(compress(cut, map(eq, cut, islice(cut, 1, None))))
 
 
 def complexity_profile(table):
@@ -595,10 +610,11 @@ def level_profile(source, N=None):
     branching word per length) use closed forms, so that depths in the
     thousands stay cheap; anything else is read from its sorted leaves (see
     _shape): a table's from its shape, read once and kept on it, and a
-    spec's with no table built.
+    spec's from the shape of a table on its leaves, whose levels are never
+    built.
     """
     if isinstance(source, LanguageTable):
-        N, (forks, P, _) = source.depth, source.shape
+        table = source
     elif N is None:
         raise ValueError("a spec source needs an explicit depth")
     elif isinstance(source, FullShift):
@@ -611,10 +627,11 @@ def level_profile(source, N=None):
         P = tuple(n + 1 for n in range(N + 1))
         return LevelProfile(N, P, (1,) * N, (2,) * N, (1,) * N)
     else:
-        forks, P = _shape(_leaves(source, N)[0], N)
+        table = LanguageTable(N, *_leaves(source, N))
+    N, (forks, P, _) = table.depth, table.shape
     edge, branching = [0] * N, [0] * N
-    for v, a in forks.items():
-        edge[len(v)] += a * (a + 1)
+    for v, bounds in forks.items():
+        edge[len(v)] += (len(bounds) - 1) * (len(bounds) - 2)
         branching[len(v)] += 1
     g = tuple(P[n + 1] - P[n] for n in range(N))
     return LevelProfile(N, P, g, tuple(edge), tuple(branching))
@@ -716,7 +733,6 @@ def repulsiveness_estimates(table, N=None):
         N = table.depth
     if N > table.depth:
         raise OutOfDepthError("N exceeds table depth")
-    children = table.children
     # word -> length of its longest proper border
     border = dict.fromkeys(table.levels[1], 0)
     best = REPULSIVENESS_INF
@@ -724,7 +740,7 @@ def repulsiveness_estimates(table, N=None):
     best_rs = REPULSIVENESS_INF
     best_rs_pair = None
     for n in range(2, N + 1):
-        below_depth = n < table.depth
+        special = right_special_words(table, n) if n < table.depth else ()
         for W in table.levels[n]:
             last = W[-1]
             k = border[W[:-1]]
@@ -737,8 +753,7 @@ def repulsiveness_estimates(table, N=None):
                 ratio = (n - k) / k
                 if ratio < best:
                     best, best_pair = ratio, (W[:k], W)
-                if (ratio < best_rs and below_depth
-                        and len(children[W]) >= 2):
+                if ratio < best_rs and W in special:
                     best_rs, best_rs_pair = ratio, (W[:k], W)
     witnesses = {"l_hat": best_pair, "l_hat_R": best_rs_pair}
     return best, best_rs, witnesses

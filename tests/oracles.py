@@ -1,16 +1,19 @@
 """Small-depth oracles that only the tests read.
 
 Each one computes by brute force what the library computes by a closed form
-or a shared structure: the tree check as a walk over every node, choice
-functions by exhaustive enumeration, the spectral distance range over all of
-them, and the repulsiveness estimators by a quadratic pair scan.  They are
-exponential or quadratic, so keep their inputs small.
+or a shared structure: the child links of every node from scans of the
+word levels, the tree check as a walk over every node, choice functions by
+exhaustive enumeration, the spectral distance range over all of them, and
+the repulsiveness estimators by a quadratic pair scan.  None reads the
+skeleton the library reads from the sorted leaves.  They are exponential or
+quadratic, so keep their inputs small.
 """
 
-from itertools import product
+from functools import lru_cache
+from itertools import groupby, product
 
 from ultratree.metrics import common_prefix_length
-from ultratree.tree import StructuralError, _finish, build_tree
+from ultratree.tree import ChoiceFunction, StructuralError, build_tree
 from ultratree.words import (REPULSIVENESS_INF, language_table,
                              right_special_words)
 
@@ -20,23 +23,39 @@ def tree_for(spec, N):
     return build_tree(language_table(spec, N))
 
 
+@lru_cache(maxsize=1)
+def children_of(table):
+    """Each word below the depth with the sorted tuple of its one-letter
+    extensions, a run of the next level, empty for a word with none.  The
+    last table's are kept, for the oracles that ask once per word pair."""
+    levels, out = table.levels, {}
+    for n in range(table.depth):
+        runs = {p: tuple(cs)
+                for p, cs in groupby(levels[n + 1], lambda w: w[:-1])}
+        out.update((v, runs.get(v, ())) for v in levels[n])
+    return out
+
+
 def walk_tree_check(table):
     """The tree check as a walk over every node below the depth, level by
     level in sorted order: the first word with no child is refused."""
+    children = children_of(table)
     for n in range(table.depth):
         for v in table.levels[n]:
-            if not table.children[v]:
+            if not children[v]:
                 raise StructuralError(
                     "word %r at length %d has no extension" % (v, len(v)))
     return table
 
 
 def enumerate_choice_functions(tree):
-    """Yield every choice function of a small tree.  Exponential."""
-    nodes = [v for n in range(tree.depth) for v in tree.levels[n]]
-    child_lists = [tree.children[v] for v in nodes]
-    for combo in product(*child_lists):
-        yield _finish(tree, dict(zip(nodes, combo)))
+    """Yield every choice function of a small tree: every selection at its
+    branching words, the only ones with a choice.  Exponential."""
+    children = children_of(tree)
+    nodes = [v for n in range(tree.depth) for v in tree.levels[n]
+             if len(children[v]) > 1]
+    for combo in product(*(children[v] for v in nodes)):
+        yield ChoiceFunction(dict(zip(nodes, combo)))
 
 
 def _tail_sums(tree, delta, word, m):
@@ -47,7 +66,7 @@ def _tail_sums(tree, delta, word, m):
     for n in range(m + 1, N):
         v = word[:n]
         opts = set()
-        for child in tree.children[v]:
+        for child in children_of(tree)[v]:
             opts.add(0.0 if child == word[:n + 1] else delta[n])
         sums = {s + o for s in sums for o in opts}
     return sums

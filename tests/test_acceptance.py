@@ -30,7 +30,7 @@ from ultratree.laplacian import (assemble_laplacian,
                                  spectrum)
 from ultratree.cli import main as cli_main
 
-from oracles import (repulsiveness_bruteforce,
+from oracles import (children_of, repulsiveness_bruteforce,
                      spectral_distance_range_bruteforce, tree_for)
 
 SPECS = (FullShift(2), FullShift(3), fibonacci_spec(),
@@ -51,7 +51,7 @@ def test_criterion_1_closed_form_vs_graph_oracle():
         tree = tree_for(spec, 10)
         tau = choice_function(tree, policy="seeded-random", seed=100)
         graph = approximation_graph(tree, tau, delta)
-        reps = sorted(set(tau.representative.values()))
+        reps = tree.leaves()  # every leaf represents itself
         rng = random.Random(7)
         pairs = []
         while len(pairs) < 200:
@@ -187,7 +187,7 @@ def _mild_weights(tree, seed):
     out = {}
     for n in range(tree.depth):
         for v in tree.levels[n]:
-            raw = [rng.randint(50, 100) for _ in tree.children[v]]
+            raw = [rng.randint(50, 100) for _ in children_of(tree)[v]]
             total = sum(raw)
             out[v] = [Fraction(r, total) for r in raw]
     return out

@@ -291,7 +291,8 @@ def test_rho_above_limit_is_refused(tmp_path, capsys, monkeypatch):
     argv = ["laplacian", "--spec", "full:2", "--depth", "2", "--rho"]
     with monkeypatch.context() as patch:
         patch.setattr(words, "language_table", refuse)
-        patch.setattr(words, "table_on_leaves", refuse)
+        patch.setattr(words, "_tree_of_words", refuse)
+        patch.setattr(words, "_shape", refuse)
         for rho in ("65", "1e7"):
             out = tmp_path / ("lap" + rho)
             assert main(argv + [rho, "--out", str(out)]) == 2
@@ -494,9 +495,10 @@ def test_laplacian_leaf_limit(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "lap3")]) == 2
     assert "8 leaves" in capsys.readouterr().err
     # the count comes from the closed form or the sorted leaves, before any
-    # table: these tables would hold about 9.0e9 and 1.1e9 letters
+    # levels or shape: these tables would hold about 9.0e9 and 1.1e9 letters
     monkeypatch.setattr(words, "language_table", refuse)
-    monkeypatch.setattr(words, "table_on_leaves", refuse)
+    monkeypatch.setattr(words, "_tree_of_words", refuse)
+    monkeypatch.setattr(words, "_shape", refuse)
     for spec, depth, count in (("sturmian:cf=1", "3000", 3001),
                                ("subst:a=ab,b=ba", "1024", 3070)):
         out = tmp_path / ("lap" + depth)

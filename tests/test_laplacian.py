@@ -19,7 +19,7 @@ from ultratree.laplacian import (InvalidMeasureError,
                                  dirichlet_form_value, matrix_difference,
                                  spectrum)
 
-from oracles import tree_for
+from oracles import children_of, tree_for
 
 HARMONIC = DeltaSequence.harmonic()
 UNIT = DeltaSequence.table([1.0])
@@ -30,7 +30,7 @@ def mild_weights(tree, seed):
     out = {}
     for n in range(tree.depth):
         for v in tree.levels[n]:
-            raw = [rng.randint(50, 100) for _ in tree.children[v]]
+            raw = [rng.randint(50, 100) for _ in children_of(tree)[v]]
             total = sum(raw)
             out[v] = [Fraction(r, total) for r in raw]
     return out
@@ -46,7 +46,7 @@ def test_uniform_measure_additivity():
     assert mu[""] == 1
     for n in range(4):
         for v in tree.levels[n]:
-            assert mu[v] == sum(mu[c] for c in tree.children[v])
+            assert mu[v] == sum(mu[c] for c in children_of(tree)[v])
     assert mu["abab"] == Fraction(1, 16)
 
 
@@ -57,7 +57,7 @@ def test_random_measure_additivity_and_determinism():
     assert mu1 == mu2
     for n in range(6):
         for v in tree.levels[n]:
-            assert mu1[v] == sum(mu1[c] for c in tree.children[v])
+            assert mu1[v] == sum(mu1[c] for c in children_of(tree)[v])
             assert mu1[v] > 0
 
 
@@ -196,9 +196,9 @@ def test_pb_nu_average_is_mean_of_singles_uniform():
     mu = cylinder_measure(tree)
     nu = assemble_pb_laplacian(tree, mu, 2, HARMONIC,
                                pair_selection="nu-average")
-    singles = []
+    singles, children = [], children_of(tree)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        pair_list = [(n, tree.children[v][i], tree.children[v][j], 1)
+        pair_list = [(n, children[v][i], children[v][j], 1)
                      for n in range(1, tree.depth + 1)
                      for v in tree.levels[n - 1]]
         m = _assemble_bilinear(tree, mu, 2, HARMONIC, pair_list)
@@ -277,17 +277,17 @@ def test_matrix_difference_requires_same_leaves():
 def indicator_loop(tree, mu, rho, delta):
     """assemble_laplacian's rows, each entry accumulated on its own."""
     w, leaves, span, mu_leaf = _frame(tree, mu, rho, delta)
-    size = len(leaves)
+    size, children = len(leaves), children_of(tree)
     rows = [[0] * size for _ in range(size)]
     for j, gamma in enumerate(leaves):
         for n in range(1, tree.depth + 1):
             parent, node = gamma[:n - 1], gamma[:n]
-            a_parent = tree.a(parent)
+            a_parent = len(children[parent]) - 1
             if a_parent == 0:
                 continue
             factor = w[n] / mu[node]
             rows[j][j] += factor * a_parent
-            for u in tree.children[parent]:
+            for u in children[parent]:
                 if u == node:
                     continue
                 off = factor * mu_leaf[j] / mu[u]

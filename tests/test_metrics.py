@@ -24,7 +24,7 @@ from ultratree.metrics import (DepthMismatchError, common_prefix_length,
                                spectral_distance, sup_spectral_distance,
                                trend_verdict, ultrametric_distance)
 
-from oracles import (enumerate_choice_functions,
+from oracles import (children_of, enumerate_choice_functions,
                      spectral_distance_range_bruteforce, tree_for)
 
 SPECS = (FullShift(2), FullShift(3), fibonacci_spec(),
@@ -208,7 +208,7 @@ def test_spectral_distance_matches_graph_oracle():
         tree = tree_for(spec, 6)
         tau = choice_function(tree, policy="seeded-random", seed=9)
         graph = approximation_graph(tree, tau, delta)
-        reps = sorted(set(tau.representative.values()))
+        reps = tree.leaves()  # every leaf represents itself
         rng = random.Random(2)
         pairs = [(rng.choice(reps), rng.choice(reps)) for _ in range(40)]
         pairs = [(x, y) for x, y in pairs if x != y]
@@ -223,7 +223,7 @@ def test_triangle_inequality_on_representatives():
     delta = DeltaSequence.exponential()
     tree = tree_for(FullShift(2), 6)
     tau = choice_function(tree, policy="seeded-random", seed=4)
-    reps = sorted(set(tau.representative.values()))
+    reps = tree.leaves()  # every leaf represents itself
     rng = random.Random(3)
     for _ in range(100):
         x, y, z = (rng.choice(reps) for _ in range(3))
@@ -235,18 +235,24 @@ def test_triangle_inequality_on_representatives():
 
 def test_bruteforce_range_matches_global_enumeration():
     delta = DeltaSequence.exponential()
-    tree = tree_for(FullShift(2), 3)
-    leaves = tree.leaves()
-    taus = list(enumerate_choice_functions(tree))
-    assert len(taus) == 2 ** 7
-    for x in leaves:
-        for y in leaves:
-            if x >= y:
-                continue
-            vals = [spectral_distance(tree, tau, delta, x, y)
-                    for tau in taus]
-            lo, hi = spectral_distance_range_bruteforce(tree, delta, x, y)
-            assert min(vals) == lo and max(vals) == hi
+    # full:2 branches at its 7 words below depth 3; Fibonacci at 1 of the
+    # n + 1 words of each level, and a choice function selects there alone
+    for spec, N, forks in ((FullShift(2), 3, 7), (fibonacci_spec(), 6, 6),
+                           (ExplicitWindow("abaababaab" * 2), 5, 4)):
+        tree = tree_for(spec, N)
+        leaves = tree.leaves()
+        taus = list(enumerate_choice_functions(tree))
+        assert len(taus) == 2 ** forks
+        assert all(len(tau.selection) == forks for tau in taus)
+        for x in leaves:
+            for y in leaves:
+                if x >= y:
+                    continue
+                vals = [spectral_distance(tree, tau, delta, x, y)
+                        for tau in taus]
+                lo, hi = spectral_distance_range_bruteforce(tree, delta, x,
+                                                            y)
+                assert min(vals) == lo and max(vals) == hi
 
 
 def test_extremes_equal_closed_forms():
@@ -281,13 +287,20 @@ def two_tails_by_prefix(delta, xi, eta, flagged):
 
 
 def spectral_by_prefix(tree, tau, delta, xi, eta):
-    sel = tau.selection
+    sel, children = tau.selection, children_of(tree)
+
+    def chosen(v):
+        """tau's child of v: its selection where v branches, else the one
+        child there is."""
+        cs = children[v]
+        return sel[v] if len(cs) > 1 else cs[0]
+
     return two_tails_by_prefix(delta, xi, eta,
-                               lambda w, n: sel[w[:n]][n] != w[n])
+                               lambda w, n: chosen(w[:n])[n] != w[n])
 
 
 def sup_by_prefix(tree, delta, xi, eta):
-    children = tree.children
+    children = children_of(tree)
     return two_tails_by_prefix(delta, xi, eta,
                                lambda w, n: len(children[w[:n]]) > 1)
 
@@ -383,18 +396,28 @@ def test_thue_morse_distances_at_512_keep_no_per_node_levels():
                         for x, y in pairs[:20]]
 
 
+def refuse_levels(*args):
+    raise AssertionError("the word levels were read")
+
+
 @pytest.mark.parametrize("spec, N", ((FullShift(2), 7), (FullShift(3), 4),
                                      (fibonacci_spec(), 40),
                                      (ExplicitWindow("abaababaab" * 2), 7)))
-def test_distances_read_neither_child_links_nor_levels(spec, N):
+def test_distances_read_neither_child_links_nor_levels(spec, N,
+                                                       monkeypatch):
     tree = tree_for(spec, N)
-    bare = dataclasses.replace(tree, children={}, levels=())
-    tau = choice_function(tree, policy="seeded-random", seed=N)
+    levels = tree.levels
+    # a copy with no views kept, whose levels cannot be built
+    bare = dataclasses.replace(tree)
+    monkeypatch.setattr(words, "_tree_of_words", refuse_levels)
+    tau = choice_function(bare, policy="seeded-random", seed=N)
+    assert tau == choice_function(tree, policy="seeded-random", seed=N)
     delta = DeltaSequence.harmonic()
+    approximation_graph(bare, tau, delta)
     rng = random.Random(N)
     for _ in range(200):
-        words = tree.levels[rng.randint(0, N)]
-        x, y = rng.choice(words), rng.choice(words)
+        level = levels[rng.randint(0, N)]
+        x, y = rng.choice(level), rng.choice(level)
         assert sup_spectral_distance(bare, delta, x, y) == \
             sup_spectral_distance(tree, delta, x, y)
         assert spectral_distance(bare, tau, delta, x, y) == \
@@ -471,7 +494,7 @@ def test_witnesses_reported():
     tree = tree_for(fibonacci_spec(), 8)
     c = lipschitz_estimate(tree, delta)
     assert isinstance(c, OrderDiagnostic)
-    assert tree.a(c.witness_node) > 0
+    assert len(children_of(tree)[c.witness_node]) > 1
     assert len(c.witness_path) == 8
     assert c.per_level and all(v <= c.value + 1e-15
                                for _, v in c.per_level)
@@ -486,6 +509,7 @@ def rebuilt_c_and_w(tree, delta):
     separate level scan for C: the oracle.  It runs in the arithmetic of
     the deltas, so exact Fractions give exact values and ties."""
     N = tree.depth
+    children = children_of(tree)
 
     def dp():
         T = {w: 0 for w in tree.leaves()}
@@ -493,9 +517,9 @@ def rebuilt_c_and_w(tree, delta):
         for n in range(N - 1, -1, -1):
             for v in tree.levels[n]:
                 best, best_c = -1, None
-                for c in tree.children[v]:
+                for c in children[v]:
                     gain = 0
-                    if len(c) <= N - 1 and tree.a(c) > 0:
+                    if len(c) <= N - 1 and len(children[c]) > 1:
                         gain = delta[len(c)]
                     if gain + T[c] > best:
                         best, best_c = gain + T[c], c
@@ -512,7 +536,7 @@ def rebuilt_c_and_w(tree, delta):
     for m in range(N):
         level_best, level_v = -1, None
         for v in tree.levels[m]:
-            if tree.a(v) > 0 and T[v] / delta[m] > level_best:
+            if len(children[v]) > 1 and T[v] / delta[m] > level_best:
                 level_best, level_v = T[v] / delta[m], v
         if level_v is not None:
             series.append((m, level_best))
@@ -822,9 +846,11 @@ def test_one_shape_per_table_serves_profiles_and_diagnostics(monkeypatch):
     want = level_profile(spec, 24)
     assert reads == [24, 24]
     assert profiles == [want] * 4
-    # the profile reads the stored leaves, not the child links
-    bare = dataclasses.replace(table, children={})
-    assert level_profile(bare) == want and reads == [24, 24, 24]
+    # the profile reads the stored leaves, not the word levels
+    bare = dataclasses.replace(table)
+    with monkeypatch.context() as patch:
+        patch.setattr(words, "_tree_of_words", refuse_levels)
+        assert level_profile(bare) == want and reads == [24, 24, 24]
     from_spec = order_diagnostics(spec, delta_from_name("harmonic"), (6, 24))
     assert [tuple(map(fields, p)) for p in pairs] == \
         [tuple(map(fields, p)) for p in from_spec]
@@ -836,12 +862,14 @@ def test_one_shape_per_table_serves_profiles_and_diagnostics(monkeypatch):
 def test_stored_leaves_and_shape_leave_equality_alone(spec, N):
     table, other = language_table(spec, N), language_table(spec, N)
     assert table.sorted_leaves == sorted([*table.leaves(), *(
-        v for v, cs in table.children.items() if not cs)])
+        v for v, cs in children_of(table).items() if not cs)])
     level_profile(table)
-    assert "shape" in vars(table) and "shape" not in vars(other)
+    assert {"shape", "levels"} <= set(vars(table))
+    assert not {"shape", "levels"} & set(vars(other))
     assert table == other and hash(table) == hash(other)
+    assert repr(table) == repr(other) == (
+        "LanguageTable(depth=%r, sorted_leaves=%r, stabilized=%r)"
+        % (N, table.sorted_leaves, table.stabilized))
+    # the leaves fix every word: other leaves make another table
     emptied = dataclasses.replace(other, sorted_leaves=[])
-    assert emptied == table and hash(emptied) == hash(table)
-    assert repr(table) == repr(other) == repr(emptied) == (
-        "LanguageTable(depth=%r, levels=%r, stabilized=%r)"
-        % (N, table.levels, table.stabilized))
+    assert emptied != table and emptied.levels != table.levels

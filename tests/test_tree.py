@@ -1,30 +1,42 @@
 import random
+import tracemalloc
 
 import pytest
 
 from ultratree import tree as tree_module, words
-from ultratree.words import (ExplicitWindow, FullShift, fibonacci_spec,
-                             language_table)
+from ultratree.words import (ExplicitWindow, FullShift, Substitution,
+                             fibonacci_spec, language_table)
 from ultratree.tree import (DeltaSequence, StructuralError,
                             approximation_graph, build_tree, choice_function,
                             horizontal_edges, lipschitz_estimate,
                             order_diagnostics)
 from ultratree.metrics import graph_distances
 
-from oracles import tree_for, walk_tree_check
+from oracles import children_of, tree_for, walk_tree_check
+
+
+def representative(tree, tau, v):
+    """The leaf that tau's selections lead to from the word v, walked over
+    every node: the oracle."""
+    children = children_of(tree)
+    while len(v) < tree.depth:
+        cs = children[v]
+        v = tau.selection[v] if len(cs) > 1 else cs[0]
+    return v
 
 
 def test_full_shift_tree_shape():
     tree = tree_for(FullShift(2), 3)
     assert [len(lv) for lv in tree.levels] == [1, 2, 4, 8]
-    assert tree.a("") == 1 and tree.a("ab") == 1
+    forks = tree.shape[0]
+    assert forks[""] == [0, 4, 8] and forks["ab"] == [2, 3, 4]
     assert tree.leaves() == tree.levels[3]
 
 
 def test_fibonacci_tree_single_branching_per_level():
     tree = tree_for(fibonacci_spec(), 8)
     for n in range(8):
-        branching = [v for v in tree.levels[n] if tree.a(v) > 0]
+        branching = [v for v in tree.levels[n] if v in tree.shape[0]]
         assert len(branching) == 1
 
 
@@ -124,8 +136,45 @@ def test_canonical_choice():
     tree = tree_for(FullShift(2), 4)
     tau = choice_function(tree)
     assert tau.selection[""] == "a"
-    assert tau.representative[""] == "aaaa"
-    assert tau.representative["b"] == "baaa"
+    assert representative(tree, tau, "") == "aaaa"
+    assert representative(tree, tau, "b") == "baaa"
+    # the root edge joins the representatives of its two children
+    delta = DeltaSequence.exponential()
+    graph = approximation_graph(tree, tau, delta)
+    assert graph.edges[graph.index["aaaa"], graph.index["baaa"]] == delta[0]
+
+
+@pytest.mark.parametrize("spec, N", (
+    (FullShift(2), 4), (FullShift(3), 3), (fibonacci_spec(), 9),
+    (ExplicitWindow("abaababaab" * 2), 6),
+    (Substitution.from_rules({"a": "ab", "b": "ba"}, "a"), 10)))
+def test_choice_functions_select_at_branching_words_only(spec, N):
+    tree = tree_for(spec, N)
+    children = children_of(tree)
+    branching = {v for v, cs in children.items() if len(cs) > 1}
+    canonical = choice_function(tree)
+    seeded = choice_function(tree, policy="seeded-random", seed=N)
+    assert set(canonical.selection) == set(seeded.selection) == branching
+    for v in branching:
+        assert canonical.selection[v] == min(children[v])
+        assert seeded.selection[v] in children[v]
+
+
+def test_thue_morse_choice_function_and_graph_at_512_in_a_few_mb():
+    # 414,297 nodes, of which 1,533 branch: a selection and a
+    # representative per node peaked at 37 MB for the choice function alone
+    tree = tree_for(Substitution.from_rules({"a": "ab", "b": "ba"}, "a"),
+                    512)
+    tree.shape  # read once per table, before any choice function
+    tracemalloc.start()
+    try:
+        tau = choice_function(tree, policy="seeded-random", seed=17)
+        graph = approximation_graph(tree, tau, DeltaSequence.harmonic())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert len(tau.selection) == 1533 and len(graph.vertices) == 1534
 
 
 def test_seeded_choice_deterministic():

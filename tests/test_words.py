@@ -22,7 +22,7 @@ from ultratree.words import (ExplicitWindow, FullShift, InsufficientDataError,
 from ultratree import words
 from ultratree.tree import StructuralError, build_tree
 
-from oracles import repulsiveness_bruteforce
+from oracles import children_of, repulsiveness_bruteforce
 
 
 def test_alphabet():
@@ -259,7 +259,7 @@ def test_explicit_window_levels_are_sorted_factor_sets(w, N):
 def prefix_levels(prefix, N):
     """The levels a recurrent prefix's length-N factors build."""
     leaves = sorted({prefix[i:i + N] for i in range(len(prefix) - N + 1)})
-    return _tree_of_words(leaves or [""], N)[0]
+    return _tree_of_words(leaves or [""], N)
 
 
 def pruned_factor_levels(w, N):
@@ -375,12 +375,21 @@ def test_repulsiveness_matches_bruteforce(table, data):
 @settings(max_examples=300, deadline=None)
 @given(small_tables())
 def test_child_links_match_level_scans(table):
+    # a branching word carries its children, each with the range of its
+    # leaves in the sorted leaves; no other word is kept
     profile = level_profile(table)
+    branches = dict(table.branches())
+    leaves = table.sorted_leaves
+    every = {}
     for n in range(table.depth):
         counts = {}
         for v in table.levels[n]:
             kids = tuple(w for w in table.levels[n + 1] if w[:-1] == v)
-            assert table.children[v] == kids
+            if len(kids) >= 2:
+                assert tuple(c for c, _, _ in branches[v]) == kids
+                for c, lo, hi in branches[v]:
+                    assert leaves[lo:hi] == [
+                        u for u in leaves if u.startswith(c)]
             counts[v] = len(kids)
         assert right_special_words(table, n) == {
             v for v, c in counts.items() if c >= 2}
@@ -388,8 +397,10 @@ def test_child_links_match_level_scans(table):
             c * (c - 1) for c in counts.values())
         assert profile.branching[n] == sum(
             1 for c in counts.values() if c >= 2)
-    assert len(table.children) == sum(table.counts[:table.depth])
-    if all(table.children.values()):
+        every.update(counts)
+    assert list(branches) == sorted(v for v, c in every.items() if c >= 2)
+    assert len(every) == sum(table.counts[:table.depth])
+    if all(every.values()):
         assert build_tree(table) is table
     else:
         with pytest.raises(StructuralError):
@@ -404,7 +415,7 @@ def profile_by_walk(table):
     """The level profile from a walk over the levels and child links: the
     oracle for the leaf reader."""
     P, g = complexity_profile(table)
-    children = table.children
+    children = children_of(table)
     edge, branching = [], []
     for n in range(table.depth):
         counts = [len(children[v]) for v in table.levels[n]]
@@ -502,18 +513,28 @@ def doubling_loop(spec, N):
 ))
 def test_window_tables_match_the_doubling_loop(monkeypatch, cap, patterns):
     monkeypatch.setattr(words, "DEFAULT_WINDOW_CAP", cap)
-    seen = set()
+    seen, refused = set(), set()
     for spec in WINDOW_SPECS:
         for N in (1, 2, 3, 5, 8, 13, 30, 64, 100):
             if cap > 2 ** 12 and spec == WINDOW_SPECS[-1] and N > 13:
                 continue  # the oracle doubles to 2^20 letters, seconds each
             levels, flags = doubling_loop(spec, N)
+            if len(levels[N]) < N + 1 and isinstance(spec, SturmianCF):
+                # the last window below the cap is short of the N + 1 words
+                # of length N that a Sturmian language has: refused
+                refused.add((spec, N, len(levels[N])))
+                with pytest.raises(ValueError, match="holds %d of the %d "
+                                   "words" % (len(levels[N]), N + 1)):
+                    language_table(spec, N)
+                continue
             table = language_table(spec, N)
             assert table.levels == levels, (spec, N)
             assert table.stabilized == flags, (spec, N)
             seen.add("stable" if all(flags) else
                      "partial" if any(flags) else "unsettled")
     assert seen == patterns
+    assert refused == ({(SturmianCF((0, 3), ("pow2",)), 30, 17)}
+                       if cap == 2 ** 7 else set())
 
 
 def test_window_table_is_built_once(monkeypatch):
@@ -523,15 +544,18 @@ def test_window_table_is_built_once(monkeypatch):
         calls.append(N)
         return _tree_of_words(leaves, N)
 
+    # the levels are built from the leaves on their first read, once
     monkeypatch.setattr(words, "_tree_of_words", counted)
     for spec in WINDOW_SPECS + (FullShift(2), ExplicitWindow("abaab")):
         calls.clear()
-        language_table(spec, 13)
-        assert calls == [13], spec
+        table = language_table(spec, 13)
+        assert calls == [], spec
+        assert table.levels is table.levels and calls == [13], spec
     # also when the doubling stops at the cap
     monkeypatch.setattr(words, "DEFAULT_WINDOW_CAP", 2 ** 12)
     calls.clear()
     table = language_table(WINDOW_SPECS[-1], 30)
+    assert table.levels is table.levels
     assert calls == [30] and not all(table.stabilized)
 
 
