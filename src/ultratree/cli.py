@@ -11,7 +11,7 @@ byte-identical across runs for a fixed configuration and seed.
 
 Exit codes: 0 success, 2 invalid configuration or unwritable output (a
 refused run writes nothing, not even the --out directory), 3 internal
-invariant violation, which is the Laplacian pre-check before an eigensolve
+invariant violation, which is the Laplacian pre-check before its spectrum
 (InvariantViolationError).
 
 Loading this module loads no library layer, so --help starts as fast as
@@ -34,8 +34,8 @@ class ConfigError(ValueError):
     """The command line describes an invalid configuration."""
 
 
-# the exact dense assembly and the eigensolve grow as the square and the cube
-# of the leaf count; past this limit a run takes minutes
+# the exact dense assembly and its checks grow as the square of the leaf
+# count; at this limit a run takes about 20 s on a 2-core machine
 MAX_LAPLACIAN_LEAVES = 2048
 # each s costs one pass over the levels per series; at depth 16384 this many
 # grid steps take about 90 s on a 2-core machine
@@ -384,7 +384,11 @@ def cmd_laplacian(args):
                               args.format, ("rank", "eigenvalue"),
                               list(enumerate(float(v)
                                              for v in eigenvalues))))
-    body = {"invariants": checks, "size": len(lap.leaves)}
+    # the spectrum's blocks: one per fork, of its child count less one
+    forks = tree.shape[0].values()
+    body = {"invariants": checks, "size": len(lap.leaves),
+            "spectrum": {"blocks": len(forks), "largest_block": max(
+                (len(bounds) - 2 for bounds in forks), default=0)}}
     if args.pb:
         pb = assemble_pb_laplacian(tree, mu, args.rho, delta,
                                    pair_selection=args.pb)

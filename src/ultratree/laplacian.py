@@ -15,7 +15,7 @@ not from the indicator route.
 
 Assembly is dtype generic.  With rational child weights and an integer
 density exponent everything stays in exact Fractions, so conservation and
-self-adjointness hold exactly; only the eigensolve converts to floats.
+self-adjointness hold exactly.
 An off-diagonal entry has one value per (sibling subtree, leaf column)
 block: the sibling subtrees of a leaf's ancestors partition the other
 leaves, and sibling pairs partition the ordered off-diagonal leaf pairs.
@@ -24,15 +24,21 @@ assignment, and exact rows share their entry objects.  The exact checks
 (conservation, self-adjointness, route differences) run on one integer view
 of numerators and denominators, and Fractions are formed only where two
 entries differ; the float view converts each distinct entry once.
+
+The spectrum is read from one small block per fork, not from a dense
+eigensolve of the whole matrix, which only the tests keep as an oracle.
 """
 
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, combinations, compress, count, groupby, repeat
-from operator import itemgetter, mul, ne, or_
+from functools import cached_property, reduce
+from itertools import (chain, combinations, compress, count, groupby,
+                       pairwise, repeat)
+from operator import add, itemgetter, mul, ne, or_, sub
+
+from .words import _shape
 
 
 class InvalidMeasureError(ValueError):
@@ -454,15 +460,78 @@ def matrix_difference(lap_a, lap_b):
     return float(worst)
 
 
+def _fork_blocks(lap):
+    """One block per fork of the leaves (Pearson and Bellissard 2009): for
+    each branching word v in lexicographic order, (R(v), m, k) in the
+    matrix's arithmetic, with m[i] = mu(c_i) the masses of v's children and
+    k[i][j] = M[x][y] / mu_y (i != j) for the first leaves x of c_i and y of
+    c_j; k is symmetric, since mu_x M_xy = mu_y M_yx, and its diagonal is 0.
+
+    A function constant on each child of v, of mu-mean zero and 0 off v's
+    leaves, is mapped to R(v) f_i + sum_j k_ij m_j (f_j - f_i) on c_i: the
+    sibling blocks below v sum to zero against a constant (rows conserve),
+    those above against a mean-zero function, and R(v) is the diagonal that
+    the forks above v add.  So R(root) = 0 and R(c_i) = R(v) - sum_{j != i}
+    k_ij m_j, constant down a stretch of words that do not branch.  These
+    functions and the constants span every function on the leaves.
+    """
+    leaves, rows, mu = lap.leaves, lap.rows, lap.mu_leaves
+    forks = _shape(leaves, len(leaves[0]))[0].values()
+    # a child of two or more leaves has the leaf range of the fork below it,
+    # which comes later in lexicographic order
+    mass = {}
+    for bounds in reversed(forks):
+        mass[bounds[0], bounds[-1]] = reduce(add, (mass.get(c, mu[c[0]])
+                                                   for c in pairwise(bounds)))
+    R = {(0, len(leaves)): 0}
+    for bounds in forks:
+        r = R.pop((bounds[0], bounds[-1]))
+        kids = list(pairwise(bounds))
+        m = [mass.get(c, mu[c[0]]) for c in kids]
+        k = [[0] * len(kids) for _ in kids]
+        for (i, (x, _)), (j, (y, _)) in combinations(enumerate(kids), 2):
+            k[i][j] = k[j][i] = rows[x][y] / mu[y]
+        for i, c in enumerate(kids):
+            if c[1] - c[0] > 1:
+                R[c] = reduce(sub, (k[i][j] * m[j]
+                                    for j in range(len(m)) if j != i), r)
+        yield r, m, k
+
+
 def spectrum(lap):
-    """Ascending eigenvalues of the measure-symmetrized matrix."""
+    """Ascending eigenvalues of the measure-symmetrized matrix, as floats
+    with exactly one 0.0, read from one block per fork (_fork_blocks).
+
+    The block of a fork v is R(v) plus the non-zero eigenvalues of
+    D^{-1/2} L D^{-1/2}, L the Laplacian of the complete graph on v's
+    children weighted by -k_ij m_i m_j >= 0 and D = diag(m), whose least
+    eigenvalue is the 0 of the constants.  A binary fork has the one
+    eigenvalue R(v) - k_01 mu(v), computed in the matrix's arithmetic and
+    rounded to a float once; numpy solves the forks with three or more
+    children, and only those.  One entry is read per sibling block, so the
+    result holds for the operators this module assembles, whose k_ij are
+    constant on each block; the pre-check does not test that.
+    """
     checks = check_invariants(lap, tol=1e-8)
     if not (checks["row_ok"] and checks["adjoint_ok"]):
         raise InvariantViolationError(
             "matrix fails pre-checks: %r" % (checks,))
-    # imported here so that the commands without an eigensolve start faster
-    import numpy as np
-    d = np.sqrt(np.array(lap.mu_leaves, dtype=float))
-    sym = (d[:, None] * np.array(lap.floats)) / d[None, :]
-    sym = 0.5 * (sym + sym.T)
-    return np.linalg.eigvalsh(sym)
+    out, blocks = [0.0], {}
+    for r, m, k in _fork_blocks(lap):
+        if len(m) == 2:
+            out.append(float(r - k[0][1] * (m[0] + m[1])))
+            continue
+        m, k = list(map(float, m)), [list(map(float, ki)) for ki in k]
+        sym = [[kij * math.sqrt(mi * mj) for kij, mj in zip(ki, m)]
+               for ki, mi in zip(k, m)]
+        for i, ki in enumerate(k):
+            sym[i][i] = -sum(map(mul, ki, m))
+        blocks.setdefault(len(m), []).append((float(r), sym))
+    if blocks:
+        # imported here so that binary trees need no eigensolve
+        import numpy as np
+        for same in blocks.values():  # the blocks of one size in one call
+            rs, syms = zip(*same)
+            ev = np.linalg.eigvalsh(syms)[:, 1:]
+            out += (np.array(rs)[:, None] + ev).ravel().tolist()
+    return tuple(sorted(out))

@@ -3,10 +3,11 @@
 Each one computes by brute force what the library computes by a closed form
 or a shared structure: the child links of every node from scans of the
 word levels, the tree check as a walk over every node, choice functions by
-exhaustive enumeration, the spectral distance range over all of them, and
-the repulsiveness estimators by a quadratic pair scan.  None reads the
-skeleton the library reads from the sorted leaves.  They are exponential or
-quadratic, so keep their inputs small.
+exhaustive enumeration, the spectral distance range over all of them, the
+repulsiveness estimators by a quadratic pair scan, and a Laplacian spectrum
+by a dense eigensolve of the whole matrix.  None reads the skeleton the
+library reads from the sorted leaves.  They are exponential, quadratic or
+cubic, so keep their inputs small.
 """
 
 from functools import lru_cache
@@ -115,3 +116,13 @@ def repulsiveness_bruteforce(table, N=None, right_special_only=False):
                 if ratio < best:
                     best, best_pair = ratio, (w, W)
     return best, best_pair
+
+
+def dense_spectrum(lap):
+    """Ascending eigenvalues of the whole measure-symmetrized matrix from
+    numpy's dense symmetric eigensolver, cubic in the leaf count."""
+    import numpy as np
+    d = np.sqrt(np.array(lap.mu_leaves, dtype=float))
+    sym = (d[:, None] * np.array(lap.floats)) / d[None, :]
+    sym = 0.5 * (sym + sym.T)
+    return np.linalg.eigvalsh(sym)

@@ -164,6 +164,7 @@ def test_laplacian_command(tmp_path):
     report = read_json(out + "/laplacian_report.json")
     assert report["invariants"]["row_ok"]
     assert report["invariants"]["route_difference"] == 0.0
+    assert report["spectrum"] == {"blocks": 1, "largest_block": 1}
 
 
 def test_laplacian_matrix_values_are_plain_floats(tmp_path):
@@ -191,6 +192,8 @@ def test_laplacian_pb_and_measure_file(tmp_path):
                  "--seed", "4", "--pb", "--out", out]) == 0
     report = read_json(out + "/laplacian_report.json")
     assert report["pb"]["max_abs_difference_from_full"] == 0.0
+    # a Sturmian tree forks once per level, in two
+    assert report["spectrum"] == {"blocks": 6, "largest_block": 1}
     out2 = str(tmp_path / "lap2")
     assert main(["laplacian", "--spec", "full:2", "--depth", "2",
                  "--delta", "harmonic",
@@ -663,14 +666,21 @@ def test_metrics_import_leaves_scipy_out_until_dijkstra():
     ["zeta", "--spec", "full:2", "--depth", "16"],
     ["laplacian", "--spec", "full:2", "--depth", "3", "--pb"],
     ["lipschitz", "--spec", "full:2", "--depth", "64"],
-    ["lipschitz", "--spec", "subst:a=ab,b=ba", "--depth", "32"]))
+    ["lipschitz", "--spec", "subst:a=ab,b=ba", "--depth", "32"],
+    ["laplacian", "--spec", "full:3", "--depth", "2", "--measure",
+     "random"]))
 def test_zeta_and_laplacian_leave_scipy_out(tmp_path, command):
     out = tmp_path / "out"
     argv = command + ["--out", str(out)]
     loaded, modules = fresh_loaded(
         "from ultratree.cli import main\nassert main(%r) == 0" % (argv,))
-    if command[0] == "laplacian":
+    if command[2] == "full:3":
+        # numpy solves the spectrum blocks of forks with three children
         assert loaded == ["numpy"]
+        assert len(read_csv(out / "spectrum.csv")) == 1 + 9
+    elif command[0] == "laplacian":
+        # a binary tree's blocks are single eigenvalues, exact
+        assert loaded == []
         assert len(read_csv(out / "spectrum.csv")) == 1 + 8
     else:
         assert loaded == []
@@ -739,3 +749,6 @@ def test_determinism(tmp_path):
         with open(outs[0] + "/" + fname, "rb") as fa, \
                 open(outs[1] + "/" + fname, "rb") as fb:
             assert fa.read() == fb.read()
+    # the 1 + 3 + 9 forks of full:3 at depth 3, each of three children
+    assert read_json(outs[0] + "/laplacian_report.json")["spectrum"] == {
+        "blocks": 13, "largest_block": 2}

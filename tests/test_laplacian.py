@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultratree.words import (ExplicitWindow, FullShift, SturmianCF, alphabet,
-                             fibonacci_spec)
+from ultratree.words import (ExplicitWindow, FullShift, SturmianCF,
+                             Substitution, alphabet, fibonacci_spec)
 from ultratree.tree import DeltaSequence
 from ultratree.laplacian import (InvalidMeasureError,
                                  InvariantViolationError, LaplacianMatrix,
-                                 _assemble_bilinear, _frame, _sibling_pairs,
+                                 _assemble_bilinear, _fork_blocks, _frame,
+                                 _sibling_pairs,
                                  assemble_laplacian,
                                  assemble_laplacian_dirichlet,
                                  assemble_pb_laplacian, check_invariants,
@@ -19,7 +20,7 @@ from ultratree.laplacian import (InvalidMeasureError,
                                  dirichlet_form_value, matrix_difference,
                                  spectrum)
 
-from oracles import children_of, tree_for
+from oracles import children_of, dense_spectrum, tree_for
 
 HARMONIC = DeltaSequence.harmonic()
 UNIT = DeltaSequence.table([1.0])
@@ -106,7 +107,7 @@ def test_two_by_two_example():
     lap = assemble_laplacian(tree, mu, 2, UNIT)
     mat = np.array(lap.rows, dtype=float)
     assert mat.tolist() == [[2.0, -2.0], [-2.0, 2.0]]
-    assert spectrum(lap).tolist() == [0.0, 4.0]
+    assert spectrum(lap) == (0.0, 4.0)
 
 
 def test_hand_dirichlet_form():
@@ -223,7 +224,7 @@ def test_spectrum_degenerate_tree():
     tree = tree_for(FullShift(1), 3)
     mu = cylinder_measure(tree)
     lap = assemble_laplacian(tree, mu, 2, HARMONIC)
-    assert spectrum(lap).tolist() == [0.0]
+    assert spectrum(lap) == (0.0,)
 
 
 def test_spectrum_trace_identity():
@@ -234,8 +235,90 @@ def test_spectrum_trace_identity():
     d = np.sqrt(np.array(lap.mu_leaves, dtype=float))
     sym = (d[:, None] * np.array(lap.rows, dtype=float)) / d[None, :]
     trace = float(np.trace(sym))
-    assert ev.sum() == pytest.approx(trace, rel=1e-9)
+    assert math.fsum(ev) == pytest.approx(trace, rel=1e-9)
     assert ev[0] >= -1e-10
+
+
+def assert_matches_dense(lap):
+    """The block spectrum against the dense oracle, within 1e-10 of the
+    largest |eigenvalue|, with exactly one 0.0."""
+    got, want = spectrum(lap), dense_spectrum(lap)
+    assert isinstance(got, tuple) and list(got) == sorted(got)
+    assert all(type(x) is float for x in got)
+    assert got.count(0.0) == 1
+    assert len(got) == len(want)
+    tol = 1e-10 * max(1.0, max(abs(want)))
+    assert max(abs(x - y) for x, y in zip(got, want)) <= tol
+
+
+def test_block_spectrum_matches_the_dense_oracle():
+    count = 0
+    for tree, mu, rho in criterion_9_configurations():
+        assert_matches_dense(assemble_laplacian(tree, mu, rho, HARMONIC))
+        count += 1
+    assert count == 50
+    # forks of three and four children, float entries (rho 1.5 and 0.5)
+    for spec, N in ((FullShift(3), 4), (FullShift(4), 3)):
+        tree = tree_for(spec, N)
+        mu = cylinder_measure(tree, weights="random", seed=N)
+        for rho in (1.5, 0.5):
+            assert_matches_dense(assemble_laplacian(tree, mu, rho, HARMONIC))
+    thue_morse = Substitution.from_rules({"a": "ab", "b": "ba"}, "a")
+    for spec, N in ((thue_morse, 8), (ExplicitWindow("aabacbcab" * 2), 4)):
+        tree = tree_for(spec, N)
+        for rho in (2, 1.5):
+            assert_matches_dense(assemble_laplacian(
+                tree, cylinder_measure(tree, weights="random", seed=5), rho,
+                HARMONIC))
+
+
+@pytest.mark.parametrize("mode", ("single", "nu-average"))
+def test_block_spectrum_of_the_pb_variants(mode):
+    # their sibling blocks are constant as well; a single pair at a fork of
+    # three leaves a child alone, whose Haar function keeps R(v)
+    tree = tree_for(FullShift(3), 4)
+    mu = cylinder_measure(tree, weights="random", seed=9)
+    for rho in (2, 1.5):
+        pb = assemble_pb_laplacian(tree, mu, rho, HARMONIC,
+                                   pair_selection=mode)
+        got, want = spectrum(pb), dense_spectrum(pb)
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-10 * max(
+            abs(want))
+
+
+def test_binary_block_spectrum_is_exact():
+    # full:2, uniform, rho = 2: every level weight is 1, and the spectrum
+    # is {0} and 3 * 2^m - 2 with multiplicity 2^(m-1), m = 1..N
+    tree = tree_for(FullShift(2), 5)
+    lap = assemble_laplacian(tree, cylinder_measure(tree), 2, HARMONIC)
+    want = [0.0] + [float(3 * 2 ** m - 2) for m in range(1, 6)
+                    for _ in range(2 ** (m - 1))]
+    assert spectrum(lap) == tuple(want)
+
+
+def block_trace(lap):
+    """The exact eigenvalues of the blocks, summed with multiplicity: per
+    fork a(v) R(v) plus the trace of its child block."""
+    return sum((len(m) - 1) * r - sum(k[i][j] * m[j]
+                                      for i in range(len(m))
+                                      for j in range(len(m)) if j != i)
+               for r, m, k in _fork_blocks(lap))
+
+
+def test_exact_block_eigenvalues_sum_to_the_trace():
+    thue_morse = Substitution.from_rules({"a": "ab", "b": "ba"}, "a")
+    for spec, N in ((FullShift(2), 6), (FullShift(3), 4), (FullShift(4), 3),
+                    (fibonacci_spec(), 30), (thue_morse, 12),
+                    (ExplicitWindow("aabacbcab" * 2), 4)):
+        tree = tree_for(spec, N)
+        for weights in (None, "random"):
+            mu = cylinder_measure(tree, weights=weights, seed=N)
+            for rho in (0, 1, 2):
+                lap = assemble_laplacian(tree, mu, rho, HARMONIC)
+                assert lap.integers is not None
+                trace = sum(lap.rows[i][i] for i in range(len(lap.leaves)))
+                assert isinstance(trace, (int, Fraction))
+                assert block_trace(lap) == trace
 
 
 def test_spectrum_refuses_broken_matrix():
@@ -499,3 +582,10 @@ def test_sibling_pairs_partition_the_leaf_pairs(tree):
         assert max(covered.values(), default=1) == 1
         if mode == "all":
             assert len(covered) == len(leaves) * (len(leaves) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees_for_pairs(), st.integers(0, 2 ** 32))
+def test_block_spectrum_matches_dense_on_random_trees(tree, seed):
+    mu = cylinder_measure(tree, weights="random", seed=seed)
+    assert_matches_dense(assemble_laplacian(tree, mu, 2, HARMONIC))
