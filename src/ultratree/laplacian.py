@@ -462,10 +462,11 @@ def matrix_difference(lap_a, lap_b):
 
 def _fork_blocks(lap):
     """One block per fork of the leaves (Pearson and Bellissard 2009): for
-    each branching word v in lexicographic order, (R(v), m, k) in the
-    matrix's arithmetic, with m[i] = mu(c_i) the masses of v's children and
-    k[i][j] = M[x][y] / mu_y (i != j) for the first leaves x of c_i and y of
-    c_j; k is symmetric, since mu_x M_xy = mu_y M_yx, and its diagonal is 0.
+    each branching word v in lexicographic order, (R(v), mu(v), m, k) in
+    the matrix's arithmetic, with m[i] = mu(c_i) the masses of v's children
+    and k[i][j] = M[x][y] / mu_y (i != j) for the first leaves x of c_i and
+    y of c_j; k is symmetric, since mu_x M_xy = mu_y M_yx, and its diagonal
+    is 0.
 
     A function constant on each child of v, of mu-mean zero and 0 off v's
     leaves, is mapped to R(v) f_i + sum_j k_ij m_j (f_j - f_i) on c_i: the
@@ -495,7 +496,7 @@ def _fork_blocks(lap):
             if c[1] - c[0] > 1:
                 R[c] = reduce(sub, (k[i][j] * m[j]
                                     for j in range(len(m)) if j != i), r)
-        yield r, m, k
+        yield r, mass[bounds[0], bounds[-1]], m, k
 
 
 def spectrum(lap):
@@ -517,9 +518,9 @@ def spectrum(lap):
         raise InvariantViolationError(
             "matrix fails pre-checks: %r" % (checks,))
     out, blocks = [0.0], {}
-    for r, m, k in _fork_blocks(lap):
+    for r, mass, m, k in _fork_blocks(lap):
         if len(m) == 2:
-            out.append(float(r - k[0][1] * (m[0] + m[1])))
+            out.append(float(r - k[0][1] * mass))
             continue
         m, k = list(map(float, m)), [list(map(float, ki)) for ki in k]
         sym = [[kij * math.sqrt(mi * mj) for kij, mj in zip(ki, m)]

@@ -302,7 +302,7 @@ def block_trace(lap):
     return sum((len(m) - 1) * r - sum(k[i][j] * m[j]
                                       for i in range(len(m))
                                       for j in range(len(m)) if j != i)
-               for r, m, k in _fork_blocks(lap))
+               for r, _, m, k in _fork_blocks(lap))
 
 
 def test_exact_block_eigenvalues_sum_to_the_trace():
