@@ -12,7 +12,7 @@ byte-identical across runs for a fixed configuration and seed.
 Exit codes: 0 success, 2 invalid configuration or unwritable output (a
 refused run writes nothing, not even the --out directory), 3 internal
 invariant violation, which is the Laplacian pre-check before its spectrum
-(InvariantViolationError).
+or its trace check after it (InvariantViolationError).
 
 Loading this module loads no library layer, so --help starts as fast as
 argparse.  Each subcommand imports the layers it runs when it runs: lang
@@ -347,8 +347,8 @@ def cmd_laplacian(args):
                           % (args.rho, MAX_RHO))
     # count the leaves before any table: a closed form, or else the sorted
     # leaves, read once and checked as a tree before they are counted; then
-    # the table's letters, before its levels are read for the measure.  The
-    # full-shift caps come first
+    # the table's letters, from the level counts of the shape that the
+    # measure and the assembly read.  The full-shift caps come first
     _refuse_oversized(spec, args.depth)
     count = leaf_count(spec, args.depth)
     if count is None or count <= MAX_LAPLACIAN_LEAVES:
@@ -358,7 +358,7 @@ def cmd_laplacian(args):
     if count > MAX_LAPLACIAN_LEAVES:
         raise ConfigError("laplacian of %d leaves exceeds the limit of %d"
                           % (count, MAX_LAPLACIAN_LEAVES))
-    _refuse_large_table(spec, args.depth, tree.sorted_leaves)
+    _refuse_large_table(tree)
     if args.measure == "uniform":
         mu = cylinder_measure(tree)
     elif args.measure == "random":

@@ -1,8 +1,10 @@
 """Cylinder measures, averaged tree Laplacians and their spectra.
 
-A measure on the boundary is a product of per-node child probabilities.
-The operator acts on functions that are constant on depth-N cylinders; its
-action on the indicator of a leaf gamma collects, over the levels n along
+A measure on the boundary is a product of child probabilities at the
+branching words, the only words with a choice; it is drawn there alone
+and kept by leaf range, so no route builds the word levels.  The operator
+acts on functions that are constant on depth-N cylinders; its action on
+the indicator of a leaf gamma collects, over the levels n along
 gamma, the weight w_n = rho(L_n)/L_n^2 with L_n = delta_{n-1} the sibling
 edge length at level n.  Two independent assembly routes exist: the
 closed-form action on indicators, and the bilinear Dirichlet form over
@@ -26,16 +28,18 @@ of numerators and denominators, and Fractions are formed only where two
 entries differ; the float view converts each distinct entry once.
 
 The spectrum is read from one small block per fork, not from a dense
-eigensolve of the whole matrix, which only the tests keep as an oracle.
+eigensolve of the whole matrix, which only the tests keep as an oracle;
+its eigenvalues must sum to the trace.
 """
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import (chain, combinations, compress, count, groupby,
-                       pairwise, repeat)
+from itertools import (chain, combinations, compress, count, pairwise,
+                       repeat)
 from operator import add, itemgetter, mul, ne, or_, sub
 
 from .words import _shape
@@ -54,49 +58,66 @@ class InvariantViolationError(RuntimeError):
 
 
 def cylinder_measure(tree, weights=None, seed=None):
-    """Masses of all cylinders from per-node child probabilities.
+    """The masses of the root, of each branching word's children and of the
+    leaves, the cylinders the operators read, from child probabilities.
 
     weights may be None (uniform over children), a dict mapping a parent
-    word to a probability list in child sort order, or the string "random"
-    for positive rational weights drawn from the given seed.  The uniform
-    and random weights sum to one by construction; a dict's must be
-    positive and sum to one per node (exactly for rationals, to 1e-12 for
-    floats).  Returns a dict from word to mass; the root has mass 1.
+    word to a probability list in child sort order, or "random" for
+    positive rational weights drawn from the seed, one list per branching
+    word by level, lexicographic within a level.  Only a branching word
+    has a choice; any other word passes its mass to its one child, and a
+    dict may leave it out or give it [1].  Masses are kept by leaf range.
     """
+    leaves, forks = tree.sorted_leaves, tree.shape[0]
     rng = random.Random(seed) if weights == "random" else None
+    entries = dict(forks)
+    if rng is None and weights is not None:
+        # a dict's entry at a word of the tree that does not branch is
+        # checked too, over the leaves that start with that word
+        for v in weights.keys() - forks.keys():
+            prefix = itemgetter(slice(len(v)))
+            lo = bisect_left(leaves, v, key=prefix)
+            hi = bisect_right(leaves, v, lo, key=prefix)
+            if lo < hi and len(v) < tree.depth:
+                entries[v] = (lo, hi)
+    mass = {(0, len(leaves)): Fraction(1)}
     mu = {"": Fraction(1)}
-    for n in range(tree.depth):
-        # the children of a level-n word are a run of level n + 1
-        runs = groupby(tree.levels[n + 1], itemgetter(slice(None, -1)))
-        children = {v: tuple(cs) for v, cs in runs}
-        for v in tree.levels[n]:
-            cs = children.get(v, ())
-            if rng is not None:
-                raw = [rng.randint(1, 100) for _ in cs]
-                total = sum(raw)
-                probs = [Fraction(r, total) for r in raw]
-            elif weights is None:
-                probs = [Fraction(1, len(cs))] * len(cs)
-            else:
-                if v not in weights:
-                    raise InvalidMeasureError("no weights for %r" % v)
-                probs = list(weights[v])
-                if len(probs) != len(cs):
-                    raise InvalidMeasureError(
-                        "weights for %r have wrong arity" % v)
-                for p in probs:
-                    if not p > 0:  # NaN included
-                        raise InvalidMeasureError(
-                            "non-positive child weight at %r" % v)
-                total = sum(probs)
-                exact = all(isinstance(p, (Fraction, int)) for p in probs)
-                if (exact and total != 1) or (not exact and
-                                              abs(total - 1.0) > 1e-12):
-                    raise InvalidMeasureError(
-                        "child weights at %r sum to %r" % (v, total))
-            for c, p in zip(cs, probs):
-                mu[c] = mu[v] * p
+    for v in sorted(entries, key=lambda v: (len(v), v)):
+        bounds = entries[v]
+        kids = list(pairwise(bounds))
+        if rng is not None:
+            raw = [rng.randint(1, 100) for _ in kids]
+            probs = [Fraction(r, sum(raw)) for r in raw]
+        elif weights is None:
+            probs = [Fraction(1, len(kids))] * len(kids)
+        else:
+            probs = _child_weights(v, weights.get(v), len(kids))
+        parent = mass[bounds[0], bounds[-1]]
+        for (lo, hi), p in zip(kids, probs):
+            mass[lo, hi] = parent * p
+        if v in forks:
+            mu.update((leaves[c[0]][:len(v) + 1], mass[c]) for c in kids)
+    mu.update((x, mass[i, i + 1]) for i, x in enumerate(leaves))
     return mu
+
+
+def _child_weights(v, probs, arity):
+    """A dict's probabilities for the children of v, refused when missing,
+    of another arity, not positive or not summing to one (exactly for
+    rationals, to 1e-12 for floats)."""
+    if probs is None:
+        raise InvalidMeasureError("no weights for %r" % v)
+    probs = list(probs)
+    if len(probs) != arity:
+        raise InvalidMeasureError("weights for %r have wrong arity" % v)
+    for p in probs:
+        if not p > 0:  # NaN included
+            raise InvalidMeasureError("non-positive child weight at %r" % v)
+    total = sum(probs)
+    exact = all(isinstance(p, (Fraction, int)) for p in probs)
+    if (exact and total != 1) or (not exact and abs(total - 1.0) > 1e-12):
+        raise InvalidMeasureError("child weights at %r sum to %r" % (v, total))
+    return probs
 
 
 def density(s):
@@ -511,7 +532,10 @@ def spectrum(lap):
     rounded to a float once; numpy solves the forks with three or more
     children, and only those.  One entry is read per sibling block, so the
     result holds for the operators this module assembles, whose k_ij are
-    constant on each block; the pre-check does not test that.
+    constant on each block.  The pre-check does not test that; a matrix
+    whose eigenvalues do not sum to its trace within its tolerance, 1e-8
+    relative, is refused: a necessary condition, which a matrix of another
+    structure can still meet.
     """
     checks = check_invariants(lap, tol=1e-8)
     if not (checks["row_ok"] and checks["adjoint_ok"]):
@@ -535,4 +559,9 @@ def spectrum(lap):
             rs, syms = zip(*same)
             ev = np.linalg.eigvalsh(syms)[:, 1:]
             out += (np.array(rs)[:, None] + ev).ravel().tolist()
+    total = math.fsum(out)
+    trace = math.fsum(float(r[i]) for i, r in enumerate(lap.rows))
+    if not math.isclose(total, trace, rel_tol=1e-8, abs_tol=1e-8):
+        raise InvariantViolationError(
+            "block eigenvalues sum to %r, the trace is %r" % (total, trace))
     return tuple(sorted(out))

@@ -209,15 +209,6 @@ def build_tree(table):
     return table
 
 
-def horizontal_edges(tree, n):
-    """Unordered sibling pairs at level n (their common parent sits at
-    level n-1, so each pair carries length delta_{n-1})."""
-    if not 1 <= n <= tree.depth:
-        raise ValueError("level out of range")
-    return [pair for v, cs in tree.branches() if len(v) == n - 1
-            for pair in combinations([c for c, _, _ in cs], 2)]
-
-
 @dataclass(frozen=True)
 class ChoiceFunction:
     """One selected child per branching word, the only selections a

@@ -19,8 +19,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from bisect import bisect_left, insort
 from functools import cached_property
-from itertools import accumulate, compress, groupby, islice, product
-from operator import eq, itemgetter
+from itertools import accumulate, compress, count, groupby, islice, product
+from operator import eq, itemgetter, mul
 
 ALPHABET = string.ascii_lowercase
 
@@ -359,10 +359,10 @@ def _leaves(spec, N):
     length-N factors and its shorter suffixes that occur only at its end.
     A Sturmian or substitution window is cut to its recurrent prefix (see
     _recurrent_prefix), whose length-N factors, or else the root, are the
-    leaves, and doubled until they stop changing, and a Sturmian one also
-    until there are N + 1 of them: its language has that many words of
-    length N (leaf_count), and two windows can agree on fewer.  Each factor
-    of such a prefix extends to length N in it and the windows nest
+    leaves.  A Sturmian window is doubled until it holds N + 1 of them, the
+    count of words of length N in its language (leaf_count), which settles
+    every level, and a substitution one until they stop changing.  Each
+    factor of such a prefix extends to length N in it and the windows nest
     (Sturmian ones as suffixes, substitution ones as prefixes), so every
     count has then settled.  At the cap, a Sturmian window with fewer than
     N + 1 leaves is refused, and otherwise the flags compare the counts of
@@ -385,7 +385,7 @@ def _leaves(spec, N):
         prefix = _recurrent_prefix(_window_for(spec, length), N)
         keys = sorted({prefix[i:i + N]
                        for i in range(len(prefix) - N + 1)}) or [""]
-        if keys == prev and complete in (None, len(keys)):
+        if complete is None and keys == prev:
             return keys, flags
         if 2 * length > DEFAULT_WINDOW_CAP:
             if complete is not None and len(keys) < complete:
@@ -396,6 +396,8 @@ def _leaves(spec, N):
                 return keys, (False,) * (N + 1)
             return keys, tuple(a == b for a, b in zip(_shape(keys, N)[1],
                                                       _shape(prev, N)[1]))
+        if len(keys) == complete:
+            return keys, flags
         prev = keys
         length *= 2
 
@@ -451,33 +453,27 @@ def _skeleton(forks, N):
     return words, parent, [len(w) for w in words]
 
 
-def table_letters(spec, N, leaves=None):
-    """The letters in all the words of a spec's depth-N table, the sum of
+def table_letters(source, N=None):
+    """The letters in all the words of a depth-N table, the sum of
     n * P(n): in closed form for a full shift or a Sturmian spec, whose
-    P(n) leaf_count gives, and for any other spec from its sorted leaves,
-    or None when they are not given.  A length-n word is counted once for each leaf at
-    least n long below it, less once for each neighbour pair sharing its n
-    letters (see _shape), so the sum is that of n(n + 1)/2 over the leaves'
-    lengths less that over the neighbours' common prefix lengths."""
-    if isinstance(spec, FullShift):
-        k = spec.k
+    P(n) leaf_count gives, and otherwise from the level counts that
+    level_profile reads from a table's shape: the table given, whose shape
+    is read once and kept on it, or one on the spec's leaves."""
+    if isinstance(source, FullShift):
+        k = source.k
         if k == 1:
             return N * (N + 1) // 2
         return (N * k ** (N + 2) - (N + 1) * k ** (N + 1) + k) // (k - 1) ** 2
-    if isinstance(spec, SturmianCF):
+    if isinstance(source, SturmianCF):
         return N * (N + 1) * (N + 2) // 3
-    if leaves is None:
-        return None
-    shared = map(_common_prefix_length, leaves, leaves[1:])
-    return (sum(len(v) * (len(v) + 1) for v in leaves)
-            - sum(h * (h + 1) for h in shared)) // 2
+    return sum(map(mul, count(), level_profile(source, N).P))
 
 
-def _refuse_large_table(spec, N, leaves=None):
-    """Refuse a depth-N table of more than TABLE_LETTER_CAP letters before
-    it is built, counted by table_letters."""
-    letters = table_letters(spec, N, leaves)
-    if letters is not None and letters > TABLE_LETTER_CAP:
+def _refuse_large_table(source, N=None):
+    """Refuse a table of more than TABLE_LETTER_CAP letters, counted by
+    table_letters, before its levels are built."""
+    letters = table_letters(source, N)
+    if letters > TABLE_LETTER_CAP:
         raise ValueError("table of %d letters exceeds the limit of %d"
                          % (letters, TABLE_LETTER_CAP))
 
@@ -485,13 +481,15 @@ def _refuse_large_table(spec, N, leaves=None):
 def language_table(spec, N):
     """The admissible words of length <= N for a spec: the tree of words on
     the leaves that _leaves reads, with its flags.  A table of more than
-    TABLE_LETTER_CAP letters is refused before it is built, and a full
-    shift's or Sturmian spec's before its leaves are read."""
+    TABLE_LETTER_CAP letters is refused before its levels are built, and a
+    full shift's or Sturmian spec's before its leaves are read."""
     _refuse_oversized(spec, N)
-    _refuse_large_table(spec, N)  # the closed forms
-    leaves, flags = _leaves(spec, N)
-    _refuse_large_table(spec, N, leaves)  # any other spec
-    return LanguageTable(N, leaves, flags)
+    if isinstance(spec, (FullShift, SturmianCF)):
+        _refuse_large_table(spec, N)
+        return LanguageTable(N, *_leaves(spec, N))
+    table = LanguageTable(N, *_leaves(spec, N))
+    _refuse_large_table(table)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,17 @@ Each one computes by brute force what the library computes by a closed form
 or a shared structure: the child links of every node from scans of the
 word levels, the tree check as a walk over every node, choice functions by
 exhaustive enumeration, the spectral distance range over all of them, the
-repulsiveness estimators by a quadratic pair scan, and a Laplacian spectrum
-by a dense eigensolve of the whole matrix.  None reads the skeleton the
-library reads from the sorted leaves.  They are exponential, quadratic or
-cubic, so keep their inputs small.
+sibling pairs of a level, the repulsiveness estimators by a quadratic pair
+scan, a cylinder measure by a scan of every word level and a Laplacian
+spectrum by a dense eigensolve of the whole matrix.  None reads the
+skeleton the library reads from the sorted leaves.  They are exponential,
+quadratic or cubic, so keep their inputs small.
 """
 
+import random
+from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import combinations, groupby, product
 
 from ultratree.metrics import common_prefix_length
 from ultratree.tree import ChoiceFunction, StructuralError, build_tree
@@ -93,6 +96,16 @@ def spectral_distance_range_bruteforce(tree, delta, xi, eta):
     return lo, hi
 
 
+def horizontal_edges(tree, n):
+    """Unordered sibling pairs at level n (their common parent sits at
+    level n-1, so each pair carries length delta_{n-1})."""
+    if not 1 <= n <= tree.depth:
+        raise ValueError("level out of range")
+    children = children_of(tree)
+    return [pair for v in tree.levels[n - 1]
+            for pair in combinations(children[v], 2)]
+
+
 def repulsiveness_bruteforce(table, N=None, right_special_only=False):
     """Quadratic pair scan over the whole table."""
     if N is None:
@@ -126,3 +139,25 @@ def dense_spectrum(lap):
     sym = (d[:, None] * np.array(lap.floats)) / d[None, :]
     sym = 0.5 * (sym + sym.T)
     return np.linalg.eigvalsh(sym)
+
+
+def measure_by_levels(tree, weights=None, seed=None):
+    """cylinder_measure by a scan of every word level: every word below the
+    depth, branching or not, takes a weight list (one random draw per child
+    or a dict entry, which must then be given), and every word a mass."""
+    rng = random.Random(seed) if weights == "random" else None
+    children = children_of(tree)
+    mu = {"": Fraction(1)}
+    for n in range(tree.depth):
+        for v in tree.levels[n]:
+            cs = children[v]
+            if rng is not None:
+                raw = [rng.randint(1, 100) for _ in cs]
+                probs = [Fraction(r, sum(raw)) for r in raw]
+            elif weights is None:
+                probs = [Fraction(1, len(cs))] * len(cs)
+            else:
+                probs = weights[v]
+            for c, p in zip(cs, probs):
+                mu[c] = mu[v] * p
+    return mu

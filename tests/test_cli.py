@@ -202,6 +202,28 @@ def test_laplacian_pb_and_measure_file(tmp_path):
     assert index["0"] == "aa"
 
 
+@pytest.mark.parametrize("spec, depth", (
+    ("subst:a=ab,b=ba", 12), ("sturmian:cf=1", 12),
+    ("window:aabacbcabaabacbcab", 4)))
+def test_laplacian_builds_no_word_levels(tmp_path, monkeypatch, spec, depth):
+    def refuse(*args):
+        raise AssertionError("the word levels were read")
+
+    # a measure file gives weights at the branching words alone
+    forks = build_tree(language_table(parse_spec(spec), depth)).shape[0]
+    weights = {v: ["%d/%d" % (i, len(b) * (len(b) - 1) // 2)
+                   for i in range(1, len(b))] for v, b in forks.items()}
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps(weights))
+    monkeypatch.setattr(words, "_tree_of_words", refuse)
+    for name in ("uniform", "random", "file:%s" % measure):
+        out = str(tmp_path / name.replace("/", "_"))
+        assert main(["laplacian", "--spec", spec, "--depth", str(depth),
+                     "--measure", name, "--seed", "3", "--out", out]) == 0
+        assert read_json(out + "/laplacian_report.json")["invariants"][
+            "route_difference"] == 0.0
+
+
 def test_json_format_series(tmp_path):
     out = str(tmp_path / "fmt")
     assert main(["lang", "--spec", "full:2", "--depth", "3",

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from ultratree.laplacian import (InvalidMeasureError,
                                  dirichlet_form_value, matrix_difference,
                                  spectrum)
 
-from oracles import children_of, dense_spectrum, tree_for
+from oracles import children_of, dense_spectrum, measure_by_levels, tree_for
 
 HARMONIC = DeltaSequence.harmonic()
 UNIT = DeltaSequence.table([1.0])
@@ -52,14 +53,18 @@ def test_uniform_measure_additivity():
 
 
 def test_random_measure_additivity_and_determinism():
+    # the root, each branching word's children and the leaves have masses;
+    # a child's is the sum of its leaves'
     tree = tree_for(fibonacci_spec(), 6)
+    leaves = tree.sorted_leaves
     mu1 = cylinder_measure(tree, weights="random", seed=3)
     mu2 = cylinder_measure(tree, weights="random", seed=3)
     assert mu1 == mu2
-    for n in range(6):
-        for v in tree.levels[n]:
-            assert mu1[v] == sum(mu1[c] for c in children_of(tree)[v])
-            assert mu1[v] > 0
+    kids = [(c, lo, hi) for _, cs in tree.branches() for c, lo, hi in cs]
+    assert set(mu1) == {"", *leaves, *(c for c, _, _ in kids)}
+    assert sum(mu1[x] for x in leaves) == mu1[""] == 1
+    for c, lo, hi in kids:
+        assert mu1[c] == sum(mu1[x] for x in leaves[lo:hi]) > 0
 
 
 def test_measure_validation():
@@ -73,6 +78,37 @@ def test_measure_validation():
     with pytest.raises(InvalidMeasureError):
         cylinder_measure(tree, weights={v: [Fraction(3, 2), Fraction(-1, 2)]
                                         for v in ("", "a", "b")})
+
+
+def test_measure_weights_at_words_with_one_child():
+    # Fibonacci at 3 branches at "", "a" and "ba"; "b", "aa" and "ab" have
+    # one child each
+    tree = tree_for(fibonacci_spec(), 3)
+    assert list(tree.shape[0]) == ["", "a", "ba"]
+    forks = {"": [Fraction(1, 3), Fraction(2, 3)],
+             "a": [Fraction(1, 4), Fraction(3, 4)],
+             "ba": [Fraction(1, 5), Fraction(4, 5)]}
+    mu = cylinder_measure(tree, weights=forks)
+    want = measure_by_levels(tree, weights={**forks, "b": [1], "aa": [1],
+                                            "ab": [1]})
+    assert mu == {x: want[x] for x in mu}
+    # an entry for a word with one child must be the one weight 1; entries
+    # at the leaves or outside the tree are not read
+    assert cylinder_measure(tree, weights={
+        **forks, "b": [Fraction(1)], "aab": [7], "bb": [5]}) == mu
+    for entry, message in (([Fraction(1, 2)] * 2, "wrong arity"),
+                           ([Fraction(1, 2)], "sum to"),
+                           ([-1], "non-positive")):
+        with pytest.raises(InvalidMeasureError, match=message):
+            cylinder_measure(tree, weights={**forks, "aa": entry})
+    # a branching word without weights is refused; the first word at fault
+    # in level order is the one reported
+    with pytest.raises(InvalidMeasureError, match="no weights for 'a'"):
+        cylinder_measure(tree, weights={"": forks[""], "ba": forks["ba"],
+                                        "aa": [2]})
+    with pytest.raises(InvalidMeasureError, match="at 'b'"):
+        cylinder_measure(tree, weights={"": forks[""], "a": forks["a"],
+                                        "b": [2]})
 
 
 def test_measure_tree_mismatch():
@@ -326,6 +362,24 @@ def test_spectrum_refuses_broken_matrix():
                           (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(InvariantViolationError):
         spectrum(bad)
+
+
+def test_spectrum_refuses_eigenvalues_off_the_trace():
+    """A weighted path-graph Laplacian on the leaves of full:2 at depth 2
+    passes the pre-check, but its sibling blocks are not constant: the
+    block route reads (0, 0, 2, 6), which sums to 8, and the dense
+    spectrum is about (0, 0.936, 3.305, 7.759), which sums to the trace 12.
+    An eigenvalue sum equal to the trace is a necessary condition for the
+    block structure, not a proof of it."""
+    rows = ((1, -1, 0, 0), (-1, 3, -2, 0), (0, -2, 5, -3), (0, 0, -3, 3))
+    path = LaplacianMatrix(("aa", "ab", "ba", "bb"), rows,
+                           (Fraction(1, 4),) * 4)
+    checks = check_invariants(path, tol=1e-8)
+    assert checks["row_ok"] and checks["adjoint_ok"]
+    assert math.fsum(dense_spectrum(path)) == pytest.approx(12)
+    with pytest.raises(InvariantViolationError, match="sum to 8.0, the "
+                       "trace is 12.0"):
+        spectrum(path)
 
 
 def test_spectrum_refuses_large_float_row_defect():
@@ -589,3 +643,45 @@ def test_sibling_pairs_partition_the_leaf_pairs(tree):
 def test_block_spectrum_matches_dense_on_random_trees(tree, seed):
     mu = cylinder_measure(tree, weights="random", seed=seed)
     assert_matches_dense(assemble_laplacian(tree, mu, 2, HARMONIC))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees_for_pairs(), st.integers(0, 2 ** 32))
+def test_measure_matches_the_level_scan(tree, seed):
+    # the scan gives every word a mass; the measure returns those of the
+    # root, of the branching words' children and of the leaves
+    weights = mild_weights(tree, seed)
+    forks_only = {v: weights[v] for v in tree.shape[0]}
+    for given, scanned in ((None, None), (weights, weights),
+                           (forks_only, weights)):
+        mu = cylinder_measure(tree, weights=given)
+        want = measure_by_levels(tree, weights=scanned)
+        assert mu == {x: want[x] for x in mu}
+        assert set(tree.sorted_leaves) <= set(mu)
+
+
+def test_random_measure_on_full_shifts_draws_as_the_level_scan():
+    # every word below the depth of a full shift branches, so each draws
+    # in the order the scan draws
+    for k, N in ((2, 6), (3, 4)):
+        tree = tree_for(FullShift(k), N)
+        for seed in (0, 7, 2 ** 31):
+            assert cylinder_measure(tree, weights="random", seed=seed) == \
+                measure_by_levels(tree, weights="random", seed=seed)
+
+
+def test_thue_morse_measure_at_300_keeps_no_levels():
+    # the level scan (oracles.measure_by_levels) holds all 140,961 words,
+    # about 54 MB under tracemalloc; the measure holds the masses of the
+    # branching words' children and of the leaves, under 1 MB
+    tree = tree_for(Substitution.from_rules({"a": "ab", "b": "ba"}, "a"),
+                    300)
+    assert len(tree.sorted_leaves) == 940
+    tracemalloc.start()
+    try:
+        mu = cylinder_measure(tree, weights="random", seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "levels" not in vars(tree)
+    assert set(tree.sorted_leaves) <= set(mu) and peak < 2 * 2 ** 20

@@ -860,11 +860,16 @@ def test_one_shape_per_table_serves_profiles_and_diagnostics(monkeypatch):
                                      (ExplicitWindow("abaababaab"), 7),
                                      (ExplicitWindow("ab"), 3)))
 def test_stored_leaves_and_shape_leave_equality_alone(spec, N):
-    table, other = language_table(spec, N), language_table(spec, N)
+    table = language_table(spec, N)
     assert table.sorted_leaves == sorted([*table.leaves(), *(
         v for v, cs in children_of(table).items() if not cs)])
     level_profile(table)
     assert {"shape", "levels"} <= set(vars(table))
+    # language_table reads the shape of a table with no closed form, whose
+    # level counts the letter cap sums; a table made afresh has no view
+    other = language_table(spec, N)
+    assert "levels" not in vars(other)
+    other = dataclasses.replace(other)
     assert not {"shape", "levels"} & set(vars(other))
     assert table == other and hash(table) == hash(other)
     assert repr(table) == repr(other) == (

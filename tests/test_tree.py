@@ -8,11 +8,11 @@ from ultratree.words import (ExplicitWindow, FullShift, Substitution,
                              fibonacci_spec, language_table)
 from ultratree.tree import (DeltaSequence, StructuralError,
                             approximation_graph, build_tree, choice_function,
-                            horizontal_edges, lipschitz_estimate,
-                            order_diagnostics)
+                            lipschitz_estimate, order_diagnostics)
 from ultratree.metrics import graph_distances
 
-from oracles import children_of, tree_for, walk_tree_check
+from oracles import (children_of, horizontal_edges, tree_for,
+                     walk_tree_check)
 
 
 def representative(tree, tau, v):

@@ -334,11 +334,10 @@ def test_table_letters_count_the_table(spec_and_depth):
     spec, N = spec_and_depth
     table = language_table(spec, N)
     letters = sum(len(w) for lv in table.levels for w in lv)
-    assert table_letters(spec, N, table.sorted_leaves) == letters
-    if isinstance(spec, (FullShift, SturmianCF)):
-        assert table_letters(spec, N) == letters
-    else:
-        assert table_letters(spec, N) is None
+    # from the table's shape, and in closed form or from a table on the
+    # spec's leaves
+    assert table_letters(table) == letters
+    assert table_letters(spec, N) == letters
 
 
 def test_table_letter_cap(monkeypatch):
@@ -346,8 +345,8 @@ def test_table_letter_cap(monkeypatch):
         raise AssertionError("read past the refusal")
 
     # sturmian:cf=1 passes the cap at depth 1476, counted in closed form
-    # before its leaves are read; a window's table is counted from its
-    # leaves before it is built
+    # before its leaves are read; a window's table is counted from the
+    # shape of its leaves before its levels are built
     assert table_letters(fibonacci_spec(), 1475) <= TABLE_LETTER_CAP
     monkeypatch.setattr(words, "_tree_of_words", refuse)
     with monkeypatch.context() as patch:
