@@ -232,13 +232,13 @@ def write_report(path, args, body):
 
 def cmd_lang(args):
     from itertools import zip_longest
-    from .words import (language_table, level_profile, repetitivity_estimate,
-                        repulsiveness_estimates)
+    from .words import (complexity_profile, language_table,
+                        repetitivity_estimate, repulsiveness_estimates)
     spec = parse_spec(args.spec)
     table = language_table(spec, args.depth)
-    profile = level_profile(table)
+    P, g = complexity_profile(table)
     rows = [(n, *row) for n, row in enumerate(zip_longest(
-        profile.P, profile.g, profile.branching, fillvalue=""))]
+        P, g, map(len, table.right_special), fillvalue=""))]
     series = write_series(os.path.join(args.out, "language"), args.format,
                           ("n", "P", "g", "right_special"), rows)
     l_hat, l_hat_r, witnesses = repulsiveness_estimates(table)
@@ -347,8 +347,8 @@ def cmd_laplacian(args):
                           % (args.rho, MAX_RHO))
     # count the leaves before any table: a closed form, or else the sorted
     # leaves, read once and checked as a tree before they are counted; then
-    # the table's letters, from the level counts of the shape that the
-    # measure and the assembly read.  The full-shift caps come first
+    # the table's letters, from its level counts.  The full-shift caps come
+    # first
     _refuse_oversized(spec, args.depth)
     count = leaf_count(spec, args.depth)
     if count is None or count <= MAX_LAPLACIAN_LEAVES:

@@ -25,7 +25,18 @@ from bisect import bisect_left
 from .tree import (continuity_witness, continuity_witness_fast,  # noqa: F401
                    delta_from_name, lipschitz_estimate,
                    lipschitz_estimate_fast, trend_verdict)
-from .words import _common_prefix_length as common_prefix_length
+
+
+def common_prefix_length(u, v):
+    """Length of the longest common prefix, by binary search on slices."""
+    lo, hi = 0, min(len(u), len(v))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if u[:mid] == v[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 class DepthMismatchError(ValueError):

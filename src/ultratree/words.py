@@ -5,21 +5,25 @@ order).  A subshift is described declaratively by a spec object and its
 language is read, up to a depth bound, as a LanguageTable.  A tree of words
 is its sorted leaves: a word's parent is its prefix, and the leaves below a
 word are contiguous.  The table keeps the leaves it was built from, and
-reads its shape from them once: the branching words with their children's
-leaf ranges, the level counts and the skeleton.  The words level by level
-are a view built on first read, for the scans that need every word.  On
-top of it sit the usual combinatorial statistics: right special words, the
-complexity function, repetitivity, and the repulsiveness estimators, and
-each spec family's level counts and branching chain, the closed forms of
-full-shift and Sturmian trees.
+reads everything else from them and from the longest common prefix of each
+pair of neighbouring leaves: the level counts, the right special words of
+each length, and the shape, that is the branching words with their
+children's leaf ranges and the skeleton.  On top of these sit the usual
+combinatorial statistics: the complexity function, right special words,
+repetitivity and the repulsiveness estimators, which read each word as a
+prefix of a leaf and keep none; and each spec family's level counts and
+branching chain, the closed forms of full-shift and Sturmian trees.  The
+words level by level are a view built only on request, for the test
+oracles that scan every word.
 """
 
 import string
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from functools import cached_property
-from itertools import accumulate, compress, count, groupby, islice, product
+from itertools import accumulate, chain, count, groupby, product
 from operator import eq, itemgetter, mul
 
 ALPHABET = string.ascii_lowercase
@@ -224,23 +228,39 @@ class LanguageTable:
     table was built from, which fix every word in it.  stabilized[n]
     records whether the count at length n was unchanged across the last
     window doubling; exact specs set every flag.  The hash reads the depth
-    and the flags.  Two views are read from the leaves on first use and
-    kept, and take no part in equality, hash or repr: the shape (see _shape
-    and _skeleton), which the tree analyses read, and levels[n], the sorted
-    tuple of the length-n words, which counts and the statistics that scan
-    every word read.
+    and the flags.  Views are read from the leaves on first use and kept,
+    and take no part in equality, hash or repr: lcps, the longest common
+    prefix length of each pair of neighbouring leaves, which the others
+    read; counts, P(n) for n = 0..depth; right_special[n], the branching
+    words of length n; and the shape (see _shape and _skeleton), which the
+    tree analyses read.  levels[n], the sorted tuple of the length-n
+    words, holds sum of n * P(n) letters and is built only for the
+    oracles that scan every word; no statistic here reads it.
     """
 
     depth: int
     sorted_leaves: list = field(hash=False)
     stabilized: tuple
 
-    @property
-    def counts(self):
-        return tuple(len(lv) for lv in self.levels)
-
     def leaves(self):
         return tuple(v for v in self.sorted_leaves if len(v) == self.depth)
+
+    @cached_property
+    def lcps(self):
+        return _neighbour_lcps(self.sorted_leaves)
+
+    @cached_property
+    def counts(self):
+        return _level_counts(self.sorted_leaves, self.lcps, self.depth)
+
+    @cached_property
+    def right_special(self):
+        """The branching words of each length below the depth: the common
+        prefixes of neighbouring leaves, grouped by their length."""
+        special = [set() for _ in range(self.depth)]
+        for v, h in zip(self.sorted_leaves, self.lcps):
+            special[h].add(v[:h])
+        return tuple(map(frozenset, special))
 
     @cached_property
     def levels(self):
@@ -251,7 +271,7 @@ class LanguageTable:
         """(forks, P, skeleton) of the tree: its branching words with their
         children's leaf ranges and its level counts (see _shape), and its
         skeleton at the table depth (see _skeleton)."""
-        forks, P = _shape(self.sorted_leaves, self.depth)
+        forks, P = _shape(self.sorted_leaves, self.depth, self.lcps)
         return forks, P, _skeleton(forks, self.depth)
 
     def branches(self):
@@ -283,22 +303,13 @@ def _tree_of_words(leaves, N):
 DEFAULT_WINDOW_CAP = 2 ** 20
 # a full shift holds sum of n * k^n letters; full:1 passes this at 11,585
 FULL_SHIFT_LETTER_CAP = 2 ** 26
-# a table keeps each word of each level as a string of its own, sum of
-# n * P(n) letters in all: sturmian:cf=1 at depth 1024 holds 3.6e8 of them
-# in 473 MB of max RSS, and passes this cap at depth 1476
+# the letters of a table's words, sum of n * P(n).  Nothing outside the
+# test oracles builds the levels view that would hold them as strings
+# (sturmian:cf=1 at depth 1024 has 3.6e8, which lang held in 423 MB of max
+# RSS when it read them); lang visits each of the sum of P(n) words once as
+# a prefix of a leaf.  The cap bounds that walk and keeps deep tables
+# refused as before: sturmian:cf=1 passes it at depth 1476
 TABLE_LETTER_CAP = 2 ** 30
-
-
-def _common_prefix_length(u, v):
-    """Length of the longest common prefix, by binary search on slices."""
-    lo, hi = 0, min(len(u), len(v))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if u[:mid] == v[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def _recurrent_prefix(window, N):
@@ -394,16 +405,51 @@ def _leaves(spec, N):
                     "of length %d" % (length, len(keys), complete, N))
             if prev is None:
                 return keys, (False,) * (N + 1)
-            return keys, tuple(a == b for a, b in zip(_shape(keys, N)[1],
-                                                      _shape(prev, N)[1]))
+            P, Q = (_level_counts(v, _neighbour_lcps(v), N)
+                    for v in (keys, prev))
+            return keys, tuple(map(eq, P, Q))
         if len(keys) == complete:
             return keys, flags
         prev = keys
         length *= 2
 
 
-def _shape(leaves, N):
-    """(forks, P) of the depth-N tree of words with these sorted leaves.
+def _neighbour_lcps(leaves):
+    """The longest common prefix length of each pair of neighbouring
+    leaves, at C speed: each leaf is read as one big integer, padded on
+    the right to the longest, and the highest bit in which two neighbours
+    differ falls in the first letter in which they do.  No leaf is a
+    prefix of another, so no padding is ever compared."""
+    if len(leaves) < 2:
+        return []
+    width = max(map(len, leaves))
+    try:
+        bits, ints = 8, [int.from_bytes(v.ljust(width).encode("latin-1"),
+                                        "big") for v in leaves]
+    except UnicodeEncodeError:
+        bits, ints = 32, [int.from_bytes(v.ljust(width).encode("utf-32-be"),
+                                         "big") for v in leaves]
+    top = bits * width
+    return [(top - (x ^ y).bit_length()) // bits
+            for x, y in zip(ints, ints[1:])]
+
+
+def _level_counts(leaves, lcps, N):
+    """P(n) for n = 0..N of the depth-N tree with these sorted leaves and
+    neighbour LCPs: the leaves at least n long less the neighbour pairs
+    sharing at least n letters, since the leaves below a word are
+    contiguous."""
+    net = [0] * (N + 1)  # leaves of length m less neighbour pairs sharing m
+    for m, c in Counter(map(len, leaves)).items():
+        net[m] += c
+    for h, c in Counter(lcps).items():
+        net[h] -= c
+    return tuple(accumulate(net[::-1]))[::-1]
+
+
+def _shape(leaves, N, lcps=None):
+    """(forks, P) of the depth-N tree of words with these sorted leaves,
+    whose neighbour LCPs (see _neighbour_lcps) are read when not given.
 
     The leaves below a word are contiguous, and two neighbours sharing h
     letters part at the branching word of those letters, so a branching
@@ -412,12 +458,12 @@ def _shape(leaves, N):
     Abouelhoda, Kurtz and Ohlebusch (2004), read with a stack of open runs.
     forks maps each branching word, in lexicographic order, to the bounds
     of its children's leaf ranges (child k holds bounds[k]:bounds[k + 1]),
-    and P[n], the count of length-n words, is the leaves of length >= n
-    less the neighbour pairs sharing n."""
-    shared = list(map(_common_prefix_length, leaves, leaves[1:]))
+    and P is _level_counts."""
+    if lcps is None:
+        lcps = _neighbour_lcps(leaves)
     found = {}
     tops, runs = [-1], [[]]  # the open runs: their h, increasing, and bounds
-    for i, h in enumerate(shared + [-1], 1):  # leaves i - 1 and i share h
+    for i, h in enumerate(chain(lcps, [-1]), 1):  # leaves i - 1, i share h
         lo = i - 1
         while tops[-1] > h:
             bounds = runs.pop()
@@ -430,12 +476,7 @@ def _shape(leaves, N):
             tops.append(h)
             runs.append([lo, i])
     forks = {v: found[v] for v in sorted(found)}
-    net = [0] * (N + 1)  # leaves of length m less neighbour pairs sharing m
-    for v in leaves:
-        net[len(v)] += 1
-    for h in shared:
-        net[h] -= 1
-    return forks, tuple(accumulate(net[::-1]))[::-1]
+    return forks, _level_counts(leaves, lcps, N)
 
 
 def _skeleton(forks, N):
@@ -456,9 +497,9 @@ def _skeleton(forks, N):
 def table_letters(source, N=None):
     """The letters in all the words of a depth-N table, the sum of
     n * P(n): in closed form for a full shift or a Sturmian spec, whose
-    P(n) leaf_count gives, and otherwise from the level counts that
-    level_profile reads from a table's shape: the table given, whose shape
-    is read once and kept on it, or one on the spec's leaves."""
+    P(n) leaf_count gives, and otherwise from the level counts of a table:
+    the table given, whose counts are read once and kept on it, or one on
+    the spec's leaves."""
     if isinstance(source, FullShift):
         k = source.k
         if k == 1:
@@ -466,12 +507,14 @@ def table_letters(source, N=None):
         return (N * k ** (N + 2) - (N + 1) * k ** (N + 1) + k) // (k - 1) ** 2
     if isinstance(source, SturmianCF):
         return N * (N + 1) * (N + 2) // 3
-    return sum(map(mul, count(), level_profile(source, N).P))
+    if not isinstance(source, LanguageTable):
+        source = LanguageTable(N, *_leaves(source, N))
+    return sum(map(mul, count(), source.counts))
 
 
 def _refuse_large_table(source, N=None):
     """Refuse a table of more than TABLE_LETTER_CAP letters, counted by
-    table_letters, before its levels are built."""
+    table_letters, before any statistic walks its words."""
     letters = table_letters(source, N)
     if letters > TABLE_LETTER_CAP:
         raise ValueError("table of %d letters exceeds the limit of %d"
@@ -481,8 +524,8 @@ def _refuse_large_table(source, N=None):
 def language_table(spec, N):
     """The admissible words of length <= N for a spec: the tree of words on
     the leaves that _leaves reads, with its flags.  A table of more than
-    TABLE_LETTER_CAP letters is refused before its levels are built, and a
-    full shift's or Sturmian spec's before its leaves are read."""
+    TABLE_LETTER_CAP letters is refused once its level counts are read, and
+    a full shift's or Sturmian spec's before its leaves are read."""
     _refuse_oversized(spec, N)
     if isinstance(spec, (FullShift, SturmianCF)):
         _refuse_large_table(spec, N)
@@ -498,11 +541,12 @@ def language_table(spec, N):
 
 def right_special_words(table, n):
     """Length-n words with at least two one-letter right extensions: the
-    words that level n + 1, cut by its last letter, gives twice in a row."""
+    common prefixes of the neighbouring leaves that share n letters."""
+    if n < 0:
+        raise OutOfDepthError("need length %d >= 0" % n)
     if n >= table.depth:
         raise OutOfDepthError("need length %d < depth %d" % (n, table.depth))
-    cut = list(map(itemgetter(slice(None, -1)), table.levels[n + 1]))
-    return set(compress(cut, map(eq, cut, islice(cut, 1, None))))
+    return set(table.right_special[n])
 
 
 def complexity_profile(table):
@@ -716,59 +760,82 @@ def repulsiveness_estimates(table, N=None):
     with both words required to be right special.  Candidate w for a fixed
     W is its longest proper border (longest right-special border for the
     restricted variant).  Returns (l_hat, l_hat_R, witnesses) where
-    witnesses maps each estimate name to its minimizing pair or None.
+    witnesses maps each estimate name to its minimizing pair or None; ties
+    go to the shorter W, then to the lexicographically lesser.
 
-    The table is a language, so it is closed under taking factors.  Being
-    prefix-closed, the border of W is one Knuth-Morris-Pratt step from the
-    border of W[:-1], following the border links of W's prefixes, which are
-    memoized per word as the levels are visited in order.  Being
-    suffix-closed, every suffix of a right-special word is right special,
-    so the longest border of a right-special W is the restricted candidate
-    as well.  Each word costs one step and a few slices, where a border
-    array per word cost a Python loop over its length.
+    Every word is a prefix of a leaf, and the words first met at a leaf
+    are its prefixes longer than the letters it shares with the leaf
+    before it, met in lexicographic order.  So one Knuth-Morris-Pratt
+    failure array, cut back to those shared letters and extended along
+    each leaf in turn, gives every word's longest border once, and no word
+    is kept.  The table is a language, so it is closed under taking
+    factors: being suffix-closed, every suffix of a right-special word is
+    right special, so the longest border of a right-special W is the
+    restricted candidate as well.
     """
     if N is None:
         N = table.depth
     if N > table.depth:
         raise OutOfDepthError("N exceeds table depth")
-    # word -> length of its longest proper border
-    border = dict.fromkeys(table.levels[1], 0)
-    best = REPULSIVENESS_INF
-    best_pair = None
-    best_rs = REPULSIVENESS_INF
-    best_rs_pair = None
-    for n in range(2, N + 1):
-        special = right_special_words(table, n) if n < table.depth else ()
-        for W in table.levels[n]:
-            last = W[-1]
-            k = border[W[:-1]]
-            while k and W[k] != last:
-                k = border[W[:k]]
-            if W[k] == last:
-                k += 1
-            border[W] = k
-            if k >= 1:
-                ratio = (n - k) / k
-                if ratio < best:
-                    best, best_pair = ratio, (W[:k], W)
-                if ratio < best_rs and W in special:
-                    best_rs, best_rs_pair = ratio, (W[:k], W)
-    witnesses = {"l_hat": best_pair, "l_hat_R": best_rs_pair}
-    return best, best_rs, witnesses
+    special = table.right_special
+    # (ratio, |W|, leaf, |w|) of the least pair met so far, of each kind;
+    # the restricted one is never less
+    best = best_rs = (REPULSIVENESS_INF, 0, None, 0)
+    worst = REPULSIVENESS_INF
+    # the failure array of the current leaf's prefixes: fail[m] is the
+    # longest proper border of the first m letters, and fail[0] = -1
+    fail = [-1]
+    append = fail.append
+    for leaf, h in zip(table.sorted_leaves, chain([0], table.lcps)):
+        del fail[h + 1:]
+        k = fail[-1]
+        for n, letter in enumerate(leaf[h:N], h + 1):
+            while k >= 0 and leaf[k] != letter:
+                k = fail[k]
+            k += 1
+            append(k)
+            if not k:
+                continue
+            ratio = (n - k) / k
+            if ratio <= worst:
+                if ratio < best[0] or ratio == best[0] and n < best[1]:
+                    best = (ratio, n, leaf, k)
+                if (ratio < worst or n < best_rs[1]) and n < table.depth \
+                        and leaf[:n] in special[n]:
+                    best_rs = (ratio, n, leaf, k)
+                    worst = ratio
+    witnesses = {name: None if leaf is None else (leaf[:k], leaf[:n])
+                 for name, (_, n, leaf, k) in (("l_hat", best),
+                                               ("l_hat_R", best_rs))}
+    return best[0], best_rs[0], witnesses
+
+
+def _words_of_length(leaves, n):
+    """The length-n words in lexicographic order, made one at a time: the
+    length-n prefix of a leaf, then a bisection past the leaves that share
+    it."""
+    i = 0
+    while i < len(leaves):
+        if len(leaves[i]) < n:
+            i += 1
+            continue
+        word = leaves[i][:n]
+        yield word
+        i = bisect_right(leaves, word, i, key=itemgetter(slice(n)))
 
 
 def repetitivity_estimate(table, n):
     """Smallest n' <= depth such that every length-n' word contains every
-    length-n word as a factor; None when no such n' exists in the table."""
+    length-n word as a factor; None when no such n' exists in the table.
+    There is no word longer than the longest leaf."""
+    if n < 0:
+        raise OutOfDepthError("need length %d >= 0" % n)
     if n >= table.depth + 1:
         raise OutOfDepthError("n exceeds table depth")
-    targets = table.levels[n]
-    if not targets:
-        return None
-    for np in range(n, table.depth + 1):
-        hosts = table.levels[np]
-        if not hosts:
-            continue
-        if all(all(t in h for t in targets) for h in hosts):
+    leaves = table.sorted_leaves
+    targets = list(_words_of_length(leaves, n))
+    for np in range(n, max(map(len, leaves)) + 1):
+        if all(all(t in h for t in targets)
+               for h in _words_of_length(leaves, np)):
             return np
     return None

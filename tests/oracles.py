@@ -4,22 +4,25 @@ Each one computes by brute force what the library computes by a closed form
 or a shared structure: the child links of every node from scans of the
 word levels, the tree check as a walk over every node, choice functions by
 exhaustive enumeration, the spectral distance range over all of them, the
-sibling pairs of a level, the repulsiveness estimators by a quadratic pair
-scan, a cylinder measure by a scan of every word level and a Laplacian
-spectrum by a dense eigensolve of the whole matrix.  None reads the
-skeleton the library reads from the sorted leaves.  They are exponential,
-quadratic or cubic, so keep their inputs small.
+sibling pairs of a level, the language statistics from scans of the word
+levels (the level counts, the right special words, the repulsiveness
+estimators by a memo of every word's border and by a quadratic pair scan,
+and repetitivity), a cylinder measure by a scan of every word level and a
+Laplacian spectrum by a dense eigensolve of the whole matrix.  None reads
+the neighbour LCPs or the skeleton the library reads from the sorted
+leaves.  They are exponential, quadratic or cubic, or hold every word of
+every level, so keep their inputs small.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby, product
+from itertools import combinations, compress, groupby, islice, product
+from operator import eq, itemgetter
 
 from ultratree.metrics import common_prefix_length
 from ultratree.tree import ChoiceFunction, StructuralError, build_tree
-from ultratree.words import (REPULSIVENESS_INF, language_table,
-                             right_special_words)
+from ultratree.words import REPULSIVENESS_INF, language_table
 
 
 def tree_for(spec, N):
@@ -106,13 +109,69 @@ def horizontal_edges(tree, n):
             for pair in combinations(children[v], 2)]
 
 
+def counts_by_levels(table):
+    """P(n) for n = 0..depth, the size of each word level."""
+    return tuple(len(level) for level in table.levels)
+
+
+def right_special_by_levels(table, n):
+    """The length-n words with at least two one-letter right extensions:
+    the words that level n + 1, cut by its last letter, gives twice in a
+    row."""
+    cut = list(map(itemgetter(slice(None, -1)), table.levels[n + 1]))
+    return set(compress(cut, map(eq, cut, islice(cut, 1, None))))
+
+
+def repulsiveness_by_border_memo(table, N=None):
+    """(l_hat, l_hat_R, witnesses) from the levels in order, shortest
+    first and lexicographic within a level, each word's longest border one
+    Knuth-Morris-Pratt step from its parent's, following the border links
+    of its prefixes, memoized per word in a dict of every word."""
+    if N is None:
+        N = table.depth
+    border = dict.fromkeys(table.levels[1], 0)
+    best = best_rs = REPULSIVENESS_INF
+    best_pair = best_rs_pair = None
+    for n in range(2, N + 1):
+        special = (right_special_by_levels(table, n) if n < table.depth
+                   else ())
+        for W in table.levels[n]:
+            last = W[-1]
+            k = border[W[:-1]]
+            while k and W[k] != last:
+                k = border[W[:k]]
+            if W[k] == last:
+                k += 1
+            border[W] = k
+            if k >= 1:
+                ratio = (n - k) / k
+                if ratio < best:
+                    best, best_pair = ratio, (W[:k], W)
+                if ratio < best_rs and W in special:
+                    best_rs, best_rs_pair = ratio, (W[:k], W)
+    return best, best_rs, {"l_hat": best_pair, "l_hat_R": best_rs_pair}
+
+
+def repetitivity_by_levels(table, n):
+    """The least n' such that every word of level n' contains every word of
+    level n, over the nonempty levels up to the depth; None for none."""
+    targets = table.levels[n]
+    if not targets:
+        return None
+    for np in range(n, table.depth + 1):
+        hosts = table.levels[np]
+        if hosts and all(all(t in h for t in targets) for h in hosts):
+            return np
+    return None
+
+
 def repulsiveness_bruteforce(table, N=None, right_special_only=False):
     """Quadratic pair scan over the whole table."""
     if N is None:
         N = table.depth
     rs = None
     if right_special_only:
-        rs = [right_special_words(table, n) for n in range(table.depth)]
+        rs = [right_special_by_levels(table, n) for n in range(table.depth)]
     best = REPULSIVENESS_INF
     best_pair = None
     for n in range(2, N + 1):

@@ -224,6 +224,29 @@ def test_laplacian_builds_no_word_levels(tmp_path, monkeypatch, spec, depth):
             "route_difference"] == 0.0
 
 
+@pytest.mark.parametrize("spec, depth", (
+    ("sturmian:cf=1", 64), ("subst:a=ab,b=ba", 32), ("full:2", 8),
+    # a window shorter than the depth: every leaf is short
+    ("window:abaababaabaab", 20)))
+def test_lang_builds_no_word_levels(tmp_path, monkeypatch, spec, depth):
+    def refuse(*args):
+        raise AssertionError("the word levels were built")
+
+    # lang reads its statistics from the sorted leaves and their neighbour
+    # LCPs, and so do the statistics it leaves out
+    monkeypatch.setattr(words, "_tree_of_words", refuse)
+    out = str(tmp_path / "lang")
+    assert main(["lang", "--spec", spec, "--depth", str(depth),
+                 "--out", out]) == 0
+    table = language_table(parse_spec(spec), depth)
+    words.complexity_profile(table)
+    for n in range(depth):
+        words.right_special_words(table, n)
+    assert "levels" not in vars(table)
+    assert any(len(v) < depth for v in table.sorted_leaves) == \
+        spec.startswith("window:")
+
+
 def test_json_format_series(tmp_path):
     out = str(tmp_path / "fmt")
     assert main(["lang", "--spec", "full:2", "--depth", "3",

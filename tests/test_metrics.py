@@ -865,8 +865,8 @@ def test_stored_leaves_and_shape_leave_equality_alone(spec, N):
         v for v, cs in children_of(table).items() if not cs)])
     level_profile(table)
     assert {"shape", "levels"} <= set(vars(table))
-    # language_table reads the shape of a table with no closed form, whose
-    # level counts the letter cap sums; a table made afresh has no view
+    # language_table reads the level counts of a table with no closed
+    # form, which the letter cap sums; a table made afresh has no view
     other = language_table(spec, N)
     assert "levels" not in vars(other)
     other = dataclasses.replace(other)

@@ -4,6 +4,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,9 @@ from ultratree.words import (ExplicitWindow, FullShift, InsufficientDataError,
 from ultratree import words
 from ultratree.tree import StructuralError, build_tree
 
-from oracles import children_of, repulsiveness_bruteforce
+from oracles import (children_of, counts_by_levels, repetitivity_by_levels,
+                     repulsiveness_bruteforce, repulsiveness_by_border_memo,
+                     right_special_by_levels)
 
 
 def test_alphabet():
@@ -227,6 +230,17 @@ def test_repetitivity():
         repetitivity_estimate(table, 13)
 
 
+def test_negative_lengths_are_refused():
+    # a negative length would index the levels from the end, or slice the
+    # leaves from it
+    table = language_table(fibonacci_spec(), 8)
+    for n in (-1, -3):
+        with pytest.raises(OutOfDepthError, match="need length %d >= 0" % n):
+            right_special_words(table, n)
+        with pytest.raises(OutOfDepthError, match="need length %d >= 0" % n):
+            repetitivity_estimate(table, n)
+
+
 def test_language_table_rejects_bad_depth():
     with pytest.raises(ValueError):
         language_table(FullShift(2), 0)
@@ -346,7 +360,7 @@ def test_table_letter_cap(monkeypatch):
 
     # sturmian:cf=1 passes the cap at depth 1476, counted in closed form
     # before its leaves are read; a window's table is counted from the
-    # shape of its leaves before its levels are built
+    # level counts of its leaves, and no levels are built
     assert table_letters(fibonacci_spec(), 1475) <= TABLE_LETTER_CAP
     monkeypatch.setattr(words, "_tree_of_words", refuse)
     with monkeypatch.context() as patch:
@@ -404,6 +418,77 @@ def test_child_links_match_level_scans(table):
     else:
         with pytest.raises(StructuralError):
             build_tree(table)
+
+
+# ---------------------------------------------------------------------------
+# the lang statistics from the sorted leaves against the level scans
+
+
+def lang_statistics(table, N=None):
+    """What lang reads of a table: P and g, each right special set, the
+    repulsiveness estimates with their witnesses up to N, and repetitivity
+    for n <= 4."""
+    depth = table.depth
+    return (complexity_profile(table),
+            [right_special_words(table, n) for n in range(depth)],
+            repulsiveness_estimates(table, N),
+            [repetitivity_estimate(table, n)
+             for n in range(min(4, depth) + 1)])
+
+
+def lang_statistics_by_levels(table, N=None):
+    depth, P = table.depth, counts_by_levels(table)
+    return ((P, tuple(P[n + 1] - P[n] for n in range(depth))),
+            [right_special_by_levels(table, n) for n in range(depth)],
+            repulsiveness_by_border_memo(table, N),
+            [repetitivity_by_levels(table, n)
+             for n in range(min(4, depth) + 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(windows(3, 60), st.sampled_from(
+    ("ab ", "a\u03b2", "\xe9\U0001f600")).flatmap(
+        lambda letters: st.text(alphabet=letters, min_size=1, max_size=40))),
+    st.integers(1, 70), st.data())
+def test_lang_statistics_match_level_scans_on_windows(w, depth, data):
+    # short windows leave short leaves, and few letters tie ratios; the
+    # neighbour LCPs read any text, a space and letters past Latin-1 too
+    table = language_table(ExplicitWindow(w), depth)
+    N = data.draw(st.sampled_from([None, *range(depth + 1)]), label="N")
+    assert lang_statistics(table, N) == lang_statistics_by_levels(table, N)
+
+
+@pytest.mark.parametrize("spec, depth", (
+    (fibonacci_spec(), 256),
+    (Substitution.from_rules({"a": "ab", "b": "ba"}, "a"), 128),
+    (FullShift(2), 12),
+    (FullShift(3), 6),
+    (SturmianCF((1, 2), ("linear",)), 100),
+    (Substitution.from_rules({"a": "abc", "b": "bc", "c": "a"}, "a"), 40),
+    (Substitution.from_rules({"a": "aab", "b": "b"}, "a"), 12),
+), ids=("fib", "tm", "full2", "full3", "cf-linear", "abc", "aab"))
+def test_lang_statistics_match_level_scans(spec, depth):
+    table = language_table(spec, depth)
+    assert lang_statistics(table) == lang_statistics_by_levels(table)
+
+
+def test_deep_sturmian_lang_statistics_hold_no_word_levels():
+    # the levels of sturmian:cf=1 at depth 1024 hold 3.6e8 letters; the
+    # statistics read the 1025 leaves of 1024 letters, about 1 MB, with
+    # their neighbour LCPs and the 1024 branching words
+    table = language_table(fibonacci_spec(), 1024)
+    tracemalloc.start()
+    try:
+        level_profile(table)
+        P, _ = complexity_profile(table)
+        l_hat, l_hat_r, _ = repulsiveness_estimates(table)
+        rep = [repetitivity_estimate(table, n) for n in range(1, 5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P == tuple(range(1, 1026)) and l_hat <= l_hat_r
+    assert rep[0] == 3
+    assert peak < 8 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
