@@ -14,3 +14,7 @@ __version__ = "0.1.0"
 # Reports embed this tag so downstream readers know which indexing the
 # numbers follow.
 EDGE_LENGTH_CONVENTION = "sibling-edges-at-level-n-carry-delta-(n-1)"
+
+
+class InvariantViolationError(RuntimeError):
+    """An assembled matrix failed a structural pre-check."""

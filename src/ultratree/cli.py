@@ -12,7 +12,8 @@ byte-identical across runs for a fixed configuration and seed.
 Exit codes: 0 success, 2 invalid configuration or unwritable output (a
 refused run writes nothing, not even the --out directory), 3 internal
 invariant violation, which is the Laplacian pre-check before its spectrum
-or its trace check after it (InvariantViolationError).
+or its trace check after it (InvariantViolationError, defined in the
+package root so that main names it without loading the laplacian layer).
 
 Loading this module loads no library layer, so --help starts as fast as
 argparse.  Each subcommand imports the layers it runs when it runs: lang
@@ -27,7 +28,7 @@ import math
 import os
 import sys
 
-from . import EDGE_LENGTH_CONVENTION, __version__
+from . import EDGE_LENGTH_CONVENTION, InvariantViolationError, __version__
 
 
 class ConfigError(ValueError):
@@ -385,7 +386,7 @@ def cmd_laplacian(args):
                               list(enumerate(float(v)
                                              for v in eigenvalues))))
     # the spectrum's blocks: one per fork, of its child count less one
-    forks = tree.shape[0].values()
+    forks = tree.forks.values()
     body = {"invariants": checks, "size": len(lap.leaves),
             "spectrum": {"blocks": len(forks), "largest_block": max(
                 (len(bounds) - 2 for bounds in forks), default=0)}}
@@ -451,15 +452,6 @@ def build_parser():
     return parser
 
 
-def _invariant_violation():
-    """InvariantViolationError when a command has loaded the laplacian
-    layer, the only one that raises it, and otherwise no class at all, so
-    that main names it without loading that layer; an except clause reads
-    its classes only when an exception reaches it."""
-    laplacian = sys.modules.get(__package__ + ".laplacian")
-    return () if laplacian is None else laplacian.InvariantViolationError
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -470,7 +462,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except _invariant_violation() as exc:
+    except InvariantViolationError as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return 3
     for path in files:

@@ -1,19 +1,21 @@
 """Cylinder measures, averaged tree Laplacians and their spectra.
 
 A measure on the boundary is a product of child probabilities at the
-branching words, the only words with a choice; it is drawn there alone
-and kept by leaf range, so no route builds the word levels.  The operator
-acts on functions that are constant on depth-N cylinders; its action on
-the indicator of a leaf gamma collects, over the levels n along
-gamma, the weight w_n = rho(L_n)/L_n^2 with L_n = delta_{n-1} the sibling
-edge length at level n.  Two independent assembly routes exist: the
+branching words, the only words with a choice; it is drawn there alone,
+and its masses are keyed by leaf range, the layer's one coordinate, so no
+route builds the word levels or slices a word.  The operator acts on
+functions that are constant on depth-N cylinders; its action on the
+indicator of a leaf gamma collects, over the levels n along gamma, the
+weight w_n = rho(L_n)/L_n^2 with L_n = delta_{n-1} the sibling edge
+length at level n.  Two independent assembly routes exist: the
 closed-form action on indicators, and the bilinear Dirichlet form over
 sibling pairs; the tests hold them to agreement.  Every route, the
 restricted-pair variant and the scalar form included, reads one frame
-(_frame) and the branching words, the only ones whose children have
-siblings (LanguageTable.branches), and the pair routes one sibling-pair
-list (_sibling_pairs); the Dirichlet oracle is built from that list alone,
-not from the indicator route.
+(_frame) and the forks, the branching words with their children's leaf
+ranges (LanguageTable.forks), the only children with siblings, and the
+pair routes one list of sibling range pairs (_sibling_pairs); the
+Dirichlet oracle is built from that list alone, not from the indicator
+route.
 
 Assembly is dtype generic.  With rational child weights and an integer
 density exponent everything stays in exact Fractions, so conservation and
@@ -42,6 +44,9 @@ from itertools import (chain, combinations, compress, count, pairwise,
                        repeat)
 from operator import add, itemgetter, mul, ne, or_, sub
 
+# defined in the package root, so that the CLI names it without loading
+# this module, and re-exported here
+from . import InvariantViolationError
 from .words import _shape
 
 
@@ -49,26 +54,24 @@ class InvalidMeasureError(ValueError):
     pass
 
 
-class InvariantViolationError(RuntimeError):
-    """An assembled matrix failed a structural pre-check."""
-
-
 # ---------------------------------------------------------------------------
 # measures
 
 
 def cylinder_measure(tree, weights=None, seed=None):
-    """The masses of the root, of each branching word's children and of the
-    leaves, the cylinders the operators read, from child probabilities.
+    """The masses of the cylinders the operators read, from child
+    probabilities, keyed by leaf range (lo, hi): the root (0, n), each
+    branching word's children and each leaf (i, i + 1).
 
     weights may be None (uniform over children), a dict mapping a parent
     word to a probability list in child sort order, or "random" for
     positive rational weights drawn from the seed, one list per branching
     word by level, lexicographic within a level.  Only a branching word
     has a choice; any other word passes its mass to its one child, and a
-    dict may leave it out or give it [1].  Masses are kept by leaf range.
+    dict may leave it out or give it [1], which multiplies the mass of its
+    leaf range in place.
     """
-    leaves, forks = tree.sorted_leaves, tree.shape[0]
+    leaves, forks = tree.sorted_leaves, tree.forks
     rng = random.Random(seed) if weights == "random" else None
     entries = dict(forks)
     if rng is None and weights is not None:
@@ -81,7 +84,6 @@ def cylinder_measure(tree, weights=None, seed=None):
             if lo < hi and len(v) < tree.depth:
                 entries[v] = (lo, hi)
     mass = {(0, len(leaves)): Fraction(1)}
-    mu = {"": Fraction(1)}
     for v in sorted(entries, key=lambda v: (len(v), v)):
         bounds = entries[v]
         kids = list(pairwise(bounds))
@@ -93,12 +95,8 @@ def cylinder_measure(tree, weights=None, seed=None):
         else:
             probs = _child_weights(v, weights.get(v), len(kids))
         parent = mass[bounds[0], bounds[-1]]
-        for (lo, hi), p in zip(kids, probs):
-            mass[lo, hi] = parent * p
-        if v in forks:
-            mu.update((leaves[c[0]][:len(v) + 1], mass[c]) for c in kids)
-    mu.update((x, mass[i, i + 1]) for i, x in enumerate(leaves))
-    return mu
+        mass.update(zip(kids, (parent * p for p in probs)))
+    return mass
 
 
 def _child_weights(v, probs, arity):
@@ -250,8 +248,9 @@ class LaplacianMatrix:
 
 def _frame(tree, mu, rho, delta):
     """What every assembly route reads: the level weights w (w[n] for
-    n = 1..N), the sorted leaves, the leaf index range of each leaf and of
-    each branching word's children (contiguous slices) and the leaf masses.
+    n = 1..N), the sorted leaves and the leaf masses, once mu is checked to
+    hold the mass of each leaf and of each branching word's children, read
+    at their leaf ranges; a missing one is reported by its word.
 
     w_n = rho(L_n) / L_n^2 with L_n = delta_{n-1} the length of sibling
     edges at level n; floats convert to Fractions exactly, so
@@ -269,28 +268,29 @@ def _frame(tree, mu, rho, delta):
             raise ValueError("delta_%d = %r is too small for the level weight"
                              % (n - 1, delta[n - 1])) from None
     leaves = tree.leaves()
-    span = {x: (i, i + 1) for i, x in enumerate(leaves)}
-    for _, cs in tree.branches():
-        span.update((c, (lo, hi)) for c, lo, hi in cs)
-    for v in span:
-        if v not in mu:
-            raise InvalidMeasureError("measure missing mass for %r" % v)
-    return w, leaves, span, [mu[x] for x in leaves]
+    named = chain(((x, (i, i + 1)) for i, x in enumerate(leaves)),
+                  ((leaves[lo][:len(v) + 1], (lo, hi))
+                   for v, bounds in tree.forks.items()
+                   for lo, hi in pairwise(bounds)))
+    for x, c in named:
+        if c not in mu:
+            raise InvalidMeasureError("measure missing mass for %r" % x)
+    return w, leaves, [mu[i, i + 1] for i in range(len(leaves))]
 
 
 def _sibling_pairs(tree, mu, mode):
-    """(level, u, v, coefficient) for sibling pairs, branching word by
-    branching word in lexicographic order: each leaf meets the pairs above
-    it level by level, and each level its pairs in order.
+    """(level, u, v, coefficient) for sibling pairs, u and v their leaf
+    ranges, fork by fork in lexicographic order: each leaf meets the pairs
+    above it level by level, and each level its pairs in order.
 
     mode "all" takes every pair with coefficient 1 (the averaged operator);
     "single" the first pair of each branching node; "nu-average" every pair
     weighted by mu(u) mu(v) / sum of mu mu over the node's pairs.
     """
     out = []
-    for v, cs in tree.branches():
+    for v, bounds in tree.forks.items():
         n = len(v) + 1
-        pairs = list(combinations([c for c, _, _ in cs], 2))
+        pairs = list(combinations(pairwise(bounds), 2))
         if mode == "nu-average":
             norm = sum(mu[a] * mu[b] for a, b in pairs)
             out += [(n, a, b, mu[a] * mu[b] / norm) for a, b in pairs]
@@ -311,20 +311,21 @@ def assemble_laplacian(tree, mu, rho, delta):
     level by level.  The sibling subtrees u partition the leaves other than
     gamma, so each column is written block by block, then transposed.
     """
-    w, leaves, _, mu_leaf = _frame(tree, mu, rho, delta)
+    w, leaves, mu_leaf = _frame(tree, mu, rho, delta)
     size = len(leaves)
     cols = [[0] * size for _ in leaves]
-    for parent, cs in tree.branches():
-        n, a_parent = len(parent) + 1, len(cs) - 1
-        for node, lo, hi in cs:
+    for parent, bounds in tree.forks.items():
+        n, kids = len(parent) + 1, list(pairwise(bounds))
+        a_parent = len(kids) - 1
+        for node in kids:
             factor = w[n] / mu[node]
-            for j in range(lo, hi):
+            for j in range(*node):
                 col, mu_gamma = cols[j], mu_leaf[j]
                 col[j] += factor * a_parent  # no sibling block covers j
-                for u, ulo, uhi in cs:
+                for u in kids:
                     if u != node:
-                        col[ulo:uhi] = [0 - factor * mu_gamma / mu[u]] * (
-                            uhi - ulo)
+                        col[u[0]:u[1]] = [0 - factor * mu_gamma / mu[u]] * (
+                            u[1] - u[0])
     return LaplacianMatrix(leaves, tuple(zip(*cols)), tuple(mu_leaf))
 
 
@@ -340,7 +341,7 @@ def _assemble_bilinear(tree, mu, rho, delta, pair_list):
     and shared, and M_ii is the sum of c / mu(u).  Float entries keep the
     rounding of A followed by the division, row by row.
     """
-    w, leaves, span, mu_leaf = _frame(tree, mu, rho, delta)
+    w, leaves, mu_leaf = _frame(tree, mu, rho, delta)
     size = len(leaves)
     exact = all(isinstance(x, (int, Fraction)) for x in chain(w[1:], mu_leaf))
     m = mu_leaf if exact else [float(x) for x in mu_leaf]
@@ -349,8 +350,7 @@ def _assemble_bilinear(tree, mu, rho, delta, pair_list):
     for n, u1, u2, coeff in pair_list:
         c = coeff * w[n]
         for u, other in ((u1, u2), (u2, u1)):
-            lo, hi = span[u]
-            olo, ohi = span[other]
+            (lo, hi), (olo, ohi) = u, other
             cu = c / mu[u]
             cc = cu / mu[other]
             if exact:
@@ -396,7 +396,7 @@ def dirichlet_form_value(tree, mu, rho, delta, f, g):
     product of the two one-sided ones.
     """
     N = tree.depth
-    w, leaves, span, mu_leaf = _frame(tree, mu, rho, delta)
+    w, leaves, mu_leaf = _frame(tree, mu, rho, delta)
     if len(f) != len(leaves) or len(g) != len(leaves):
         raise ValueError("coefficient vectors must match the leaf count")
     fw = [f[i] * mu_leaf[i] for i in range(len(leaves))]
@@ -404,8 +404,7 @@ def dirichlet_form_value(tree, mu, rho, delta, f, g):
     fgw = [f[i] * g[i] * mu_leaf[i] for i in range(len(leaves))]
 
     def block(vec, u):
-        lo, hi = span[u]
-        return sum(vec[lo:hi]) / mu[u]
+        return sum(vec[u[0]:u[1]]) / mu[u]
 
     level_sums = [0] * (N + 1)
     for n, u1, u2, _ in _sibling_pairs(tree, mu, "all"):
@@ -498,7 +497,7 @@ def _fork_blocks(lap):
     functions and the constants span every function on the leaves.
     """
     leaves, rows, mu = lap.leaves, lap.rows, lap.mu_leaves
-    forks = _shape(leaves, len(leaves[0]))[0].values()
+    forks = _shape(leaves).values()
     # a child of two or more leaves has the leaf range of the fork below it,
     # which comes later in lexicographic order
     mass = {}

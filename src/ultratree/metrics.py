@@ -6,8 +6,8 @@ the longest common prefix; the spectral distance of a choice function adds
 delta-weighted deviation terms along both tails, and its supremum over
 choice functions adds the branching terms.  Only the branching words of
 a point's path can add a term, and the tree keeps them once, as its
-skeleton (words.LanguageTable.shape).  A query finds the fork, checks each
-point against the sorted leaves and walks from the point's longest
+skeleton (words.LanguageTable.skeleton).  A query finds the fork, checks
+each point against the sorted leaves and walks from the point's longest
 branching proper prefix up the skeleton's parent links to the fork,
 summing each tail ascending from 0.0; no per-node levels are kept.  The
 closed forms are checked against Dijkstra on the approximation graph,
@@ -71,7 +71,7 @@ def _tail(tree, delta, w, m, selection):
     i = bisect_left(leaves, w)
     if i == len(leaves) or not leaves[i].startswith(w):
         raise ValueError("word %r is not in the tree" % (w,))
-    words, parent, level = tree.shape[2]
+    words, parent, level = tree.skeleton
     j = bisect_left(words, w) - 1
     while not w.startswith(words[j]):
         j = parent[j]

@@ -16,13 +16,13 @@ The order diagnostics, the Lipschitz estimate C(N) and the continuity
 witness W(N), summarize how far the supremum spectral distance can drift
 from the ultrametric.  One engine computes both, in ratios of deltas at
 any depth, on a branching skeleton: the failure array of a full shift's
-or Sturmian spec's branching chain, or a tree's branching words, read
-from its sorted leaves.  Each structure is computed once and shared:
-a spec's chain is built once and read at every depth up to the one it
-was built for, the two fast engines on one (spec, delta, N) share one
-push, and a table's shape is read once and kept on it (see
-words.LanguageTable.shape).  The chain and result caches keep a few
-entries each.
+or Sturmian spec's branching chain, or a tree's skeleton, read from its
+sorted leaves.  Each structure is computed once and shared: a spec's
+chain is built once and read at every depth up to the one it was built
+for, C and W of one (tree or spec, delta, N) share one push, and a
+table's forks and skeleton are read once and kept on it (see
+words.LanguageTable).  The chain and result caches keep a few entries
+each.
 """
 
 import math
@@ -235,7 +235,7 @@ def choice_function(tree, policy="canonical", seed=None):
         raise ValueError("unknown policy %r" % policy)
     leaves = tree.sorted_leaves
     return ChoiceFunction({v: leaves[pick(bounds[:-1])][:len(v) + 1]
-                           for v, bounds in tree.shape[0].items()})
+                           for v, bounds in tree.forks.items()})
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def approximation_graph(tree, tau, delta):
     index = {w: i for i, w in enumerate(vertices)}
     rep = list(range(len(vertices)))
     lengths, edges = delta.values(tree.depth), {}
-    for v, bounds in reversed(tree.shape[0].items()):
+    for v, bounds in reversed(tree.forks.items()):
         reps = [rep[lo] for lo in bounds[:-1]]
         chosen = bisect_left(vertices, tau.selection[v], bounds[0])
         rep[bounds[0]] = reps[bounds.index(chosen)]
@@ -318,13 +318,13 @@ def _chain_diagnostics(chain, delta, N):
 
 def _tree_diagnostics(table, delta, N):
     """(C(N), W(N)) on a checked tree of words cut at depth N, from its
-    sorted leaves, its branching words (see words._shape) and its skeleton,
-    cut again at N below the table depth (see words._skeleton).  C is
-    the largest B over branching nodes, at the lowest level and then the
-    least word; W is delta_0 B at the root.  A path follows the argmax
-    children, then the least children to depth N: the least leaf below."""
-    leaves, (forks, _, skeleton) = table.sorted_leaves, table.shape
-    words, parent, level = (skeleton if N == table.depth
+    sorted leaves, its forks and its skeleton, cut again at N below the
+    table depth (see words._skeleton).  C is the largest B over branching
+    nodes, at the lowest level and then the least word; W is delta_0 B at
+    the root.  A path follows the argmax children, then the least children
+    to depth N: the least leaf below."""
+    leaves, forks = table.sorted_leaves, table.forks
+    words, parent, level = (table.skeleton if N == table.depth
                             else _skeleton(forks, N))
     logs = delta.logs(N)
     B, arg = _push([logs[m] for m in level], parent)
@@ -350,10 +350,11 @@ def _tree_diagnostics(table, delta, N):
 
 def order_diagnostics(source, delta, schedule):
     """[(C(N), W(N)) for N in an increasing schedule] from one structure:
-    source is a tree of words as deep as the schedule, whose shape is read
-    once per table and kept on it, or a spec, whose branching chain (built
-    once per spec and depth, see words._branching_chain) or else the shape
-    of a table on its sorted leaves is read at the last depth, with no word
+    source is a tree of words as deep as the schedule, whose forks and
+    skeleton are read once per table and kept on it, or a spec, whose
+    branching chain (built once per spec and depth, see
+    words._branching_chain) or else the forks and skeleton of a table on
+    its sorted leaves are read at the last depth, with no word
     levels built.  The leaves of either must pass the tree check of
     build_tree.  Each depth costs one push for both."""
     if isinstance(source, LanguageTable):
@@ -369,45 +370,48 @@ def order_diagnostics(source, delta, schedule):
     return [_tree_diagnostics(table, delta, N) for N in schedule]
 
 
+# (C(N), W(N)) of the (tree or spec, delta, N) asked for last, so that C
+# and W of one of them share one push
+_RESULTS = RecentValues(4)
+
+
+def _diagnostics(source, delta, N, chain_only=False):
+    """order_diagnostics of a tree of words or a spec at the one depth N,
+    kept in _RESULTS; with chain_only, a spec with no branching chain is
+    refused with TypeError."""
+    table = isinstance(source, LanguageTable)
+    key = (source if table else spec_key(source), delta, N)
+    pair = None if chain_only and table else _RESULTS.get(key)
+    if pair is None:
+        if chain_only and (table or _branching_chain(source, N) is None):
+            raise TypeError("no fast engine for %r" % (source,))
+        pair = _RESULTS.put(key, order_diagnostics(source, delta, (N,))[0])
+    return pair
+
+
 def lipschitz_estimate(tree, delta):
     """C(N): the largest ratio T(v)/delta_m over branching nodes v at level
     m, where T(v) is the largest delta sum over the branching nodes of one
     path below v."""
-    return order_diagnostics(tree, delta, (tree.depth,))[0][0]
+    return _diagnostics(tree, delta, tree.depth)[0]
 
 
 def continuity_witness(tree, delta):
     """W(N): the maximal branching-weighted delta sum over root-to-leaf
     paths, levels 1 through N-1."""
-    return order_diagnostics(tree, delta, (tree.depth,))[0][1]
-
-
-# (C(N), W(N)) of the (spec, delta, N) asked for last, so that the two
-# fast engines on one of them share one push
-_RESULTS = RecentValues(4)
-
-
-def _fast_engine(spec, delta, N):
-    key = (spec_key(spec), delta, N)
-    pair = _RESULTS.get(key)
-    if pair is None:
-        chain = _branching_chain(spec, N)
-        if chain is None:
-            raise TypeError("no fast engine for %r" % (spec,))
-        pair = _RESULTS.put(key, _chain_diagnostics(chain, delta, N))
-    return pair
+    return _diagnostics(tree, delta, tree.depth)[1]
 
 
 def lipschitz_estimate_fast(spec, delta, N):
     """C(N) for full shifts and Sturmian specs on their branching chain,
     without a table; agrees with lipschitz_estimate on the tree of words
     and scales to depths in the thousands."""
-    return _fast_engine(spec, delta, N)[0]
+    return _diagnostics(spec, delta, N, chain_only=True)[0]
 
 
 def continuity_witness_fast(spec, delta, N):
     """W(N) for full shifts and Sturmian specs on their branching chain."""
-    return _fast_engine(spec, delta, N)[1]
+    return _diagnostics(spec, delta, N, chain_only=True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,14 @@ is its sorted leaves: a word's parent is its prefix, and the leaves below a
 word are contiguous.  The table keeps the leaves it was built from, and
 reads everything else from them and from the longest common prefix of each
 pair of neighbouring leaves: the level counts, the right special words of
-each length, and the shape, that is the branching words with their
-children's leaf ranges and the skeleton.  On top of these sit the usual
-combinatorial statistics: the complexity function, right special words,
-repetitivity and the repulsiveness estimators, which read each word as a
-prefix of a leaf and keep none; and each spec family's level counts and
-branching chain, the closed forms of full-shift and Sturmian trees.  The
-words level by level are a view built only on request, for the test
-oracles that scan every word.
+each length, the forks, that is the branching words with their children's
+leaf ranges, and the skeleton of the branching words.  On top of these
+sit the usual combinatorial statistics: the complexity function, right
+special words, repetitivity and the repulsiveness estimators, which read
+each word as a prefix of a leaf and keep none; and each spec family's
+level counts and branching chain, the closed forms of full-shift and
+Sturmian trees.  The words level by level are a view built only on
+request, for the test oracles that scan every word.
 """
 
 import string
@@ -232,8 +232,8 @@ class LanguageTable:
     and take no part in equality, hash or repr: lcps, the longest common
     prefix length of each pair of neighbouring leaves, which the others
     read; counts, P(n) for n = 0..depth; right_special[n], the branching
-    words of length n; and the shape (see _shape and _skeleton), which the
-    tree analyses read.  levels[n], the sorted tuple of the length-n
+    words of length n; and forks and skeleton, which the tree analyses
+    read.  levels[n], the sorted tuple of the length-n
     words, holds sum of n * P(n) letters and is built only for the
     oracles that scan every word; no statistic here reads it.
     """
@@ -267,19 +267,16 @@ class LanguageTable:
         return _tree_of_words(self.sorted_leaves, self.depth)
 
     @cached_property
-    def shape(self):
-        """(forks, P, skeleton) of the tree: its branching words with their
-        children's leaf ranges and its level counts (see _shape), and its
-        skeleton at the table depth (see _skeleton)."""
-        forks, P = _shape(self.sorted_leaves, self.depth, self.lcps)
-        return forks, P, _skeleton(forks, self.depth)
+    def forks(self):
+        """Each branching word in lexicographic order with the bounds of its
+        children's leaf ranges (see _shape)."""
+        return _shape(self.sorted_leaves, self.lcps)
 
-    def branches(self):
-        """Each branching word in lexicographic order with its children in
-        order, as (child, lo, hi): sorted_leaves[lo:hi] are its leaves."""
-        for v, bounds in self.shape[0].items():
-            yield v, [(self.sorted_leaves[lo][:len(v) + 1], lo, hi)
-                      for lo, hi in zip(bounds, bounds[1:])]
+    @cached_property
+    def skeleton(self):
+        """The skeleton of the branching words at the table depth (see
+        _skeleton)."""
+        return _skeleton(self.forks, self.depth)
 
 
 def _tree_of_words(leaves, N):
@@ -375,9 +372,9 @@ def _leaves(spec, N):
     every level, and a substitution one until they stop changing.  Each
     factor of such a prefix extends to length N in it and the windows nest
     (Sturmian ones as suffixes, substitution ones as prefixes), so every
-    count has then settled.  At the cap, a Sturmian window with fewer than
-    N + 1 leaves is refused, and otherwise the flags compare the counts of
-    the last two."""
+    count has then settled, at the cap as below it.  At the cap, a
+    Sturmian window with fewer than N + 1 leaves is refused, and the flags
+    of a substitution window compare the counts of the last two."""
     _refuse_oversized(spec, N)
     flags = (True,) * (N + 1)
     if isinstance(spec, FullShift):
@@ -396,10 +393,10 @@ def _leaves(spec, N):
         prefix = _recurrent_prefix(_window_for(spec, length), N)
         keys = sorted({prefix[i:i + N]
                        for i in range(len(prefix) - N + 1)}) or [""]
-        if complete is None and keys == prev:
+        if len(keys) == complete or complete is None and keys == prev:
             return keys, flags
         if 2 * length > DEFAULT_WINDOW_CAP:
-            if complete is not None and len(keys) < complete:
+            if complete is not None:
                 raise ValueError(
                     "Sturmian window of %d letters holds %d of the %d words "
                     "of length %d" % (length, len(keys), complete, N))
@@ -408,8 +405,6 @@ def _leaves(spec, N):
             P, Q = (_level_counts(v, _neighbour_lcps(v), N)
                     for v in (keys, prev))
             return keys, tuple(map(eq, P, Q))
-        if len(keys) == complete:
-            return keys, flags
         prev = keys
         length *= 2
 
@@ -447,18 +442,18 @@ def _level_counts(leaves, lcps, N):
     return tuple(accumulate(net[::-1]))[::-1]
 
 
-def _shape(leaves, N, lcps=None):
-    """(forks, P) of the depth-N tree of words with these sorted leaves,
-    whose neighbour LCPs (see _neighbour_lcps) are read when not given.
+def _shape(leaves, lcps=None):
+    """The forks of the tree of words with these sorted leaves, whose
+    neighbour LCPs (see _neighbour_lcps) are read when not given.
 
     The leaves below a word are contiguous, and two neighbours sharing h
     letters part at the branching word of those letters, so a branching
     word of length h is a run of leaves sharing h letters, split into its
     children where neighbours share no more: the LCP-interval tree of
     Abouelhoda, Kurtz and Ohlebusch (2004), read with a stack of open runs.
-    forks maps each branching word, in lexicographic order, to the bounds
-    of its children's leaf ranges (child k holds bounds[k]:bounds[k + 1]),
-    and P is _level_counts."""
+    The forks map each branching word, in lexicographic order, to the
+    bounds of its children's leaf ranges (child k holds bounds[k]:bounds[k +
+    1])."""
     if lcps is None:
         lcps = _neighbour_lcps(leaves)
     found = {}
@@ -475,8 +470,7 @@ def _shape(leaves, N, lcps=None):
         else:
             tops.append(h)
             runs.append([lo, i])
-    forks = {v: found[v] for v in sorted(found)}
-    return forks, _level_counts(leaves, lcps, N)
+    return {v: found[v] for v in sorted(found)}
 
 
 def _skeleton(forks, N):
@@ -650,9 +644,9 @@ def level_profile(source, N=None):
 
     Full shifts (every word branches k ways) and Sturmian specs (one binary
     branching word per length) use closed forms, so that depths in the
-    thousands stay cheap; anything else is read from its sorted leaves (see
-    _shape): a table's from its shape, read once and kept on it, and a
-    spec's from the shape of a table on its leaves, whose levels are never
+    thousands stay cheap; anything else is read from its sorted leaves: a
+    table's from its counts and forks, read once and kept on it, and a
+    spec's from those of a table on its leaves, whose levels are never
     built.
     """
     if isinstance(source, LanguageTable):
@@ -670,9 +664,9 @@ def level_profile(source, N=None):
         return LevelProfile(N, P, (1,) * N, (2,) * N, (1,) * N)
     else:
         table = LanguageTable(N, *_leaves(source, N))
-    N, (forks, P, _) = table.depth, table.shape
+    N, P = table.depth, table.counts
     edge, branching = [0] * N, [0] * N
-    for v, bounds in forks.items():
+    for v, bounds in table.forks.items():
         edge[len(v)] += (len(bounds) - 1) * (len(bounds) - 2)
         branching[len(v)] += 1
     g = tuple(P[n + 1] - P[n] for n in range(N))

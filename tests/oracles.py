@@ -9,12 +9,16 @@ levels (the level counts, the right special words, the repulsiveness
 estimators by a memo of every word's border and by a quadratic pair scan,
 and repetitivity), a cylinder measure by a scan of every word level and a
 Laplacian spectrum by a dense eigensolve of the whole matrix.  None reads
-the neighbour LCPs or the skeleton the library reads from the sorted
-leaves.  They are exponential, quadratic or cubic, or hold every word of
-every level, so keep their inputs small.
+the neighbour LCPs, the forks or the skeleton the library reads from the
+sorted leaves.  They are exponential, quadratic or cubic, or hold every
+word of every level, so keep their inputs small.  The library keys a
+measure's masses by leaf range and the oracles key theirs by word;
+leaf_range and masses_by_word read one through the other, by bisection
+of the sorted leaves.
 """
 
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, groupby, islice, product
@@ -220,3 +224,17 @@ def measure_by_levels(tree, weights=None, seed=None):
             for c, p in zip(cs, probs):
                 mu[c] = mu[v] * p
     return mu
+
+
+def leaf_range(tree, word):
+    """The range (lo, hi) of the sorted leaves that start with word, the
+    key of its mass in a measure of the library."""
+    leaves, prefix = tree.sorted_leaves, itemgetter(slice(len(word)))
+    lo = bisect_left(leaves, word, key=prefix)
+    return lo, bisect_right(leaves, word, lo, key=prefix)
+
+
+def masses_by_word(tree, mu, words):
+    """The masses of a measure of the library at these words, keyed by
+    word; each is read at the word's leaf range."""
+    return {x: mu[leaf_range(tree, x)] for x in words}

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from ultratree.laplacian import (InvalidMeasureError,
                                  dirichlet_form_value, matrix_difference,
                                  spectrum)
 
-from oracles import children_of, dense_spectrum, measure_by_levels, tree_for
+from oracles import (children_of, dense_spectrum, leaf_range,
+                     masses_by_word, measure_by_levels, tree_for)
 
 HARMONIC = DeltaSequence.harmonic()
 UNIT = DeltaSequence.table([1.0])
@@ -44,7 +46,7 @@ def mild_weights(tree, seed):
 
 def test_uniform_measure_additivity():
     tree = tree_for(FullShift(2), 4)
-    mu = cylinder_measure(tree)
+    mu = masses_by_word(tree, cylinder_measure(tree), chain(*tree.levels))
     assert mu[""] == 1
     for n in range(4):
         for v in tree.levels[n]:
@@ -60,11 +62,14 @@ def test_random_measure_additivity_and_determinism():
     mu1 = cylinder_measure(tree, weights="random", seed=3)
     mu2 = cylinder_measure(tree, weights="random", seed=3)
     assert mu1 == mu2
-    kids = [(c, lo, hi) for _, cs in tree.branches() for c, lo, hi in cs]
-    assert set(mu1) == {"", *leaves, *(c for c, _, _ in kids)}
-    assert sum(mu1[x] for x in leaves) == mu1[""] == 1
-    for c, lo, hi in kids:
-        assert mu1[c] == sum(mu1[x] for x in leaves[lo:hi]) > 0
+    # keyed by leaf range: the root's, each leaf's and each child's
+    kids = [leaf_range(tree, c) for cs in children_of(tree).values()
+            if len(cs) > 1 for c in cs]
+    singles = [(i, i + 1) for i in range(len(leaves))]
+    assert set(mu1) == {(0, len(leaves)), *singles, *kids}
+    assert sum(mu1[x] for x in singles) == mu1[0, len(leaves)] == 1
+    for lo, hi in kids:
+        assert mu1[lo, hi] == sum(mu1[x] for x in singles[lo:hi]) > 0
 
 
 def test_measure_validation():
@@ -84,18 +89,25 @@ def test_measure_weights_at_words_with_one_child():
     # Fibonacci at 3 branches at "", "a" and "ba"; "b", "aa" and "ab" have
     # one child each
     tree = tree_for(fibonacci_spec(), 3)
-    assert list(tree.shape[0]) == ["", "a", "ba"]
+    assert list(tree.forks) == ["", "a", "ba"]
     forks = {"": [Fraction(1, 3), Fraction(2, 3)],
              "a": [Fraction(1, 4), Fraction(3, 4)],
              "ba": [Fraction(1, 5), Fraction(4, 5)]}
     mu = cylinder_measure(tree, weights=forks)
     want = measure_by_levels(tree, weights={**forks, "b": [1], "aa": [1],
                                             "ab": [1]})
-    assert mu == {x: want[x] for x in mu}
+    assert masses_by_word(tree, mu, want) == want
     # an entry for a word with one child must be the one weight 1; entries
     # at the leaves or outside the tree are not read
     assert cylinder_measure(tree, weights={
         **forks, "b": [Fraction(1)], "aab": [7], "bb": [5]}) == mu
+    # a float weight there multiplies the mass of the word's leaf range in
+    # place, which its one child "ba" shares, and so every mass below
+    drift = cylinder_measure(tree, weights={**forks, "b": [1 + 1e-13]})
+    assert drift[leaf_range(tree, "b")] == Fraction(2, 3) * (1 + 1e-13)
+    assert leaf_range(tree, "b") == leaf_range(tree, "ba")
+    assert drift[leaf_range(tree, "baa")] == \
+        drift[leaf_range(tree, "b")] * forks["ba"][0]
     for entry, message in (([Fraction(1, 2)] * 2, "wrong arity"),
                            ([Fraction(1, 2)], "sum to"),
                            ([-1], "non-positive")):
@@ -112,11 +124,14 @@ def test_measure_weights_at_words_with_one_child():
 
 
 def test_measure_tree_mismatch():
+    # a missing mass is named by its word: a leaf, or a branching word's
+    # child
     tree = tree_for(FullShift(2), 2)
-    mu = cylinder_measure(tree)
-    del mu["ab"]
-    with pytest.raises(InvalidMeasureError):
-        assemble_laplacian(tree, mu, 2, HARMONIC)
+    for word in ("ab", "a"):
+        mu = cylinder_measure(tree)
+        del mu[leaf_range(tree, word)]
+        with pytest.raises(InvalidMeasureError, match="for '%s'$" % word):
+            assemble_laplacian(tree, mu, 2, HARMONIC)
 
 
 def test_density():
@@ -235,7 +250,8 @@ def test_pb_nu_average_is_mean_of_singles_uniform():
                                pair_selection="nu-average")
     singles, children = [], children_of(tree)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        pair_list = [(n, children[v][i], children[v][j], 1)
+        pair_list = [(n, leaf_range(tree, children[v][i]),
+                      leaf_range(tree, children[v][j]), 1)
                      for n in range(1, tree.depth + 1)
                      for v in tree.levels[n - 1]]
         m = _assemble_bilinear(tree, mu, 2, HARMONIC, pair_list)
@@ -413,7 +429,7 @@ def test_matrix_difference_requires_same_leaves():
 
 def indicator_loop(tree, mu, rho, delta):
     """assemble_laplacian's rows, each entry accumulated on its own."""
-    w, leaves, span, mu_leaf = _frame(tree, mu, rho, delta)
+    w, leaves, mu_leaf = _frame(tree, mu, rho, delta)
     size, children = len(leaves), children_of(tree)
     rows = [[0] * size for _ in range(size)]
     for j, gamma in enumerate(leaves):
@@ -422,13 +438,13 @@ def indicator_loop(tree, mu, rho, delta):
             a_parent = len(children[parent]) - 1
             if a_parent == 0:
                 continue
-            factor = w[n] / mu[node]
+            factor = w[n] / mu[leaf_range(tree, node)]
             rows[j][j] += factor * a_parent
             for u in children[parent]:
                 if u == node:
                     continue
-                off = factor * mu_leaf[j] / mu[u]
-                lo, hi = span[u]
+                lo, hi = leaf_range(tree, u)
+                off = factor * mu_leaf[j] / mu[lo, hi]
                 for i in range(lo, hi):
                     rows[i][j] -= off
     return tuple(map(tuple, rows))
@@ -437,14 +453,13 @@ def indicator_loop(tree, mu, rho, delta):
 def bilinear_loop(tree, mu, rho, delta, pair_list):
     """_assemble_bilinear's rows: the form matrix A entry by entry, then
     every row divided by its leaf mass."""
-    w, leaves, span, mu_leaf = _frame(tree, mu, rho, delta)
+    w, leaves, mu_leaf = _frame(tree, mu, rho, delta)
     size = len(leaves)
     A = [[0] * size for _ in range(size)]
     for n, u1, u2, coeff in pair_list:
         c = coeff * w[n]
         for u, other in ((u1, u2), (u2, u1)):
-            lo, hi = span[u]
-            olo, ohi = span[other]
+            (lo, hi), (olo, ohi) = u, other
             cu = c / mu[u]
             for i in range(lo, hi):
                 A[i][i] += cu * mu_leaf[i]
@@ -621,13 +636,17 @@ def trees_for_pairs():
 @given(trees_for_pairs())
 def test_sibling_pairs_partition_the_leaf_pairs(tree):
     # the block writes rely on it: every ordered pair of distinct leaves
-    # lies under one sibling pair, in both of its directions, once
+    # lies under one sibling pair, in both of its directions, once.  A
+    # pair at level n is the leaf ranges of two children of one word
     leaves = tree.leaves()
     mu = cylinder_measure(tree)
     for mode in ("all", "single", "nu-average"):
         covered = {}
-        for _, u1, u2, _ in _sibling_pairs(tree, mu, mode):
-            for u, other in ((u1, u2), (u2, u1)):
+        for n, u1, u2, _ in _sibling_pairs(tree, mu, mode):
+            c1, c2 = leaves[u1[0]][:n], leaves[u2[0]][:n]
+            assert c1 != c2 and c1[:-1] == c2[:-1]
+            assert (u1, u2) == (leaf_range(tree, c1), leaf_range(tree, c2))
+            for u, other in ((c1, c2), (c2, c1)):
                 for i, x in enumerate(leaves):
                     for k, y in enumerate(leaves):
                         if x.startswith(u) and y.startswith(other):
@@ -651,13 +670,14 @@ def test_measure_matches_the_level_scan(tree, seed):
     # the scan gives every word a mass; the measure returns those of the
     # root, of the branching words' children and of the leaves
     weights = mild_weights(tree, seed)
-    forks_only = {v: weights[v] for v in tree.shape[0]}
+    forks_only = {v: weights[v] for v in tree.forks}
+    singles = {(i, i + 1) for i in range(len(tree.sorted_leaves))}
     for given, scanned in ((None, None), (weights, weights),
                            (forks_only, weights)):
         mu = cylinder_measure(tree, weights=given)
         want = measure_by_levels(tree, weights=scanned)
-        assert mu == {x: want[x] for x in mu}
-        assert set(tree.sorted_leaves) <= set(mu)
+        assert masses_by_word(tree, mu, want) == want
+        assert set(mu) == {leaf_range(tree, x) for x in want} >= singles
 
 
 def test_random_measure_on_full_shifts_draws_as_the_level_scan():
@@ -666,8 +686,11 @@ def test_random_measure_on_full_shifts_draws_as_the_level_scan():
     for k, N in ((2, 6), (3, 4)):
         tree = tree_for(FullShift(k), N)
         for seed in (0, 7, 2 ** 31):
-            assert cylinder_measure(tree, weights="random", seed=seed) == \
-                measure_by_levels(tree, weights="random", seed=seed)
+            mu = cylinder_measure(tree, weights="random", seed=seed)
+            want = measure_by_levels(tree, weights="random", seed=seed)
+            # every word has a leaf range of its own
+            assert len(mu) == len(want)
+            assert masses_by_word(tree, mu, want) == want
 
 
 def test_thue_morse_measure_at_300_keeps_no_levels():
@@ -684,4 +707,5 @@ def test_thue_morse_measure_at_300_keeps_no_levels():
     finally:
         tracemalloc.stop()
     assert "levels" not in vars(tree)
-    assert set(tree.sorted_leaves) <= set(mu) and peak < 2 * 2 ** 20
+    assert {(i, i + 1) for i in range(940)} <= set(mu)
+    assert peak < 2 * 2 ** 20

@@ -698,7 +698,8 @@ def test_trend_verdict():
 
 
 # ---------------------------------------------------------------------------
-# structures shared between calls: chains, fast-engine results, tree shapes
+# structures shared between calls: chains, diagnostic results, forks and
+# skeletons
 
 
 FIB, LIN, POW2 = (fibonacci_spec(), SturmianCF((1,), ("linear",)),
@@ -771,6 +772,33 @@ def test_sweep_builds_one_chain_per_depth_increase_and_one_push_per_pair(
     assert len(built) == 6
 
 
+def test_a_tables_c_and_w_share_one_push(fresh_caches, monkeypatch):
+    pushes = []
+    push = tree_module._push
+    monkeypatch.setattr(tree_module, "_push",
+                        lambda *a: pushes.append(len(a[0])) or push(*a))
+    table, again = tree_for(FIB, 30), tree_for(FIB, 30)
+    for name in ("exp", "harmonic"):
+        delta = delta_from_name(name)
+        c = lipschitz_estimate(table, delta)
+        w = continuity_witness(table, delta)
+        # an equal table reads the same entry
+        assert lipschitz_estimate(again, delta) is c
+        assert continuity_witness(again, delta) is w
+        assert (fields(c), fields(w)) == tuple(map(
+            fields, order_diagnostics(again, delta, (30,))[0]))
+        # a table has no branching chain, cached or not
+        with pytest.raises(TypeError):
+            lipschitz_estimate_fast(table, delta, 30)
+    # the skeleton of Fibonacci at 30 holds its 30 branching words, one per
+    # level; one push per delta for C and W, one per order_diagnostics call
+    assert pushes == [30] * 4
+    delta = delta_from_name("exp")
+    lipschitz_estimate_fast(FIB, delta, 30)
+    continuity_witness_fast(FIB, delta, 30)
+    assert pushes == [30] * 5
+
+
 def test_caches_stay_small(fresh_caches):
     delta = DeltaSequence.harmonic()
     for k in range(1, 30):
@@ -819,15 +847,17 @@ def test_table_shape_is_read_once_and_left_out_of_equality(monkeypatch):
         cuts.append(a[1])
         return skeleton(*a)
 
-    # the table's shape reads words' _shape and _skeleton; a shallower cut
-    # of the order diagnostics reads the _skeleton that tree imported
+    # the table's forks call words' _shape (on its 31 leaves) and its
+    # skeleton words' _skeleton; a shallower cut of the order diagnostics
+    # calls the _skeleton that tree imported
     monkeypatch.setattr(words, "_shape",
-                        lambda *a: reads.append(a[1]) or shape(*a))
+                        lambda *a: reads.append(len(a[0])) or shape(*a))
     monkeypatch.setattr(words, "_skeleton", cut)
     monkeypatch.setattr(tree_module, "_skeleton", cut)
     got = diagnostics(shaped)
-    assert reads == [30] and cuts == [30, 12, 12]
-    assert "shape" in vars(shaped) and "shape" not in vars(plain)
+    assert reads == [31] and cuts == [30, 12, 12]
+    views = {"forks", "skeleton"}
+    assert views <= set(vars(shaped)) and not views & set(vars(plain))
     assert shaped == plain and hash(shaped) == hash(plain)
     assert repr(shaped) == repr(plain)
     assert got == diagnostics(plain)
@@ -837,20 +867,21 @@ def test_one_shape_per_table_serves_profiles_and_diagnostics(monkeypatch):
     reads = []
     shape = words._shape
     monkeypatch.setattr(words, "_shape",
-                        lambda *a: reads.append(a[1]) or shape(*a))
+                        lambda *a: reads.append(len(a[0])) or shape(*a))
     spec = Substitution.from_rules({"a": "ab", "b": "ba"}, "a")
     table = language_table(spec, 24)
+    n = len(table.sorted_leaves)
     profiles = [level_profile(table) for _ in range(4)]
     pairs = order_diagnostics(table, delta_from_name("harmonic"), (6, 24))
-    assert reads == [24]
+    assert reads == [n]
     want = level_profile(spec, 24)
-    assert reads == [24, 24]
+    assert reads == [n, n]
     assert profiles == [want] * 4
     # the profile reads the stored leaves, not the word levels
     bare = dataclasses.replace(table)
     with monkeypatch.context() as patch:
         patch.setattr(words, "_tree_of_words", refuse_levels)
-        assert level_profile(bare) == want and reads == [24, 24, 24]
+        assert level_profile(bare) == want and reads == [n, n, n]
     from_spec = order_diagnostics(spec, delta_from_name("harmonic"), (6, 24))
     assert [tuple(map(fields, p)) for p in pairs] == \
         [tuple(map(fields, p)) for p in from_spec]
@@ -864,13 +895,14 @@ def test_stored_leaves_and_shape_leave_equality_alone(spec, N):
     assert table.sorted_leaves == sorted([*table.leaves(), *(
         v for v, cs in children_of(table).items() if not cs)])
     level_profile(table)
-    assert {"shape", "levels"} <= set(vars(table))
+    views = {"counts", "forks", "levels"}
+    assert views <= set(vars(table))
     # language_table reads the level counts of a table with no closed
     # form, which the letter cap sums; a table made afresh has no view
     other = language_table(spec, N)
     assert "levels" not in vars(other)
     other = dataclasses.replace(other)
-    assert not {"shape", "levels"} & set(vars(other))
+    assert not views & set(vars(other))
     assert table == other and hash(table) == hash(other)
     assert repr(table) == repr(other) == (
         "LanguageTable(depth=%r, sorted_leaves=%r, stabilized=%r)"

@@ -28,7 +28,7 @@ def representative(tree, tau, v):
 def test_full_shift_tree_shape():
     tree = tree_for(FullShift(2), 3)
     assert [len(lv) for lv in tree.levels] == [1, 2, 4, 8]
-    forks = tree.shape[0]
+    forks = tree.forks
     assert forks[""] == [0, 4, 8] and forks["ab"] == [2, 3, 4]
     assert tree.leaves() == tree.levels[3]
 
@@ -36,7 +36,7 @@ def test_full_shift_tree_shape():
 def test_fibonacci_tree_single_branching_per_level():
     tree = tree_for(fibonacci_spec(), 8)
     for n in range(8):
-        branching = [v for v in tree.levels[n] if v in tree.shape[0]]
+        branching = [v for v in tree.levels[n] if v in tree.forks]
         assert len(branching) == 1
 
 
@@ -165,7 +165,7 @@ def test_thue_morse_choice_function_and_graph_at_512_in_a_few_mb():
     # representative per node peaked at 37 MB for the choice function alone
     tree = tree_for(Substitution.from_rules({"a": "ab", "b": "ba"}, "a"),
                     512)
-    tree.shape  # read once per table, before any choice function
+    tree.forks  # read once per table, before any choice function
     tracemalloc.start()
     try:
         tau = choice_function(tree, policy="seeded-random", seed=17)

@@ -348,8 +348,8 @@ def test_table_letters_count_the_table(spec_and_depth):
     spec, N = spec_and_depth
     table = language_table(spec, N)
     letters = sum(len(w) for lv in table.levels for w in lv)
-    # from the table's shape, and in closed form or from a table on the
-    # spec's leaves
+    # from the table's level counts, and in closed form or from a table on
+    # the spec's leaves
     assert table_letters(table) == letters
     assert table_letters(spec, N) == letters
 
@@ -391,7 +391,7 @@ def test_child_links_match_level_scans(table):
     # a branching word carries its children, each with the range of its
     # leaves in the sorted leaves; no other word is kept
     profile = level_profile(table)
-    branches = dict(table.branches())
+    forks = table.forks
     leaves = table.sorted_leaves
     every = {}
     for n in range(table.depth):
@@ -399,8 +399,9 @@ def test_child_links_match_level_scans(table):
         for v in table.levels[n]:
             kids = tuple(w for w in table.levels[n + 1] if w[:-1] == v)
             if len(kids) >= 2:
-                assert tuple(c for c, _, _ in branches[v]) == kids
-                for c, lo, hi in branches[v]:
+                bounds = forks[v]
+                assert tuple(leaves[lo][:n + 1] for lo in bounds[:-1]) == kids
+                for c, lo, hi in zip(kids, bounds, bounds[1:]):
                     assert leaves[lo:hi] == [
                         u for u in leaves if u.startswith(c)]
             counts[v] = len(kids)
@@ -411,7 +412,7 @@ def test_child_links_match_level_scans(table):
         assert profile.branching[n] == sum(
             1 for c in counts.values() if c >= 2)
         every.update(counts)
-    assert list(branches) == sorted(v for v, c in every.items() if c >= 2)
+    assert list(forks) == sorted(v for v, c in every.items() if c >= 2)
     assert len(every) == sum(table.counts[:table.depth])
     if all(every.values()):
         assert build_tree(table) is table
@@ -567,8 +568,11 @@ WINDOW_SPECS = (
 
 
 def doubling_loop(spec, N):
-    """The table of every doubled window, counts compared: the oracle for
-    language_table's one build.  Returns the last levels and the flags."""
+    """The table of every doubled window: the oracle for language_table's
+    one build.  A Sturmian window is certified once it holds the N + 1
+    words of length N, at the cap as below it; a substitution window's
+    counts are compared with the last window's.  Returns the last levels
+    and the flags."""
     length = max(4 * N, 64)
     prev_counts = None
     flags = [False] * (N + 1)
@@ -576,7 +580,11 @@ def doubling_loop(spec, N):
         window = _window_for(spec, length)
         levels = prefix_levels(_recurrent_prefix(window, N), N)
         counts = tuple(len(lv) for lv in levels)
-        if prev_counts is not None:
+        if isinstance(spec, SturmianCF):
+            if counts[N] == N + 1:
+                flags = [True] * (N + 1)
+                break
+        elif prev_counts is not None:
             flags = [counts[n] == prev_counts[n] for n in range(N + 1)]
             if all(flags):
                 break
@@ -589,7 +597,9 @@ def doubling_loop(spec, N):
 
 # the flag patterns each cap produces over the specs and depths below: a
 # small cap stops the doubling of a=aab,b=b with some lengths unsettled, and
-# a cap below the first window stops it before any comparison
+# a cap below the first window stops a substitution's doubling before any
+# comparison; a Sturmian window is certified by its N + 1 words alone, so
+# it is stable or refused at any cap
 @pytest.mark.parametrize("cap, patterns", (
     (2 ** 7, {"stable", "partial", "unsettled"}),
     (2 ** 12, {"stable", "partial"}),
@@ -619,6 +629,15 @@ def test_window_tables_match_the_doubling_loop(monkeypatch, cap, patterns):
     assert seen == patterns
     assert refused == ({(SturmianCF((0, 3), ("pow2",)), 30, 17)}
                        if cap == 2 ** 7 else set())
+
+
+def test_sturmian_window_at_the_cap_is_certified(monkeypatch):
+    # the first window of Fibonacci at depth 30, 120 letters, is past half
+    # the cap and holds all 31 words of length 30: every level is settled
+    monkeypatch.setattr(words, "DEFAULT_WINDOW_CAP", 2 ** 7)
+    table = language_table(fibonacci_spec(), 30)
+    assert len(table.sorted_leaves) == 31
+    assert table.stabilized == (True,) * 31
 
 
 def test_window_table_is_built_once(monkeypatch):
