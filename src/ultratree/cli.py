@@ -9,11 +9,12 @@ the configuration, the edge-length convention tag and the library
 version, so a report is reproducible from its own header.  Outputs are
 byte-identical across runs for a fixed configuration and seed.
 
-Exit codes: 0 success, 2 invalid configuration or unwritable output (a
-refused run writes nothing, not even the --out directory), 3 internal
-invariant violation, which is the Laplacian pre-check before its spectrum
-or its trace check after it (InvariantViolationError, defined in the
-package root so that main names it without loading the laplacian layer).
+Exit codes: 0 success, 2 invalid configuration, unwritable output or a
+run that ran out of memory (a refused run writes nothing, not even the
+--out directory), 3 internal invariant violation, which is the Laplacian
+pre-check before its spectrum or its trace check after it
+(InvariantViolationError, defined in the package root so that main names
+it without loading the laplacian layer).
 
 Loading this module loads no library layer, so --help starts as fast as
 argparse.  Each subcommand imports the layers it runs when it runs: lang
@@ -168,13 +169,6 @@ def load_measure_weights(path):
 # output helpers
 
 
-def _csv_row(row):
-    """A row as csv writes it, floats by repr and other values by str, but
-    with None written as "None" rather than as an empty field."""
-    return row if None not in row else ["None" if x is None else x
-                                        for x in row]
-
-
 def _jsonsafe(value):
     """Strict-JSON encoding: non-finite floats become strings."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -211,7 +205,7 @@ def write_series(path_base, fmt, header, rows):
     with _create(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(map(_csv_row, rows))
+        writer.writerows(rows)
     return path
 
 
@@ -348,7 +342,7 @@ def cmd_laplacian(args):
                           % (args.rho, MAX_RHO))
     # count the leaves before any table: a closed form, or else the sorted
     # leaves, read once and checked as a tree before they are counted; then
-    # the table's letters, from its level counts.  The full-shift caps come
+    # the table's letters, from its level counts.  The full-shift cap comes
     # first
     _refuse_oversized(spec, args.depth)
     count = leaf_count(spec, args.depth)
@@ -461,6 +455,9 @@ def main(argv=None):
         files = args.run(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except InvariantViolationError as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)

@@ -27,11 +27,14 @@ So each block value is computed once and written into its block by slice
 assignment, and exact rows share their entry objects.  The exact checks
 (conservation, self-adjointness, route differences) run on one integer view
 of numerators and denominators, and Fractions are formed only where two
-entries differ; the float view converts each distinct entry once.
+entries differ; the float view converts each distinct entry once, and a
+float matrix is checked on it pair by pair in plain Python.
 
 The spectrum is read from one small block per fork, not from a dense
 eigensolve of the whole matrix, which only the tests keep as an oracle;
-its eigenvalues must sum to the trace.
+its eigenvalues must sum to the trace.  The forks are the tree's, kept on
+the matrix, and numpy loads only to solve a block of three or more
+children.
 """
 
 import math
@@ -41,13 +44,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import (chain, combinations, compress, count, pairwise,
-                       repeat)
+                       repeat, starmap)
 from operator import add, itemgetter, mul, ne, or_, sub
 
 # defined in the package root, so that the CLI names it without loading
 # this module, and re-exported here
 from . import InvariantViolationError
-from .words import _shape
 
 
 class InvalidMeasureError(ValueError):
@@ -143,12 +145,14 @@ class LaplacianMatrix:
 
     rows[i][j] is the coefficient of leaf i in the image of the leaf-j
     indicator and mu_leaves the cylinder masses in leaf order, both kept in
-    the assembly's own arithmetic (Fractions when the inputs were rational).
+    the assembly's own arithmetic (Fractions when the inputs were rational);
+    forks are the tree's (LanguageTable.forks), which the spectrum reads.
     """
 
     leaves: tuple
     rows: tuple = field(compare=False)
     mu_leaves: tuple = field(compare=False)
+    forks: dict = field(compare=False)
 
     @cached_property
     def _entries(self):
@@ -191,36 +195,24 @@ class LaplacianMatrix:
         return tuple(tuple(map(as_float, map(id, r))) for r in self.rows)
 
     @cached_property
-    def _scaled(self):
-        """mu_i M_ij of a float matrix as a numpy array, rounded as
-        mu[i] * rows[i][j] rounds in Python floats."""
-        # imported here so that the commands without a Laplacian start faster
-        import numpy as np
-        return (np.array(self.mu_leaves, dtype=float)[:, None]
-                * np.array(self.floats))
-
-    @cached_property
     def defects(self):
         """(max |row sum|, max |mu_i M_ij - mu_j M_ji|) in assembly
         arithmetic, computed on first use.
 
         An exact matrix sums its rows and compares mu_i M_ij with mu_j M_ji
         in integers; a defect is formed in Fractions only where they
-        differ.  A float matrix takes its pair defects from numpy,
-        whose elementwise products and differences round as Python's do,
-        and its row sums from the built-in sum(), which adds left to right
-        before Python 3.12 and with compensated summation from 3.12 on.
+        differ.  A float matrix takes its pair defects from the pairs of
+        _mu_pairs, the largest folded from 0.0 so that a NaN defect is
+        passed over, and its row sums from the built-in sum(), which adds
+        left to right before Python 3.12 and with compensated summation
+        from 3.12 on.
         """
         rows, mu = self.rows, self.mu_leaves
         view = self.integers
         if view is None:
-            import numpy as np
             row = max((abs(sum(r)) for r in rows), default=0)
-            scaled = self._scaled
-            # fmax passes over NaN defects, as max() from 0 does
-            adj = np.fmax.reduce(np.abs(scaled - scaled.T), axis=None,
-                                 initial=0.0)
-            return row, float(adj)
+            return row, max(chain((0.0,), map(abs, starmap(
+                sub, _mu_pairs(self)))))
         # each row summed over the least common multiple of all the entries'
         # denominators, each distinct entry scaled once
         entries = self._entries
@@ -326,7 +318,8 @@ def assemble_laplacian(tree, mu, rho, delta):
                     if u != node:
                         col[u[0]:u[1]] = [0 - factor * mu_gamma / mu[u]] * (
                             u[1] - u[0])
-    return LaplacianMatrix(leaves, tuple(zip(*cols)), tuple(mu_leaf))
+    return LaplacianMatrix(leaves, tuple(zip(*cols)), tuple(mu_leaf),
+                           tree.forks)
 
 
 def _assemble_bilinear(tree, mu, rho, delta, pair_list):
@@ -365,7 +358,8 @@ def _assemble_bilinear(tree, mu, rho, delta, pair_list):
                 rows[i][olo:ohi] = [(0 - fi * x) / m[i] for x in m[olo:ohi]]
     for i in range(size):
         rows[i][i] = diag[i] if exact else diag[i] / mu_leaf[i]
-    return LaplacianMatrix(leaves, tuple(map(tuple, rows)), tuple(mu_leaf))
+    return LaplacianMatrix(leaves, tuple(map(tuple, rows)), tuple(mu_leaf),
+                           tree.forks)
 
 
 def assemble_laplacian_dirichlet(tree, mu, rho, delta):
@@ -442,21 +436,23 @@ def check_invariants(lap, tol=1e-12):
             "adjoint_ok": bool(adj <= tol or _pairs_within(lap, tol))}
 
 
-def _pairs_within(lap, tol):
-    """Whether every pair defect is within tol times the terms it cancels;
-    a float matrix tests its pairs in numpy, with Python's rounding."""
-    if lap.integers is None:
-        import numpy as np
-        x = lap._scaled
-        y = x.T
-        ok = np.abs(x - y) <= tol * np.fmax(1.0, np.abs(x) + np.abs(y))
-        np.fill_diagonal(ok, True)
-        return bool(ok.all())
+def _mu_pairs(lap):
+    """(mu_i M_ij, mu_j M_ji) for each pair i < j, row by row: in the
+    assembly's arithmetic for an exact matrix, and in floats for a float
+    one, each entry and mass converted once."""
     rows, mu = lap.rows, lap.mu_leaves
+    if lap.integers is None:
+        rows, mu = lap.floats, [float(x) for x in mu]
+    return ((mu[i] * r[j], mu[j] * col[j])
+            for i, (r, col) in enumerate(zip(rows, zip(*rows)))
+            for j in range(i + 1, len(rows)))
+
+
+def _pairs_within(lap, tol):
+    """Whether every pair defect of _mu_pairs is within tol times the terms
+    it cancels; a NaN defect is not."""
     return all(abs(x - y) <= tol * max(1, abs(x) + abs(y))
-               for x, y in ((mu[i] * r[j], mu[j] * rows[j][i])
-                            for i, r in enumerate(rows)
-                            for j in range(i + 1, len(rows))))
+               for x, y in _mu_pairs(lap))
 
 
 def matrix_difference(lap_a, lap_b):
@@ -481,12 +477,12 @@ def matrix_difference(lap_a, lap_b):
 
 
 def _fork_blocks(lap):
-    """One block per fork of the leaves (Pearson and Bellissard 2009): for
-    each branching word v in lexicographic order, (R(v), mu(v), m, k) in
-    the matrix's arithmetic, with m[i] = mu(c_i) the masses of v's children
-    and k[i][j] = M[x][y] / mu_y (i != j) for the first leaves x of c_i and
-    y of c_j; k is symmetric, since mu_x M_xy = mu_y M_yx, and its diagonal
-    is 0.
+    """One block per fork of the tree (Pearson and Bellissard 2009), read
+    from the forks kept on the matrix: for each branching word v in
+    lexicographic order, (R(v), mu(v), m, k) in the matrix's arithmetic,
+    with m[i] = mu(c_i) the masses of v's children and k[i][j] = M[x][y] /
+    mu_y (i != j) for the first leaves x of c_i and y of c_j; k is
+    symmetric, since mu_x M_xy = mu_y M_yx, and its diagonal is 0.
 
     A function constant on each child of v, of mu-mean zero and 0 off v's
     leaves, is mapped to R(v) f_i + sum_j k_ij m_j (f_j - f_i) on c_i: the
@@ -497,7 +493,7 @@ def _fork_blocks(lap):
     functions and the constants span every function on the leaves.
     """
     leaves, rows, mu = lap.leaves, lap.rows, lap.mu_leaves
-    forks = _shape(leaves).values()
+    forks = lap.forks.values()
     # a child of two or more leaves has the leaf range of the fork below it,
     # which comes later in lexicographic order
     mass = {}

@@ -101,10 +101,11 @@ def _two_tails(tree, delta, xi, eta, selection):
 
 
 def spectral_distance(tree, tau, delta, xi, eta):
-    """Closed-form spectral distance of the choice function tau: each tail
-    sums delta over the levels n at which its point deviates from tau,
-    sel[w[:n]][n] != w[n], read at the branching words of its path."""
-    return _two_tails(tree, delta, xi, eta, tau.selection)
+    """Closed-form spectral distance of the choice function tau (see
+    tree.choice_function): each tail sums delta over the levels n at which
+    its point deviates from tau, tau[w[:n]][n] != w[n], read at the
+    branching words of its path."""
+    return _two_tails(tree, delta, xi, eta, tau)
 
 
 def sup_spectral_distance(tree, delta, xi, eta):

@@ -9,8 +9,9 @@ or a spec's leaves, that is not a tree: the same check in build_tree and in
 the order diagnostics.  Horizontal edges join distinct siblings, and the
 edge between children of a level-n vertex has length delta_n, read from a
 DeltaSequence (delta_from_name parses a family name).  A choice function
-selects one child per branching word; quotienting the horizontal edges by
-those selections gives the metric approximation graph.
+is a dict from each branching word to its selected child, the only words
+with a choice; quotienting the horizontal edges by those selections gives
+the metric approximation graph.
 
 The order diagnostics, the Lipschitz estimate C(N) and the continuity
 witness W(N), summarize how far the supremum spectral distance can drift
@@ -209,19 +210,10 @@ def build_tree(table):
     return table
 
 
-@dataclass(frozen=True)
-class ChoiceFunction:
-    """One selected child per branching word, the only selections a
-    spectral distance reads (see metrics); every other word has one child.
-    Two choice functions are equal when their selections are; the hash
-    reads no field, so they stay hashable (all alike) though dicts are not.
-    """
-
-    selection: dict = field(hash=False)
-
-
 def choice_function(tree, policy="canonical", seed=None):
-    """Build a choice function.
+    """A choice function: {branching word: selected child}, the only
+    selections a spectral distance reads (see metrics), since every other
+    word has one child.
 
     policy "canonical" takes the lexicographically least child everywhere;
     "seeded-random" draws children uniformly from a 64-bit seed, one draw
@@ -234,8 +226,8 @@ def choice_function(tree, policy="canonical", seed=None):
     else:
         raise ValueError("unknown policy %r" % policy)
     leaves = tree.sorted_leaves
-    return ChoiceFunction({v: leaves[pick(bounds[:-1])][:len(v) + 1]
-                           for v, bounds in tree.forks.items()})
+    return {v: leaves[pick(bounds[:-1])][:len(v) + 1]
+            for v, bounds in tree.forks.items()}
 
 
 @dataclass(frozen=True)
@@ -266,7 +258,7 @@ def approximation_graph(tree, tau, delta):
     lengths, edges = delta.values(tree.depth), {}
     for v, bounds in reversed(tree.forks.items()):
         reps = [rep[lo] for lo in bounds[:-1]]
-        chosen = bisect_left(vertices, tau.selection[v], bounds[0])
+        chosen = bisect_left(vertices, tau[v], bounds[0])
         rep[bounds[0]] = reps[bounds.index(chosen)]
         length = lengths[len(v)]
         for ri, rj in combinations(reps, 2):

@@ -298,8 +298,6 @@ def _tree_of_words(leaves, N):
 
 
 DEFAULT_WINDOW_CAP = 2 ** 20
-# a full shift holds sum of n * k^n letters; full:1 passes this at 11,585
-FULL_SHIFT_LETTER_CAP = 2 ** 26
 # the letters of a table's words, sum of n * P(n).  Nothing outside the
 # test oracles builds the levels view that would hold them as strings
 # (sturmian:cf=1 at depth 1024 has 3.6e8, which lang held in 423 MB of max
@@ -342,8 +340,8 @@ def _window_for(spec, length):
 def _refuse_oversized(spec, N):
     """Refuse a depth below 1, an explicit window deeper than
     DEFAULT_WINDOW_CAP, and a full shift with more than DEFAULT_WINDOW_CAP
-    words at length N (the bound a generated window obeys) or more than
-    FULL_SHIFT_LETTER_CAP letters in all, before anything is enumerated."""
+    words at length N (the bound a generated window obeys), before
+    anything is enumerated."""
     if N < 1:
         raise ValueError("depth must be >= 1")
     if isinstance(spec, ExplicitWindow) and N > DEFAULT_WINDOW_CAP:
@@ -354,9 +352,6 @@ def _refuse_oversized(spec, N):
         if spec.k ** min(N, 64) > DEFAULT_WINDOW_CAP:
             raise ValueError("full:%d at depth %d has more than %d words of "
                              "length %d" % (spec.k, N, DEFAULT_WINDOW_CAP, N))
-        if table_letters(spec, N) > FULL_SHIFT_LETTER_CAP:
-            raise ValueError("full:%d at depth %d has more than %d letters"
-                             % (spec.k, N, FULL_SHIFT_LETTER_CAP))
 
 
 def _leaves(spec, N):

@@ -7,8 +7,9 @@ exhaustive enumeration, the spectral distance range over all of them, the
 sibling pairs of a level, the language statistics from scans of the word
 levels (the level counts, the right special words, the repulsiveness
 estimators by a memo of every word's border and by a quadratic pair scan,
-and repetitivity), a cylinder measure by a scan of every word level and a
-Laplacian spectrum by a dense eigensolve of the whole matrix.  None reads
+and repetitivity), a cylinder measure by a scan of every word level, a
+Laplacian spectrum by a dense eigensolve of the whole matrix and the pair
+checks of a float matrix on numpy arrays.  None reads
 the neighbour LCPs, the forks or the skeleton the library reads from the
 sorted leaves.  They are exponential, quadratic or cubic, or hold every
 word of every level, so keep their inputs small.  The library keys a
@@ -25,7 +26,7 @@ from itertools import combinations, compress, groupby, islice, product
 from operator import eq, itemgetter
 
 from ultratree.metrics import common_prefix_length
-from ultratree.tree import ChoiceFunction, StructuralError, build_tree
+from ultratree.tree import StructuralError, build_tree
 from ultratree.words import REPULSIVENESS_INF, language_table
 
 
@@ -66,7 +67,7 @@ def enumerate_choice_functions(tree):
     nodes = [v for n in range(tree.depth) for v in tree.levels[n]
              if len(children[v]) > 1]
     for combo in product(*(children[v] for v in nodes)):
-        yield ChoiceFunction(dict(zip(nodes, combo)))
+        yield dict(zip(nodes, combo))
 
 
 def _tail_sums(tree, delta, word, m):
@@ -202,6 +203,31 @@ def dense_spectrum(lap):
     sym = (d[:, None] * np.array(lap.floats)) / d[None, :]
     sym = 0.5 * (sym + sym.T)
     return np.linalg.eigvalsh(sym)
+
+
+def float_invariants_by_numpy(lap, tol=1e-12):
+    """check_invariants of a float matrix, with its pair defects and its
+    relative pair test on the array of mu_i M_ij, whose elementwise
+    products and differences round as Python's do; fmax passes over NaN
+    defects, as a maximum folded from 0.0 does.  The row sums are the
+    built-in sum()'s.  Returns the defects and the checks."""
+    import numpy as np
+    scaled = (np.array(lap.mu_leaves, dtype=float)[:, None]
+              * np.array(lap.floats))
+    x, y = scaled, scaled.T
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python
+        adj = float(np.fmax.reduce(np.abs(x - y), axis=None, initial=0.0))
+        pairs_ok = np.abs(x - y) <= tol * np.fmax(1.0,
+                                                  np.abs(x) + np.abs(y))
+    np.fill_diagonal(pairs_ok, True)
+    rows = lap.rows
+    row = max((abs(sum(r)) for r in rows), default=0)
+    return (row, adj), {
+        "max_row_sum": float(row),
+        "max_self_adjoint_defect": adj,
+        "row_ok": bool(row <= tol or all(
+            abs(sum(r)) <= tol * max(1, sum(map(abs, r))) for r in rows)),
+        "adjoint_ok": bool(adj <= tol or pairs_ok.all())}
 
 
 def measure_by_levels(tree, weights=None, seed=None):

@@ -520,8 +520,16 @@ def test_full_shift_letter_cap_is_refused(tmp_path, capsys):
     assert main(["lang", "--spec", "full:1", "--depth", "100000",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "67108864 letters" in err
+    assert err == ("error: table of 5000050000 letters exceeds the limit of "
+                   "1073741824\n")
     assert not out.exists()
+    # 11,585 and 11,586 were refused by a cap on full shifts alone, which
+    # only full:1 reached before the table cap
+    for depth in ("11585", "11586"):
+        out = tmp_path / depth
+        assert main(["lang", "--spec", "full:1", "--depth", depth,
+                     "--out", str(out)]) == 0
+        assert len(read_csv(out / "language.csv")) == 2 + int(depth)
 
 
 def test_laplacian_leaf_limit(tmp_path, capsys, monkeypatch):
@@ -651,6 +659,18 @@ def test_table_past_the_letter_cap_is_refused_in_1_gb(tmp_path, command,
     assert not out.exists()
 
 
+def test_out_of_memory_exits_2_without_a_traceback(tmp_path):
+    # the Thue-Morse window of depth 16384 outgrows 1 GB while it is cut to
+    # its recurrent prefix, before anything counts the leaves
+    out = tmp_path / "oom"
+    result = limited_run(["lang", "--spec", "subst:a=ab,b=ba", "--depth",
+                          "16384", "--out", str(out)])
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: out of memory\n")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 def test_full_shift_zeta_at_depth_65536_runs_in_256_mb(tmp_path):
     # tuples of the counts 2^n would hold about 1 GB; streamed, 30 MB
     out = tmp_path / "deep"
@@ -714,7 +734,10 @@ def test_metrics_import_leaves_scipy_out_until_dijkstra():
     ["lipschitz", "--spec", "full:2", "--depth", "64"],
     ["lipschitz", "--spec", "subst:a=ab,b=ba", "--depth", "32"],
     ["laplacian", "--spec", "full:3", "--depth", "2", "--measure",
-     "random"]))
+     "random"],
+    # a float matrix: a non-integer exponent
+    ["laplacian", "--spec", "full:2", "--depth", "6", "--rho", "1.5",
+     "--delta", "harmonic", "--measure", "random", "--seed", "7", "--pb"]))
 def test_zeta_and_laplacian_leave_scipy_out(tmp_path, command):
     out = tmp_path / "out"
     argv = command + ["--out", str(out)]
@@ -725,9 +748,11 @@ def test_zeta_and_laplacian_leave_scipy_out(tmp_path, command):
         assert loaded == ["numpy"]
         assert len(read_csv(out / "spectrum.csv")) == 1 + 9
     elif command[0] == "laplacian":
-        # a binary tree's blocks are single eigenvalues, exact
+        # a binary tree's blocks are single eigenvalues, and its checks,
+        # exact or in floats, run in plain Python
         assert loaded == []
-        assert len(read_csv(out / "spectrum.csv")) == 1 + 8
+        assert len(read_csv(out / "spectrum.csv")) == 1 + 2 ** int(
+            command[command.index("--depth") + 1])
     else:
         assert loaded == []
     assert modules == COMMAND_MODULES[command[0]]
@@ -850,15 +875,46 @@ GOLDEN = (
         "laplacian_report.json":
             "e534e50115478465e3d8387c7f8046a32e58dfd68f1970f66d9fee50226c81a0",
     }),
+    (["laplacian", "--spec", "full:2", "--depth", "6", "--rho", "1.5",
+      "--delta", "harmonic", "--measure", "random", "--seed", "7", "--pb"], {
+        "laplacian_matrix.csv":
+            "b371fb32203b375207494e5999429f2b2a491a6453aa3d0fd36d866a5a8d17ba",
+        "index_map.json":
+            "6125acb580ef4d20fd18c0b3b5bdcdd433c772734395d36969ebc38d40626d2d",
+        "spectrum.csv":
+            "2b0b3896bb07b983e3296790302659a3e3c7e3e8753c413750e03ad53d2d6abc",
+        "laplacian_report.json":
+            "c454cebb1b3c7c07c140e195dce1850bba3bd4da3bd54d0b6ecbfe86798b5cbe",
+    }),
+    (["laplacian", "--spec", "full:2", "--depth", "3", "--delta", "harmonic",
+      "--measure", "file:weights.json", "--pb"], {
+        "laplacian_matrix.csv":
+            "1de309dc0c407aaa719ce462b935086338510280a3c714deabd4083dccb1b6c9",
+        "index_map.json":
+            "b60fe49956d28dbaf75843e71c78376b0b0b64d848ffdc33b73021dfed57f863",
+        "spectrum.csv":
+            "6e3c8c5ce5156e8e7648a66d5e7b48916db6efd3020552d6181bca6a840626fe",
+        "laplacian_report.json":
+            "e2d967f4a090c7ffd1aee0ac3c9cd89d0252fb277dbb818c75db372db01ef9cf",
+    }),
 )
+
+# the float weights that the last run reads, from the directory it runs in
+FLOAT_WEIGHTS = (
+    '{"": [0.25, 0.75], "a": [0.5, 0.5], "b": [0.1, 0.9], "aa": [0.3, 0.7], '
+    '"ab": [0.6, 0.4], "ba": [0.2, 0.8], "bb": [0.45, 0.55]}\n')
 
 
 @pytest.mark.parametrize("argv, digests", GOLDEN, ids=(
     "lang", "lipschitz", "zeta", "laplacian", "lipschitz-thue-morse",
-    "laplacian-window"))
-def test_outputs_match_their_pinned_digests(tmp_path, capsys, argv, digests):
-    # the four README commands, Thue-Morse lipschitz and an exact laplacian
-    # with a fork of three children
+    "laplacian-window", "laplacian-float-rho", "laplacian-float-measure"))
+def test_outputs_match_their_pinned_digests(tmp_path, capsys, monkeypatch,
+                                            argv, digests):
+    # the four README commands, Thue-Morse lipschitz, an exact laplacian
+    # with a fork of three children and two binary float laplacians, one of
+    # a non-integer exponent and one of float weights
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weights.json").write_text(FLOAT_WEIGHTS)
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     written = {path.name for path in out.iterdir()}

@@ -1,15 +1,17 @@
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from ultratree import words
 from ultratree.words import (ExplicitWindow, FullShift, SturmianCF,
-                             Substitution, alphabet, fibonacci_spec)
+                             Substitution, _shape, alphabet, fibonacci_spec)
 from ultratree.tree import DeltaSequence
 from ultratree.laplacian import (InvalidMeasureError,
                                  InvariantViolationError, LaplacianMatrix,
@@ -22,8 +24,8 @@ from ultratree.laplacian import (InvalidMeasureError,
                                  dirichlet_form_value, matrix_difference,
                                  spectrum)
 
-from oracles import (children_of, dense_spectrum, leaf_range,
-                     masses_by_word, measure_by_levels, tree_for)
+from oracles import (children_of, dense_spectrum, float_invariants_by_numpy,
+                     leaf_range, masses_by_word, measure_by_levels, tree_for)
 
 HARMONIC = DeltaSequence.harmonic()
 UNIT = DeltaSequence.table([1.0])
@@ -374,8 +376,9 @@ def test_exact_block_eigenvalues_sum_to_the_trace():
 
 
 def test_spectrum_refuses_broken_matrix():
-    bad = LaplacianMatrix(("a", "b"), ((1, 0), (0, 1)),
-                          (Fraction(1, 2), Fraction(1, 2)))
+    leaves = ("a", "b")
+    bad = LaplacianMatrix(leaves, ((1, 0), (0, 1)),
+                          (Fraction(1, 2), Fraction(1, 2)), _shape(leaves))
     with pytest.raises(InvariantViolationError):
         spectrum(bad)
 
@@ -388,8 +391,9 @@ def test_spectrum_refuses_eigenvalues_off_the_trace():
     An eigenvalue sum equal to the trace is a necessary condition for the
     block structure, not a proof of it."""
     rows = ((1, -1, 0, 0), (-1, 3, -2, 0), (0, -2, 5, -3), (0, 0, -3, 3))
-    path = LaplacianMatrix(("aa", "ab", "ba", "bb"), rows,
-                           (Fraction(1, 4),) * 4)
+    leaves = ("aa", "ab", "ba", "bb")
+    path = LaplacianMatrix(leaves, rows, (Fraction(1, 4),) * 4,
+                           _shape(leaves))
     checks = check_invariants(path, tol=1e-8)
     assert checks["row_ok"] and checks["adjoint_ok"]
     assert math.fsum(dense_spectrum(path)) == pytest.approx(12)
@@ -402,9 +406,9 @@ def test_spectrum_refuses_large_float_row_defect():
     # entries near 1e10 pass their rounding-sized absolute defects, but a
     # row off by 1e-3 of its terms is still refused
     big = 1e10
-    bad = LaplacianMatrix(("a", "b"),
-                          ((big, -big), (-big, big * (1 + 1e-3))),
-                          (Fraction(1, 2), Fraction(1, 2)))
+    leaves = ("a", "b")
+    bad = LaplacianMatrix(leaves, ((big, -big), (-big, big * (1 + 1e-3))),
+                          (Fraction(1, 2), Fraction(1, 2)), _shape(leaves))
     checks = check_invariants(bad, tol=1e-8)
     assert checks["adjoint_ok"] and not checks["row_ok"]
     assert checks["max_row_sum"] == pytest.approx(1e7)
@@ -555,18 +559,20 @@ def test_planted_defects_match_the_loop(kind):
             (-half, 3 * half, -third),
             (kind(-1), -third, 4 * third))
     mu = (half, half / 2, half / 2)
-    bad = LaplacianMatrix(("a", "b", "c"), rows, mu)
+    leaves = ("a", "b", "c")
+    bad = LaplacianMatrix(leaves, rows, mu, _shape(leaves))
     assert bad.defects == (Fraction(2, 3), Fraction(3, 8))
     assert bits(bad.defects) == bits(defects_loop(bad))
     checks = check_invariants(bad)
     assert not checks["row_ok"] and not checks["adjoint_ok"]
-    fixed = LaplacianMatrix(("a", "b", "c"),
+    fixed = LaplacianMatrix(leaves,
                             (rows[0], (-half, 5 * third / 2, -third), rows[2]),
-                            mu)
+                            mu, _shape(leaves))
     assert fixed.defects[0] == 0
     # one entry differs from -1/3 in its denominator alone
-    other = LaplacianMatrix(("a", "b", "c"),
-                            (rows[0], (-half, 3 * half, -half), rows[2]), mu)
+    other = LaplacianMatrix(leaves,
+                            (rows[0], (-half, 3 * half, -half), rows[2]), mu,
+                            _shape(leaves))
     assert matrix_difference(bad, other) == difference_loop(bad, other) \
         == float(Fraction(1, 6))
     assert matrix_difference(bad, fixed) == difference_loop(bad, fixed) \
@@ -613,11 +619,77 @@ def test_planted_pair_tolerance_matches_the_loop(kind):
     # mu_0 M_01 = -1/2 and mu_1 M_10 = -3/4: a defect of 1/4 against terms
     # of 5/4, inside tol 1/4 but outside 1/8
     rows = ((kind(1), kind(-1)), (kind(-1.5), kind(1.5)))
-    lap = LaplacianMatrix(("a", "b"), rows, (Fraction(1, 2),) * 2)
+    leaves = ("a", "b")
+    lap = LaplacianMatrix(leaves, rows, (Fraction(1, 2),) * 2,
+                          _shape(leaves))
     for tol in (0.25, 0.125, 1e-12):
         assert check_invariants(lap, tol) == invariants_loop(lap, tol)
     assert check_invariants(lap, 0.25)["adjoint_ok"]
     assert not check_invariants(lap, 0.125)["adjoint_ok"]
+
+
+@st.composite
+def float_matrices(draw):
+    """Hand-built float matrices of 1 to 12 leaves: entries up to 1e12,
+    infinities, NaN, int zeros and Fractions, which a float matrix reads as
+    floats, masses in floats or Fractions.  Half of
+    them are mu-symmetric up to rounding, mu_i M_ij = A_ij for a symmetric
+    A, so that their pair defects are rounding-sized and large entries take
+    the relative pair test."""
+    n = draw(st.integers(1, 12))
+    mu = draw(st.lists(st.one_of(
+        st.floats(1e-6, 1.0), st.fractions(Fraction(1, 10 ** 6), 1)),
+        min_size=n, max_size=n))
+    a = draw(st.lists(st.one_of(
+        st.floats(-1e12, 1e12), st.sampled_from((math.inf, -math.inf,
+                                                 math.nan)), st.just(0),
+        st.fractions(-10 ** 6, 10 ** 6, max_denominator=1000)),
+        min_size=n * n, max_size=n * n))
+    if draw(st.booleans()):
+        rows = tuple(tuple(a[min(i, j) * n + max(i, j)] / mu[i]
+                           for j in range(n)) for i in range(n))
+    else:
+        rows = tuple(tuple(a[i * n:(i + 1) * n]) for i in range(n))
+    leaves = tuple(alphabet(n))
+    return LaplacianMatrix(leaves, rows, tuple(mu), _shape(leaves))
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_matrices(), st.sampled_from((1e-12, 1e-8, 0.25)))
+def test_float_checks_match_numpy_bit_for_bit(lap, tol):
+    # the pair walk in plain Python against the numpy arrays it replaced
+    assume(lap.integers is None)
+    defects, checks = float_invariants_by_numpy(lap, tol)
+    assert bits(lap.defects) == bits(defects)
+    got = check_invariants(lap, tol)
+    assert (got["row_ok"], got["adjoint_ok"]) == (checks["row_ok"],
+                                                  checks["adjoint_ok"])
+    assert bits(sorted(got.items())) == bits(sorted(checks.items()))
+
+
+def test_spectrum_reads_the_forks_kept_on_the_matrix():
+    # the tree read its forks from its leaves once; the spectrum reads them
+    # on the matrix and calls words._shape no more
+    for spec, N in ((fibonacci_spec(), 30),
+                    (ExplicitWindow("aabacbcab" * 2), 4)):
+        tree = tree_for(spec, N)
+        mu = cylinder_measure(tree, weights="random", seed=N)
+        lap = assemble_laplacian(tree, mu, 2, HARMONIC)
+        assert lap.forks is tree.forks
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is words._shape.__code__:
+                calls.append(frame.f_code.co_name)
+
+        old = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            eigenvalues = spectrum(lap)
+        finally:
+            sys.setprofile(old)
+        assert calls == []
+        assert len(eigenvalues) == len(lap.leaves)
 
 
 def trees_for_pairs():

@@ -243,7 +243,7 @@ def test_bruteforce_range_matches_global_enumeration():
         leaves = tree.leaves()
         taus = list(enumerate_choice_functions(tree))
         assert len(taus) == 2 ** forks
-        assert all(len(tau.selection) == forks for tau in taus)
+        assert all(len(tau) == forks for tau in taus)
         for x in leaves:
             for y in leaves:
                 if x >= y:
@@ -287,13 +287,13 @@ def two_tails_by_prefix(delta, xi, eta, flagged):
 
 
 def spectral_by_prefix(tree, tau, delta, xi, eta):
-    sel, children = tau.selection, children_of(tree)
+    children = children_of(tree)
 
     def chosen(v):
         """tau's child of v: its selection where v branches, else the one
         child there is."""
         cs = children[v]
-        return sel[v] if len(cs) > 1 else cs[0]
+        return tau[v] if len(cs) > 1 else cs[0]
 
     return two_tails_by_prefix(delta, xi, eta,
                                lambda w, n: chosen(w[:n])[n] != w[n])

@@ -49,10 +49,13 @@ def test_full_shift_size_guard():
     for k, N in ((2, 21), (2, 800), (4, 11), (26, 5)):
         with pytest.raises(ValueError, match="more than 1048576 words"):
             language_table(FullShift(k), N)
-    # so are more than 2^26 letters, which one letter reaches by length
-    with pytest.raises(ValueError, match="more than 67108864 letters"):
+    # one letter passes no word cap; its table is refused at the 2^30
+    # letters of every table, N(N + 1) / 2 of them, from depth 46,341
+    with pytest.raises(ValueError, match="table of 5000050000 letters "
+                                         "exceeds the limit of 1073741824"):
         language_table(FullShift(1), 100000)
     assert language_table(FullShift(1), 200).counts == (1,) * 201
+    assert language_table(FullShift(1), 11586).counts == (1,) * 11587
 
 
 def test_explicit_window_factors():
