@@ -42,6 +42,10 @@ MAX_LAPLACIAN_LEAVES = 2048
 # each s costs one pass over the levels per series; at depth 16384 this many
 # grid steps take about 90 s on a 2-core machine
 MAX_S_STEPS = 10_000
+# a depth-N run holds sequences of N + 1 items (a level per length 0..N),
+# and no Python sequence is longer than sys.maxsize; a deeper run would
+# fail on its first such sequence with OverflowError
+MAX_DEPTH = sys.maxsize - 1
 # an integer exponent raises exact Fractions to that power: full:2 at depth 6
 # takes 0.5 s at rho 2, 0.6 s at 64 and 1.0 s at 256 on a 2-core machine
 MAX_RHO = 64
@@ -451,6 +455,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.depth < 1:
         parser.exit(2, "depth must be >= 1\n")
+    if args.depth > MAX_DEPTH:
+        print("error: depth %d exceeds the limit of %d" % (args.depth,
+                                                           MAX_DEPTH),
+              file=sys.stderr)
+        return 2
     try:
         files = args.run(args)
     except (ValueError, OSError) as exc:

@@ -10,14 +10,13 @@ skeleton (words.LanguageTable.skeleton).  A query finds the fork, checks
 each point against the sorted leaves and walks from the point's longest
 branching proper prefix up the skeleton's parent links to the fork,
 summing each tail ascending from 0.0; no per-node levels are kept.  The
-closed forms are checked against Dijkstra on the approximation graph,
-kept here, and against exhaustive enumeration of choice functions, a test
-oracle in tests/oracles.py.  Only the Dijkstra oracle uses scipy, and
-imports it on its first call, so importing this module loads neither
-scipy nor numpy.
+closed forms are checked against shortest paths on the approximation
+graph, kept here and computed by vertex elimination in plain Python, and
+against exhaustive enumeration of choice functions, a test oracle in
+tests/oracles.py.  Neither this module nor its shortest paths load numpy,
+and heapq loads on their first call.
 """
 
-import math
 from bisect import bisect_left
 
 # defined in .tree and re-exported for callers that read them on this module
@@ -121,34 +120,89 @@ def inf_spectral_distance(tree, delta, xi, eta):
 
 
 # ---------------------------------------------------------------------------
-# graph oracle
+# graph oracle: shortest paths by vertex elimination
 
 
-def _graph_csr(graph):
-    from scipy.sparse import csr_matrix
-    n = len(graph.vertices)
-    rows, cols, vals = [], [], []
+def _eliminate(graph):
+    """Up edges of every vertex by elimination, in rank order.
+
+    Vertices are removed by least current degree, read from a lazy heap.
+    Removing one joins each pair of its remaining neighbours by the two-hop
+    length wherever that is shorter than their edge, so the graph left keeps
+    the distances between the vertices left; its edges at removal are its
+    up edges, each to a vertex of higher rank.  Every such shortcut is kept
+    (a contraction hierarchy with no witness search), so the result is
+    exact on any graph: every pair has a shortest path that climbs from
+    either end along up edges to its highest-ranked vertex.  Returns, per
+    rank, the up edges as (rank, length), and the rank of each vertex."""
+    from heapq import heapify, heappop, heappush
+    adj = [{} for _ in graph.vertices]
     for (i, j), d in graph.edges.items():
-        rows += [i, j]
-        cols += [j, i]
-        vals += [d, d]
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+        adj[i][j] = adj[j][i] = d
+    heap = [(len(a), v) for v, a in enumerate(adj)]
+    heapify(heap)
+    rank, order = [None] * len(adj), []
+    while heap:
+        degree, v = heappop(heap)
+        if rank[v] is not None or degree != len(adj[v]):
+            continue  # removed, or its degree changed and it was pushed again
+        rank[v] = len(order)
+        nbrs = list(adj[v].items())
+        order.append(nbrs)
+        for a, _ in nbrs:
+            del adj[a][v]
+        for k, (a, da) in enumerate(nbrs):
+            near = adj[a]
+            for b, db in nbrs[k + 1:]:
+                d = da + db
+                old = near.get(b)
+                if old is None or d < old:
+                    near[b] = adj[b][a] = d
+        for a, _ in nbrs:
+            heappush(heap, (len(adj[a]), a))
+        adj[v] = None
+    return [[(rank[a], d) for a, d in nbrs] for nbrs in order], rank
+
+
+def _climb(up, r):
+    """Length of the shortest up-edge path from rank r to each rank it
+    reaches: ranks are settled in increasing order, since every up edge
+    into a rank comes from a lower one."""
+    from heapq import heappop, heappush
+    dist, heap = {r: 0.0}, [r]
+    while heap:
+        x = heappop(heap)
+        dx = dist[x]
+        for y, d in up[x]:
+            old = dist.get(y)
+            if old is None:
+                dist[y] = dx + d
+                heappush(heap, y)
+            elif dx + d < old:
+                dist[y] = dx + d
+    return dist
 
 
 def graph_distances(graph, pairs):
-    """Shortest-path lengths for vertex pairs (Dijkstra, one run per
-    distinct source)."""
-    from scipy.sparse.csgraph import dijkstra
-    sources = sorted({graph.index[u] for u, _ in pairs})
-    src_pos = {s: i for i, s in enumerate(sources)}
-    dist = dijkstra(_graph_csr(graph), directed=False, indices=sources)
-    out = []
+    """Shortest-path lengths for vertex pairs: the up edges of one
+    elimination (_eliminate), then for each pair the least dx[h] + dy[h]
+    over the ranks h reached by climbing from both ends."""
+    up, rank = _eliminate(graph)
+    climbs, out = {}, []
     for u, v in pairs:
-        d = dist[src_pos[graph.index[u]], graph.index[v]]
-        if math.isinf(d):
+        ends = []
+        for w in (u, v):
+            r = rank[graph.index[w]]
+            if r not in climbs:
+                climbs[r] = _climb(up, r)
+            ends.append(climbs[r])
+        dx, dy = sorted(ends, key=len)
+        best = min((d + dy[h] for h, d in dx.items() if h in dy),
+                   default=None)
+        if best is None:
             raise UnreachableVertexError(
                 "vertices %r and %r are disconnected" % (u, v))
-        out.append(float(d))
+        out.append(best)
     return out
 
 

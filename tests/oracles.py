@@ -4,7 +4,8 @@ Each one computes by brute force what the library computes by a closed form
 or a shared structure: the child links of every node from scans of the
 word levels, the tree check as a walk over every node, choice functions by
 exhaustive enumeration, the spectral distance range over all of them, the
-sibling pairs of a level, the language statistics from scans of the word
+sibling pairs of a level, shortest paths in a metric graph by a heapq
+Dijkstra from each source, the language statistics from scans of the word
 levels (the level counts, the right special words, the repulsiveness
 estimators by a memo of every word's border and by a quadratic pair scan,
 and repetitivity), a cylinder measure by a scan of every word level, a
@@ -18,10 +19,12 @@ leaf_range and masses_by_word read one through the other, by bisection
 of the sorted leaves.
 """
 
+import math
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations, compress, groupby, islice, product
 from operator import eq, itemgetter
 
@@ -112,6 +115,33 @@ def horizontal_edges(tree, n):
     children = children_of(tree)
     return [pair for v in tree.levels[n - 1]
             for pair in combinations(children[v], 2)]
+
+
+def dijkstra_distances(graph, pairs):
+    """Shortest-path lengths for vertex pairs of a MetricGraph, by a heapq
+    Dijkstra from each distinct first vertex over the edges as given;
+    math.inf for a pair with no path."""
+    adj = [[] for _ in graph.vertices]
+    for (i, j), d in graph.edges.items():
+        adj[i].append((j, d))
+        adj[j].append((i, d))
+    runs, out = {}, []
+    for u, v in pairs:
+        s = graph.index[u]
+        if s not in runs:
+            dist, done, heap = {s: 0.0}, set(), [(0.0, s)]
+            while heap:
+                dx, x = heappop(heap)
+                if x in done:
+                    continue
+                done.add(x)
+                for y, d in adj[x]:
+                    if dx + d < dist.get(y, math.inf):
+                        dist[y] = dx + d
+                        heappush(heap, (dx + d, y))
+            runs[s] = dist
+        out.append(runs[s].get(graph.index[v], math.inf))
+    return out
 
 
 def counts_by_levels(table):

@@ -483,6 +483,32 @@ def test_explicit_window_depth_is_bounded(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", (
+    ["lipschitz", "--spec", "full:2"],
+    ["zeta", "--spec", "subst:a=ab,b=ba"],
+    ["lang", "--spec", "full:2"],
+    ["laplacian", "--spec", "full:2"]))
+@pytest.mark.parametrize("depth", ("99999999999999999999", str(sys.maxsize)),
+                         ids=("twenty-digits", "maxsize"))
+def test_depth_past_the_index_size_is_refused(tmp_path, capsys, command,
+                                              depth):
+    # "a" * depth and (True,) * (depth + 1) would raise OverflowError
+    out = tmp_path / "deep"
+    assert main(command + ["--depth", depth, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: depth %s exceeds the limit of %d\n" % (depth,
+                                                       sys.maxsize - 1))
+    assert not out.exists()
+
+
+def test_depth_at_the_limit_runs(tmp_path):
+    # full:1 has no branching word, so its chain is empty at any depth
+    out = tmp_path / "limit"
+    assert main(["lipschitz", "--spec", "full:1", "--depth",
+                 str(sys.maxsize - 1), "--out", str(out)]) == 0
+    assert read_csv(out / "lipschitz.csv")[-1][0] == str(sys.maxsize - 1)
+
+
 @pytest.mark.parametrize("command, delta", (
     ("lipschitz", ("1", "nan", "0.5")),
     ("lipschitz", ("inf", "1", "0.5")),
@@ -711,21 +737,22 @@ COMMAND_MODULES = {
 
 
 def test_cli_import_leaves_scipy_out():
-    # numpy serves the Laplacian eigensolve only, scipy the Dijkstra oracle;
-    # the CLI loads no layer until a command runs
+    # numpy serves the Laplacian eigensolve only; the CLI loads no layer
+    # until a command runs
     assert fresh_loaded("import ultratree.cli") == ([], ["cli"])
 
 
-def test_metrics_import_leaves_scipy_out_until_dijkstra():
+def test_metrics_and_dijkstra_leave_numpy_and_scipy_out():
+    # the shortest paths run by vertex elimination in plain Python
     assert fresh_loaded("import ultratree.metrics") == (
         [], ["metrics", "tree", "words"])
-    assert "scipy" in fresh_loaded(
+    assert fresh_loaded(
         "from ultratree import metrics, tree, words\n"
         "t = tree.build_tree(words.language_table(words.FullShift(2), 3))\n"
         "g = tree.approximation_graph(t, tree.choice_function(t), "
         "tree.DeltaSequence.harmonic())\n"
         "assert metrics.graph_distances(g, [('aaa', 'bbb')]) == "
-        "[1 + 1 / 2 + 1 / 3]")[0]
+        "[1 + 1 / 2 + 1 / 3]") == ([], ["metrics", "tree", "words"])
 
 
 @pytest.mark.parametrize("command", (

@@ -13,18 +13,20 @@ from ultratree.words import (ExplicitWindow, FullShift, RecentValues,
                              SturmianCF, Substitution, alphabet,
                              border_array, fibonacci_spec, language_table,
                              level_profile)
-from ultratree.tree import (DeltaSequence, OrderDiagnostic, StructuralError,
-                            approximation_graph, build_tree, choice_function,
-                            order_diagnostics)
-from ultratree.metrics import (DepthMismatchError, common_prefix_length,
-                               continuity_witness, continuity_witness_fast,
-                               delta_from_name, graph_distance_oracle,
-                               graph_distances, inf_spectral_distance,
-                               lipschitz_estimate, lipschitz_estimate_fast,
-                               spectral_distance, sup_spectral_distance,
-                               trend_verdict, ultrametric_distance)
+from ultratree.tree import (DeltaSequence, MetricGraph, OrderDiagnostic,
+                            StructuralError, approximation_graph, build_tree,
+                            choice_function, order_diagnostics)
+from ultratree.metrics import (DepthMismatchError, UnreachableVertexError,
+                               common_prefix_length, continuity_witness,
+                               continuity_witness_fast, delta_from_name,
+                               graph_distance_oracle, graph_distances,
+                               inf_spectral_distance, lipschitz_estimate,
+                               lipschitz_estimate_fast, spectral_distance,
+                               sup_spectral_distance, trend_verdict,
+                               ultrametric_distance)
 
-from oracles import (children_of, enumerate_choice_functions,
+from oracles import (children_of, dijkstra_distances,
+                     enumerate_choice_functions,
                      spectral_distance_range_bruteforce, tree_for)
 
 SPECS = (FullShift(2), FullShift(3), fibonacci_spec(),
@@ -347,6 +349,85 @@ def test_closed_forms_equal_per_prefix_loops(tree, seed, delta_name, data):
             tau = taus[which]
             assert spectral_distance(tree, tau, delta, x, y) == \
                 spectral_by_prefix(tree, tau, delta, x, y)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Graphs of one to three components, each a random spanning tree with
+    random extra edges, so with cycles.  The first component holds a
+    triangle v0 v1 v2 whose direct edge v0 v2 is longer than its two-hop
+    path, so that an elimination must keep a shortcut."""
+    weight = st.floats(1e-3, 1e3)
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    sizes[0] = max(sizes[0], 3)
+    edges, start = {}, 0
+    for size in sizes:
+        vertex = st.integers(start, start + size - 1)
+        for k in range(1, size):
+            edges[(draw(st.integers(start, start + k - 1)), start + k)] = \
+                draw(weight)
+        for i, j in draw(st.lists(st.tuples(vertex, vertex),
+                                  max_size=2 * size)):
+            if i != j:
+                edges[min(i, j), max(i, j)] = draw(weight)
+        start += size
+    a, b = draw(weight), draw(weight)
+    edges.update({(0, 1): a, (1, 2): b, (0, 2): a + b + draw(weight)})
+    vertices = tuple("v%d" % i for i in range(start))
+    return MetricGraph(vertices, {w: i for i, w in enumerate(vertices)},
+                       edges)
+
+
+def assert_matches_dijkstra(graph, pairs):
+    """graph_distances on the reachable pairs equals the heapq Dijkstra
+    within 1e-12 relative, 0.0 on a pair (u, u); each unreachable pair is
+    refused by name."""
+    want = dijkstra_distances(graph, pairs)
+    reachable = [p for p, d in zip(pairs, want) if d < math.inf]
+    got = iter(graph_distances(graph, reachable))
+    for (u, v), d in zip(pairs, want):
+        if d < math.inf:
+            g = next(got)
+            assert g == 0.0 if u == v else math.isclose(g, d, rel_tol=1e-12)
+        else:
+            with pytest.raises(UnreachableVertexError) as exc:
+                graph_distances(graph, [(u, v)])
+            assert str(exc.value) == \
+                "vertices %r and %r are disconnected" % (u, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_graphs(), st.data())
+def test_graph_distances_match_heapq_dijkstra(graph, data):
+    vertex = st.sampled_from(graph.vertices)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1,
+                               max_size=30), label="pairs")
+    x = data.draw(vertex, label="x")
+    assert_matches_dijkstra(graph, pairs + [(x, x), ("v0", "v2")])
+    assert graph_distances(graph, [("v0", "v2")])[0] < graph.edges[0, 2]
+
+
+def approximation_graphs():
+    """Approximation graphs of the distance trees, which hold full:3 and
+    random windows, and of full:4, under seeded-random choice functions."""
+    full4 = st.integers(1, 4).map(lambda N: tree_for(FullShift(4), N))
+    return st.tuples(st.one_of(distance_trees(), full4),
+                     st.integers(0, 2 ** 32),
+                     st.sampled_from(("exp", "harmonic", "geom:0.5",
+                                      "powerlog:1.5,1"))).map(
+        lambda t: approximation_graph(
+            t[0], choice_function(t[0], policy="seeded-random", seed=t[1]),
+            delta_from_name(t[2])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(approximation_graphs(), st.data())
+def test_graph_distances_match_heapq_dijkstra_on_approximation_graphs(
+        graph, data):
+    vertex = st.sampled_from(graph.vertices)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1,
+                               max_size=30), label="pairs")
+    assert_matches_dijkstra(graph, pairs)
 
 
 def test_two_choice_functions_keep_their_own_deviation_levels():
