@@ -39,8 +39,9 @@ class ConfigError(ValueError):
 # the exact dense assembly and its checks grow as the square of the leaf
 # count; at this limit a run takes about 20 s on a 2-core machine
 MAX_LAPLACIAN_LEAVES = 2048
-# each s costs one pass over the levels per series; at depth 16384 this many
-# grid steps take about 90 s on a 2-core machine
+# each s costs one pass over the levels per series, or one term if it
+# overflows at the first schedule point; at depth 16384 this many grid steps
+# take about 90 s on a 2-core machine
 MAX_S_STEPS = 10_000
 # a depth-N run holds sequences of N + 1 items (a level per length 0..N),
 # and no Python sequence is longer than sys.maxsize; a deeper run would

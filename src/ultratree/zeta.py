@@ -49,30 +49,47 @@ def _log_coefficients(coeff):
     return tuple(math.log(c) if c > 0 else None for c in coeff)
 
 
-def _series_rows(log_coeff, log_delta, s_grid, schedule):
+def _series_rows(coeff, log_delta, s_grid, schedule):
     """One row of partial sums per exponent s for the series with these
-    log coefficients (None for a zero coefficient), adding its terms
-    exp(log c_n + s log delta_n) in level order.
+    coefficients, adding its terms exp(log c_n + s log delta_n) over the
+    levels with c_n > 0 in level order.
 
     Only terms that can still change a partial are evaluated, so every
     partial equals the plain level-by-level sum.  A term whose log exceeds
     _LOG_HUGE counts as inf, and inf plus a non-negative term stays inf, so
-    that partial and every later one is inf.  For finite s > 0, since the
-    logs of delta strictly decrease, bound[k] = sufmax[k] + s log delta_k
-    never increases with k and is at least the log of every term from k
-    on, also after rounding; from the first k where it falls below
-    _LOG_TINY every term is exactly 0.0 and no partial changes.
+    that partial and every later one is inf.  For finite s this is read
+    first from the one term at level schedule[0] - 1, before any log
+    coefficient is taken, then from each chunk's last term before its
+    others; a row looks for it only if the largest log coefficient plus
+    the largest s log delta_n passes _LOG_HUGE.  For finite s > 0, since
+    the logs of delta strictly decrease, bound[k] = sufmax[k] + s log
+    delta_k never increases with k and is at least the log of every term
+    from k on, also after rounding; from the first k where it falls below
+    _LOG_TINY every term is exactly 0.0 and no partial changes, and no
+    term past _LOG_HUGE is cut.
     """
-    levels = [n for n, lc in enumerate(log_coeff) if lc is not None]
-    lcs = [log_coeff[n] for n in levels]
-    lds = [log_delta[n] for n in levels]
-    ends = [bisect_left(levels, stop) for stop in schedule]
-    sufmax = list(accumulate(reversed(lcs), max))[::-1]
+    # a schedule from 0 has no level in its first partial
+    first = schedule[0] - 1
+    c, ld_first = (coeff[first], log_delta[first]) if first >= 0 else (0, 0)
+    lc_first = math.log(c) if c > 0 else -math.inf
+    lcs = None
     rows = []
     for s in s_grid:
         # a non-finite s takes every term, as the plain sum does
         finite = math.isfinite(s)
+        if finite and lc_first + s * ld_first > _LOG_HUGE:
+            rows.append((math.inf,) * len(schedule))
+            continue
+        if lcs is None:
+            log_coeff = _log_coefficients(coeff)
+            levels = [n for n, lc in enumerate(log_coeff) if lc is not None]
+            lcs = [log_coeff[n] for n in levels]
+            lds = [log_delta[n] for n in levels]
+            ends = [bisect_left(levels, stop) for stop in schedule]
+            sufmax = list(accumulate(reversed(lcs), max))[::-1]
         live = len(lcs)
+        can_overflow = finite and live > 0 and (
+            sufmax[0] + s * lds[0 if s > 0 else -1] > _LOG_HUGE)
         if finite and s > 0:
             live = bisect_left(range(live), True, key=lambda k: (
                 sufmax[k] + s * lds[k] < _LOG_TINY))
@@ -82,8 +99,11 @@ def _series_rows(log_coeff, log_delta, s_grid, schedule):
         for end in ends:
             end = min(end, live)
             if k < end:
-                lts = [lc + s * ld for lc, ld in zip(lcs[k:end], lds[k:end])]
-                if finite and max(lts) > _LOG_HUGE:
+                # a chunk whose last term overflows builds no other term
+                lts = ([math.inf] if can_overflow and (
+                    lcs[end - 1] + s * lds[end - 1] > _LOG_HUGE) else
+                    [lc + s * ld for lc, ld in zip(lcs[k:end], lds[k:end])])
+                if can_overflow and max(lts) > _LOG_HUGE:
                     row += [math.inf] * (len(ends) - len(row))
                     break
                 for term in map(math.exp, lts):
@@ -113,7 +133,8 @@ def zeta_partials(source, delta, s_grid, schedule):
     increasing list of truncation depths.  Variants with equal
     coefficients are found before any log is taken and share one pass:
     every Sturmian spec has c(n) = 2 in all three, a full binary shift
-    2 * 2^n.
+    2 * 2^n.  A series takes its coefficient logs only if some s does not
+    overflow at the first schedule point, read from that one coefficient.
     """
     schedule = tuple(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -134,8 +155,7 @@ def zeta_partials(source, delta, s_grid, schedule):
         coeff = _series_coefficients(profile, variant, depth)
         rows = next((r for c, r in summed if c == coeff), None)
         if rows is None:
-            rows = _series_rows(_log_coefficients(coeff), log_delta, s_grid,
-                                schedule)
+            rows = _series_rows(coeff, log_delta, s_grid, schedule)
             summed.append((coeff, rows))
         out[variant] = rows
     return ZetaPartials(tuple(float(s) for s in s_grid), schedule, out,

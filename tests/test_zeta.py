@@ -93,22 +93,46 @@ def test_streamed_full_shift_zeta_equals_tuple_route(k):
             == exponent_estimates(tuples.P, tuples.g, N))
 
 
+@pytest.fixture
+def logged(monkeypatch):
+    """The coefficients of each series whose logs zeta_partials takes."""
+    logged = []
+    log_coefficients = zeta._log_coefficients
+    monkeypatch.setattr(zeta, "_log_coefficients",
+                        lambda c: logged.append(c) or log_coefficients(c))
+    return logged
+
+
 @pytest.mark.parametrize("spec, series", (
     (FullShift(2), 1), (FullShift(3), 3), (FullShift(1), 1),
     (fibonacci_spec(), 1),
     (Substitution.from_rules({"a": "ab", "b": "ba"}, "a"), 1),
     (Substitution.from_rules({"a": "ab", "b": "ac", "c": "a"}, "a"), 3)))
-def test_each_distinct_series_is_logged_once(monkeypatch, spec, series):
-    logged = []
-    log_coefficients = zeta._log_coefficients
-    monkeypatch.setattr(zeta, "_log_coefficients",
-                        lambda c: logged.append(c) or log_coefficients(c))
+def test_each_distinct_series_is_logged_once(logged, spec, series):
     zeta_partials(spec, DeltaSequence.harmonic(), [1.0, 2.0], (8, 16, 32))
     assert len(logged) == series
     # a full shift's doubled counts are never multiplied out: equal
     # ScaledPowers compare by their parameters
     if isinstance(spec, FullShift):
         assert all(isinstance(c, ScaledPowers) for c in logged)
+
+
+@pytest.mark.parametrize("delta_name, schedule, series, overflow_below", (
+    # 2 * 3^4095 * 4096^-s, the least first-point term of the three, passes
+    # e^709 for every s of the grid
+    ("harmonic", (4096, 8192, 16384), 0, math.inf),
+    # 2 * 3^1023 * e^(-1023 s) passes e^709 for s below about 0.41 only
+    ("exp", (1024, 2048), 3, 0.41)))
+def test_series_overflowing_at_the_first_point_take_no_logs(
+        logged, delta_name, schedule, series, overflow_below):
+    s_grid = ORACLE_GRIDS["default"]
+    got = zeta_partials(FullShift(3), delta_from_name(delta_name), s_grid,
+                        schedule).partials
+    assert len(logged) == series
+    for rows in got.values():
+        overflow = [s for s, row in zip(s_grid, rows)
+                    if row == (math.inf,) * len(schedule)]
+        assert overflow == [s for s in s_grid if s < overflow_below]
 
 
 def test_scaled_powers_equal_by_parameters_without_reading(monkeypatch):
@@ -260,6 +284,36 @@ def test_partials_equal_plain_sum(name, delta_name):
     schedule = (N // 8, N // 4, N // 2, N)
     for s_grid in ORACLE_GRIDS.values():
         assert oracle_mismatches(profile, delta_name, s_grid,
+                                 schedule) == []
+
+
+@pytest.mark.parametrize("k, delta_name, schedule", (
+    # the first point overflows for every s of the default grid
+    (2, "harmonic", (1100, 1536, 2048)),
+    (3, "powerlog:1.5,1", (1024, 1536, 2048)),
+    # s below about 0.41 overflows at the first point, larger s sum
+    (3, "exp", (1024, 2048))))
+def test_partials_equal_plain_sum_past_the_first_point(k, delta_name,
+                                                      schedule):
+    profile = level_profile(FullShift(k), schedule[-1])
+    for s_grid in ORACLE_GRIDS.values():
+        assert oracle_mismatches(profile, delta_name, s_grid,
+                                 schedule) == []
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("start", (0, 1))
+def test_partials_of_a_schedule_from_0_or_1(k, start):
+    # the last coefficient overflows on the default grid; a schedule from 0
+    # has no level in its first partial, whose sum is 0.0
+    profile = level_profile(FullShift(k), 2000)
+    schedule = (start, 2000)
+    rows = zeta_partials(profile, DeltaSequence.harmonic(),
+                         ORACLE_GRIDS["default"], schedule).partials["full"]
+    assert all(math.isinf(row[1]) for row in rows)
+    assert all((row[0] == 0.0) == (start == 0) for row in rows)
+    for s_grid in ORACLE_GRIDS.values():
+        assert oracle_mismatches(profile, "harmonic", s_grid,
                                  schedule) == []
 
 
