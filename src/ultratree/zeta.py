@@ -59,14 +59,13 @@ def _series_rows(coeff, log_delta, s_grid, schedule):
     _LOG_HUGE counts as inf, and inf plus a non-negative term stays inf, so
     that partial and every later one is inf.  For finite s this is read
     first from the one term at level schedule[0] - 1, before any log
-    coefficient is taken, then from each chunk's last term before its
-    others; a row looks for it only if the largest log coefficient plus
-    the largest s log delta_n passes _LOG_HUGE.  For finite s > 0, since
-    the logs of delta strictly decrease, bound[k] = sufmax[k] + s log
-    delta_k never increases with k and is at least the log of every term
-    from k on, also after rounding; from the first k where it falls below
-    _LOG_TINY every term is exactly 0.0 and no partial changes, and no
-    term past _LOG_HUGE is cut.
+    coefficient is taken; past that point a row looks for it only if the
+    largest log coefficient plus the largest s log delta_n passes
+    _LOG_HUGE.  For finite s > 0, since the logs of delta strictly
+    decrease, bound[k] = sufmax[k] + s log delta_k never increases with k
+    and is at least the log of every term from k on, also after rounding;
+    from the first k where it falls below _LOG_TINY every term is exactly
+    0.0 and no partial changes, and no term past _LOG_HUGE is cut.
     """
     # a schedule from 0 has no level in its first partial
     first = schedule[0] - 1
@@ -99,10 +98,7 @@ def _series_rows(coeff, log_delta, s_grid, schedule):
         for end in ends:
             end = min(end, live)
             if k < end:
-                # a chunk whose last term overflows builds no other term
-                lts = ([math.inf] if can_overflow and (
-                    lcs[end - 1] + s * lds[end - 1] > _LOG_HUGE) else
-                    [lc + s * ld for lc, ld in zip(lcs[k:end], lds[k:end])])
+                lts = [lc + s * ld for lc, ld in zip(lcs[k:end], lds[k:end])]
                 if can_overflow and max(lts) > _LOG_HUGE:
                     row += [math.inf] * (len(ends) - len(row))
                     break
