@@ -30,8 +30,8 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations, islice
-from operator import gt, itemgetter
+from itertools import combinations, islice, repeat
+from operator import gt, itemgetter, mul, neg, sub
 
 from .words import (LanguageTable, RecentValues, _branching_chain, _leaves,
                     _skeleton, spec_key)
@@ -51,13 +51,15 @@ class DeltaSequence:
     The sequence is defined through the natural log of its values, which
     keeps ratios of far-apart entries computable even where the values
     themselves underflow to float zero (exponential delta does so near
-    index 750).  Every realized log must be finite and below the one before
-    it.  tail_bound(N), when available in closed form, bounds the remainder
-    sum from index N on.
+    index 750).  A family gives the logs of a range of indices at once,
+    logs_fn(start, stop) for start <= n < stop, through C-level maps
+    rather than one Python call per index.  Every realized log must be
+    finite and below the one before it.  tail_bound(N), when available in
+    closed form, bounds the remainder sum from index N on.
     """
 
-    def __init__(self, log_fn, name, tail_fn=None):
-        self._log_fn = log_fn
+    def __init__(self, logs_fn, name, tail_fn=None):
+        self._logs_fn = logs_fn
         self.name = name
         self._tail = tail_fn
         self._logs = []
@@ -79,7 +81,7 @@ class DeltaSequence:
         c = self._logs
         new, error = [], None
         try:
-            new.extend(map(self._log_fn, range(len(c), stop)))
+            new.extend(self._logs_fn(len(c), stop))
         except Exception as exc:
             error = exc
         seq = c[-1:] + new
@@ -122,21 +124,29 @@ class DeltaSequence:
 
     @classmethod
     def exponential(cls):
-        return cls(lambda n: -float(n), "exponential",
+        def logs_fn(start, stop):  # -n
+            return map(neg, map(float, range(start, stop)))
+
+        return cls(logs_fn, "exponential",
                    lambda N: math.exp(-N) / (1.0 - math.exp(-1.0)))
 
     @classmethod
     def harmonic(cls):
-        return cls(lambda n: -math.log(n + 1), "harmonic",
-                   lambda N: math.inf)
+        def logs_fn(start, stop):  # -log(n + 1)
+            return map(neg, map(math.log, range(start + 1, stop + 1)))
+
+        return cls(logs_fn, "harmonic", lambda N: math.inf)
 
     @classmethod
     def geometric(cls, q):
         if not 0 < q < 1:
             raise ValueError("geometric ratio must be in (0, 1)")
         lq = math.log(q)
-        return cls(lambda n: n * lq, "geometric:%r" % q,
-                   lambda N: q ** N / (1.0 - q))
+
+        def logs_fn(start, stop):  # n log q
+            return map(mul, range(start, stop), repeat(lq))
+
+        return cls(logs_fn, "geometric:%r" % q, lambda N: q ** N / (1.0 - q))
 
     @classmethod
     def powerlog(cls, a, b):
@@ -150,15 +160,19 @@ class DeltaSequence:
             raise ValueError("powerlog:%r,%r needs an index shift past the "
                              "float range" % (a, b))
 
-        def log_fn(n):
-            return b * math.log(math.log(n + 2 + shift)) \
-                - a * math.log(n + 1 + shift)
+        def logs_fn(start, stop):
+            # b log(log(n + 2 + s)) - a log(n + 1 + s), each log(m) taken
+            # once for both terms
+            lm = list(map(math.log,
+                          range(start + 1 + shift, stop + 2 + shift)))
+            return map(sub, map(mul, repeat(b), map(math.log, lm[1:])),
+                       map(mul, repeat(a), lm))
 
         tail = None
         if a > 1 and b == 0:
             def tail(N):
                 return (N + shift) ** (1 - a) / (a - 1)
-        return cls(log_fn, "powerlog:%r,%r" % (a, b), tail)
+        return cls(logs_fn, "powerlog:%r,%r" % (a, b), tail)
 
     @classmethod
     def table(cls, values):
@@ -167,12 +181,13 @@ class DeltaSequence:
             if v <= 0:
                 raise ValueError("table entries must be positive")
 
-        def log_fn(n):
-            if n >= len(vals):
-                raise IndexError("delta table exhausted at index %d" % n)
-            return math.log(vals[n])
+        def logs_fn(start, stop):
+            yield from map(math.log, vals[start:stop])
+            if stop > len(vals):
+                raise IndexError("delta table exhausted at index %d"
+                                 % len(vals))
 
-        return cls(log_fn, "table[%d]" % len(vals))
+        return cls(logs_fn, "table[%d]" % len(vals))
 
 
 def delta_from_name(name):

@@ -52,7 +52,10 @@ def _log_coefficients(coeff):
 def _series_rows(coeff, log_delta, s_grid, schedule):
     """One row of partial sums per exponent s for the series with these
     coefficients, adding its terms exp(log c_n + s log delta_n) over the
-    levels with c_n > 0 in level order.
+    levels with c_n > 0 in level order, one loop per schedule chunk of
+    total += term (never sum(), whose compensated summation would give
+    other bits).  Only a row that can overflow lists a chunk's term logs,
+    to read their max before it sums them.
 
     Only terms that can still change a partial are evaluated, so every
     partial equals the plain level-by-level sum.  A term whose log exceeds
@@ -72,6 +75,7 @@ def _series_rows(coeff, log_delta, s_grid, schedule):
     c, ld_first = (coeff[first], log_delta[first]) if first >= 0 else (0, 0)
     lc_first = math.log(c) if c > 0 else -math.inf
     lcs = None
+    exp = math.exp
     rows = []
     for s in s_grid:
         # a non-finite s takes every term, as the plain sum does
@@ -98,12 +102,17 @@ def _series_rows(coeff, log_delta, s_grid, schedule):
         for end in ends:
             end = min(end, live)
             if k < end:
-                lts = [lc + s * ld for lc, ld in zip(lcs[k:end], lds[k:end])]
-                if can_overflow and max(lts) > _LOG_HUGE:
-                    row += [math.inf] * (len(ends) - len(row))
-                    break
-                for term in map(math.exp, lts):
-                    total += term
+                pairs = zip(lcs[k:end], lds[k:end])
+                if can_overflow:
+                    lts = [lc + s * ld for lc, ld in pairs]
+                    if max(lts) > _LOG_HUGE:
+                        row += [math.inf] * (len(ends) - len(row))
+                        break
+                    for lt in lts:
+                        total += exp(lt)
+                else:
+                    for lc, ld in pairs:
+                        total += exp(lc + s * ld)
                 k = end
             row.append(total)
         rows.append(tuple(row))
@@ -239,25 +248,83 @@ class ExponentReport:
     tolerance: float = 0.15
 
 
+# bounds with ample room the distance 2^-47 (f + 1) of the window expression
+# and of its float estimate from the real f (see _window_ratios)
+_ESTIMATE_ERROR = 1e-12
+
+
+def _window_ratios(seq, lo, hi, ratio, offset):
+    """ratio(n, seq[n]) for lo <= n < hi in order, where ratio is the window
+    expression offset + ln seq[n] / ln n.  For a ScaledPowers seq of terms
+    >= 1 it is evaluated only at the two ends and at the few levels that
+    can hold its least or largest value, so the min and max are those of
+    the whole window and no other big integer is made.
+
+    The values are those of f(n) = offset + (ln scale + (start + n) ln k)
+    / ln n, whose derivative has the sign of ln k (ln n - 1) - (ln scale +
+    start ln k) / n, increasing in n: f falls and then rises.  math.log of
+    an integer is within 2^-50 (ln x + 1) of its true log, so the window
+    expression and the float estimate E(n) are both within D =
+    _ESTIMATE_ERROR (T + 1) of f, T the larger end estimate (f's window
+    maximum is at an end).  So the largest value lies where f >= T - 3D,
+    a run from each end, walked while E >= T - 4D; the least lies where
+    f <= E(m) + 3D, one run around any level m, walked while
+    E <= E(m) + 4D.  m is found by bisection where the estimates stop
+    falling, so each run holds a level or two."""
+    if not (isinstance(seq, ScaledPowers) and seq.scale >= 1 and seq.k >= 1
+            and lo < hi):
+        return [ratio(n, x) for n, x in zip(range(lo, hi), seq[lo:hi])]
+    lk = math.log(seq.k)
+    la = math.log(seq.scale) + seq.start * lk
+
+    def est(n):
+        return offset + (la + lk * n) / math.log(n)
+
+    top = max(est(lo), est(hi - 1))
+    margin = 4 * _ESTIMATE_ERROR * (top + 1.0)
+    m = lo + bisect_left(range(lo, hi - 1), True,
+                         key=lambda n: est(n + 1) >= est(n))
+    least = est(m)
+    near = {lo, hi - 1}
+    for n, step, keep in (
+            (lo, 1, lambda e: e >= top - margin),
+            (hi - 1, -1, lambda e: e >= top - margin),
+            (m, 1, lambda e: e <= least + margin),
+            (m, -1, lambda e: e <= least + margin)):
+        while lo <= n < hi and keep(est(n)):
+            near.add(n)
+            n += step
+    return [ratio(n, seq[n]) for n in sorted(near)]
+
+
+def _beta(n, p):
+    return math.log(p) / math.log(n)
+
+
+def _eta(n, x):
+    return 1.0 + math.log(max(x, 1)) / math.log(n)
+
+
 def exponent_estimates(P, g, N):
     """Window estimates of the complexity exponents.
 
     beta bounds are min/max of ln P(n)/ln n over the window [N/2, N]; the
-    eta bounds use the same window on 1 + ln g(n)/ln n, reading g(n) as
-    n^(eta-1).  Exact asymptotics are out of reach of any finite window, so
-    the report carries the window and a tolerance for chain checks.
+    eta bounds are min/max of 1 + ln g(n)/ln n over [N/2, N), reading g(n)
+    as n^(eta-1).  Exact asymptotics are out of reach of any finite window,
+    so the report carries the window and a tolerance for chain checks.  A
+    full shift's counts are ScaledPowers, whose window extremes are found
+    from float estimates and then evaluated by the same expressions at the
+    few levels that can hold them (see _window_ratios), so the report is
+    the one the whole window gives and no big integer is made for most of
+    its levels.
     """
     if N < 16:
         raise InsufficientDepthError("need N >= 16 for window estimates")
     if len(P) <= N:
         raise InsufficientDepthError("P must reach index N")
     lo = N // 2
-    # slices, read in order: a full shift's counts are made one at a time
-    beta_vals = [math.log(p) / math.log(n)
-                 for n, p in zip(range(lo, N + 1), P[lo:N + 1])]
-    top = min(N, len(g))
-    eta_vals = [1.0 + math.log(max(x, 1)) / math.log(n)
-                for n, x in zip(range(lo, top), g[lo:top])]
+    beta_vals = _window_ratios(P, lo, N + 1, _beta, 0.0)
+    eta_vals = _window_ratios(g, lo, min(N, len(g)), _eta, 1.0)
     half, full = beta_vals[0], beta_vals[-1]
     super_poly = full > 1.5 * half and full > 3.0
     return ExponentReport(min(beta_vals), max(beta_vals),

@@ -10,7 +10,9 @@ levels (the level counts, the right special words, the repulsiveness
 estimators by a memo of every word's border and by a quadratic pair scan,
 and repetitivity), a cylinder measure by a scan of every word level, a
 Laplacian spectrum by a dense eigensolve of the whole matrix and the pair
-checks of a float matrix on numpy arrays.  None reads
+checks of a float matrix on numpy arrays, and each delta family's
+log(delta_n) one index at a time with the checks of every log as it is
+made.  None reads
 the neighbour LCPs, the forks or the skeleton the library reads from the
 sorted leaves.  They are exponential, quadratic or cubic, or hold every
 word of every level, so keep their inputs small.  The library keys a
@@ -31,6 +33,48 @@ from operator import eq, itemgetter
 from ultratree.metrics import common_prefix_length
 from ultratree.tree import StructuralError, build_tree
 from ultratree.words import REPULSIVENESS_INF, language_table
+
+
+def delta_log_at(name):
+    """log(delta_n) of the delta family of that name (as delta_from_name
+    reads it), one Python call per index: the oracle for the logs of a
+    range that DeltaSequence's families give at once."""
+    if name in ("exp", "exponential"):
+        return lambda n: -float(n)
+    if name == "harmonic":
+        return lambda n: -math.log(n + 1)
+    if name.startswith("geom:"):
+        lq = math.log(float(name.split(":", 1)[1]))
+        return lambda n: n * lq
+    a, b = (float(x) for x in name.split(":", 1)[1].split(","))
+    shift = max(0, math.ceil(math.exp(b / a)) - 2)
+    return lambda n: (b * math.log(math.log(n + 2 + shift))
+                      - a * math.log(n + 1 + shift))
+
+
+def table_log_at(values):
+    """log(delta_n) of a table of delta values, one call per index."""
+    def log_at(n):
+        if n >= len(values):
+            raise IndexError("delta table exhausted at index %d" % n)
+        return math.log(values[n])
+    return log_at
+
+
+def loop_log(log_at, logs, n):
+    """log(delta_n), realizing the missing logs in logs one index at a
+    time and checking each as it is made: the oracle for the bulk pass of
+    DeltaSequence.log."""
+    c = logs
+    while len(c) <= n:
+        lv = log_at(len(c))
+        if not math.isfinite(lv):
+            raise ValueError("delta is not finite at %d" % len(c))
+        if c and not lv < c[-1]:
+            raise ValueError(
+                "delta is not strictly decreasing at %d" % len(c))
+        c.append(lv)
+    return c[n]
 
 
 def tree_for(spec, N):

@@ -419,6 +419,28 @@ def test_short_delta_table_is_refused(tmp_path, capsys):
                  "table:%s" % table, "--depth", "3", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("delta, table, message", (
+    # a nan log at 0: -inf * log(1)
+    ("powerlog:inf,0", None, "delta is not finite at 0"),
+    # -1e308 * log(7) is past the float range
+    ("powerlog:1e308,1", None, "delta is not finite at 6"),
+    ("table", (1, 0.5, 0.5, 0.1, 0.05, 0.02, 0.01, 0.005),
+     "delta is not strictly decreasing at 2"),
+    ("table", (1, 0.5, 0.2, 0.1, 0.05, "inf", 0.01, 0.005),
+     "delta is not finite at 5")))
+def test_delta_log_refusals_keep_their_messages(tmp_path, capsys, delta,
+                                                table, message):
+    if table is not None:
+        path = tmp_path / "delta.txt"
+        path.write_text("".join("%s\n" % v for v in table))
+        delta = "table:%s" % path
+    out = tmp_path / "zeta"
+    assert main(["zeta", "--spec", "full:2", "--delta", delta, "--depth",
+                 "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
 def test_out_naming_a_file_is_refused(tmp_path, capsys):
     out = tmp_path / "file"
     out.write_text("")
@@ -924,6 +946,19 @@ GOLDEN = (
         "laplacian_report.json":
             "e2d967f4a090c7ffd1aee0ac3c9cd89d0252fb277dbb818c75db372db01ef9cf",
     }),
+    (["zeta", "--spec", "full:2", "--delta", "harmonic", "--depth", "4096"], {
+        "zeta_partials.csv":
+            "3e82e55f99181d987cca3e1f99bdb8ac2ab8c80ae78fbb64b0dd1b71722b1066",
+        "zeta_report.json":
+            "72e183ed858b66a62b3049c70deece09aa03b4057c43418c79bf331c673c1644",
+    }),
+    (["zeta", "--spec", "full:3", "--delta", "powerlog:1.5,1", "--depth",
+      "2048"], {
+        "zeta_partials.csv":
+            "643325298532162f48b9ef3a682a165dbf320a251f97f53aa510d73333ea6df9",
+        "zeta_report.json":
+            "1d0dd9e47455466605cdebbfc8a09d4ac0a16e872a012fad634fbc230f901407",
+    }),
 )
 
 # the float weights that the last run reads, from the directory it runs in
@@ -934,12 +969,14 @@ FLOAT_WEIGHTS = (
 
 @pytest.mark.parametrize("argv, digests", GOLDEN, ids=(
     "lang", "lipschitz", "zeta", "laplacian", "lipschitz-thue-morse",
-    "laplacian-window", "laplacian-float-rho", "laplacian-float-measure"))
+    "laplacian-window", "laplacian-float-rho", "laplacian-float-measure",
+    "zeta-full-binary", "zeta-full-ternary"))
 def test_outputs_match_their_pinned_digests(tmp_path, capsys, monkeypatch,
                                             argv, digests):
     # the four README commands, Thue-Morse lipschitz, an exact laplacian
-    # with a fork of three children and two binary float laplacians, one of
-    # a non-integer exponent and one of float weights
+    # with a fork of three children, two binary float laplacians, one of
+    # a non-integer exponent and one of float weights, and the zeta reports
+    # of two full shifts, whose exponent windows are read from ScaledPowers
     monkeypatch.chdir(tmp_path)
     (tmp_path / "weights.json").write_text(FLOAT_WEIGHTS)
     out = tmp_path / "out"

@@ -25,9 +25,10 @@ from ultratree.metrics import (DepthMismatchError, UnreachableVertexError,
                                sup_spectral_distance, trend_verdict,
                                ultrametric_distance)
 
-from oracles import (children_of, dijkstra_distances,
-                     enumerate_choice_functions,
-                     spectral_distance_range_bruteforce, tree_for)
+from oracles import (children_of, delta_log_at, dijkstra_distances,
+                     enumerate_choice_functions, loop_log,
+                     spectral_distance_range_bruteforce, table_log_at,
+                     tree_for)
 
 SPECS = (FullShift(2), FullShift(3), fibonacci_spec(),
          SturmianCF((), ("linear",)))
@@ -80,21 +81,6 @@ def test_delta_table_and_errors():
         DeltaSequence.geometric(1.5)
 
 
-def loop_log(log_fn, logs, n):
-    """log(delta_n), realizing the missing logs one index at a time as
-    DeltaSequence.log did: the oracle for its bulk pass."""
-    c = logs
-    while len(c) <= n:
-        lv = log_fn(len(c))
-        if not math.isfinite(lv):
-            raise ValueError("delta is not finite at %d" % len(c))
-        if c and not lv < c[-1]:
-            raise ValueError(
-                "delta is not strictly decreasing at %d" % len(c))
-        c.append(lv)
-    return c[n]
-
-
 def outcome(fn, *args):
     try:
         return "value", fn(*args)
@@ -118,22 +104,48 @@ def test_bulk_delta_logs_fail_like_the_loop(values):
             raise IndexError("delta table exhausted at index %d" % n)
         return values[n]
 
+    def logs_fn(start, stop):
+        return map(log_fn, range(start, stop))
+
     for reads in ((0,), (2,), (5,), (9,), (1, 4, 12), (12, 0, 12, 6)):
-        delta, logs = DeltaSequence(log_fn, "t"), []
+        delta, logs = DeltaSequence(logs_fn, "t"), []
         for n in reads:
             assert outcome(delta.log, n) == outcome(loop_log, log_fn, logs, n)
             assert delta._logs == logs
 
 
+def bits(logs):
+    # float.hex tells -0.0 from 0.0, as == does not
+    return [x.hex() for x in logs]
+
+
 def test_bulk_delta_logs_equal_the_loop_on_every_family():
-    for name in ("exp", "harmonic", "geom:0.5", "powerlog:1.5,1",
-                 "powerlog:0.5,2"):
-        delta = delta_from_name(name)
-        logs = []
-        loop_log(delta._log_fn, logs, 2999)
-        assert delta.logs(3000) == logs
+    N = 12000
+    for name in ("exp", "harmonic", "geom:0.5", "geom:0.1", "powerlog:1.5,1",
+                 "powerlog:0.5,2", "powerlog:2,0", "powerlog:1,3"):
+        want = []
+        loop_log(delta_log_at(name), want, N - 1)
+        for split in (1, 7, 100, 5000):
+            delta = delta_from_name(name)
+            for stop in range(split, N + split, split):
+                delta.log(min(stop, N) - 1)
+            assert bits(delta.logs(N)) == bits(want), (name, split)
+        # the sign of delta's log at 0: -0.0 for exp, harmonic and geom
+        assert bits(delta_from_name(name).logs(1)) == bits(want[:1]), name
+
+
+def test_bulk_table_logs_equal_the_loop():
+    values = [1.0, 0.5, 0.25, 0.125, 1e-300, 5e-324]
+    for split in (1, 2, 4, 7):
+        delta, logs = DeltaSequence.table(values), []
+        for stop in range(split, 8 + split, split):
+            n = min(stop, 8) - 1
+            assert (outcome(delta.log, n)
+                    == outcome(loop_log, table_log_at(values), logs, n))
+            assert bits(delta._logs) == bits(logs)
     short = DeltaSequence.table([1.0, 0.5, 0.25])
-    with pytest.raises(IndexError, match="exhausted at index 3"):
+    with pytest.raises(IndexError,
+                       match=r"^delta table exhausted at index 3$"):
         short.logs(10)
     assert short.logs(3) == [math.log(v) for v in (1.0, 0.5, 0.25)]
 

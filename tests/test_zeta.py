@@ -93,6 +93,28 @@ def test_streamed_full_shift_zeta_equals_tuple_route(k):
             == exponent_estimates(tuples.P, tuples.g, N))
 
 
+@pytest.mark.parametrize("k", (1, 2, 3, 5))
+def test_exponent_windows_of_scaled_powers_equal_tuple_route(k):
+    # the tuple route reads every level of the window: the same integers as
+    # plain ints, with no estimate
+    for N in (*range(16, 101), 1023, 1024, 1025, 4096, 16384):
+        prof = level_profile(FullShift(k), N)
+        assert (repr(exponent_estimates(prof.P, prof.g, N))
+                == repr(exponent_estimates(tuple(prof.P), tuple(prof.g), N)))
+
+
+@pytest.mark.parametrize("scale, k, start, N", (
+    # ln(scale k^(start + n)) / ln n is least at an inner level of the window
+    (1, 2, 5900, 1100), (7, 3, 4000, 1100), (1, 5, 10 ** 4, 1800),
+    # constant counts: the ratio falls across the window
+    (3, 1, 0, 50)))
+def test_exponent_windows_with_an_inner_minimum(scale, k, start, N):
+    P = ScaledPowers(scale, k, start + N + 1, start)
+    g = ScaledPowers(scale, k, start + N, start)
+    assert (repr(exponent_estimates(P, g, N))
+            == repr(exponent_estimates(tuple(P), tuple(g), N)))
+
+
 @pytest.fixture
 def logged(monkeypatch):
     """The coefficients of each series whose logs zeta_partials takes."""
