@@ -333,9 +333,8 @@ def cmd_zeta(args):
 
 
 def cmd_laplacian(args):
-    from .words import (LanguageTable, _leaves, _refuse_large_table,
-                        _refuse_oversized, leaf_count)
-    from .tree import build_tree
+    from .words import _refuse_large_table, _refuse_oversized, leaf_count
+    from .tree import spec_tree
     from .laplacian import (assemble_laplacian, assemble_laplacian_dirichlet,
                             assemble_pb_laplacian, check_invariants,
                             cylinder_measure, matrix_difference, spectrum)
@@ -352,8 +351,7 @@ def cmd_laplacian(args):
     _refuse_oversized(spec, args.depth)
     count = leaf_count(spec, args.depth)
     if count is None or count <= MAX_LAPLACIAN_LEAVES:
-        tree = build_tree(LanguageTable(args.depth,
-                                        *_leaves(spec, args.depth)))
+        tree = spec_tree(spec, args.depth)
         count = len(tree.sorted_leaves)
     if count > MAX_LAPLACIAN_LEAVES:
         raise ConfigError("laplacian of %d leaves exceeds the limit of %d"

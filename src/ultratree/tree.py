@@ -5,13 +5,13 @@ is its length-(n-1) prefix.  A LanguageTable is this tree: its sorted
 leaves and the skeleton read from them, whose branching words carry their
 children's leaf ranges.  A word below the depth with no child is a leaf
 shorter than the depth, so one check of the sorted leaves refuses a table,
-or a spec's leaves, that is not a tree: the same check in build_tree and in
-the order diagnostics.  Horizontal edges join distinct siblings, and the
-edge between children of a level-n vertex has length delta_n, read from a
-DeltaSequence (delta_from_name parses a family name).  A choice function
-is a dict from each branching word to its selected child, the only words
-with a choice; quotienting the horizontal edges by those selections gives
-the metric approximation graph.
+or a spec's leaves (spec_tree), that is not a tree: the same check in
+build_tree, the order diagnostics and the zeta partials.  Horizontal edges
+join distinct siblings, and the edge between children of a level-n vertex
+has length delta_n, read from a DeltaSequence (delta_from_name parses a
+family name).  A choice function is a dict from each branching word to its
+selected child, the only words with a choice; quotienting the horizontal
+edges by those selections gives the metric approximation graph.
 
 The order diagnostics, the Lipschitz estimate C(N) and the continuity
 witness W(N), summarize how far the supremum spectral distance can drift
@@ -152,7 +152,7 @@ class DeltaSequence:
     def powerlog(cls, a, b):
         """delta_n = ln^b(n + 2 + s) / (n + 1 + s)^a, with the index shift s
         chosen so the sequence decreases from the start."""
-        if a <= 0 or b < 0:
+        if not (a > 0 and b >= 0):  # NaN too
             raise ValueError("need a > 0 and b >= 0")
         try:
             shift = max(0, math.ceil(math.exp(b / a)) - 2)
@@ -192,16 +192,20 @@ class DeltaSequence:
 
 def delta_from_name(name):
     """Parse a delta family descriptor like "exp", "harmonic",
-    "powerlog:1.5,1" or "geom:0.5"."""
+    "powerlog:1.5,1" or "geom:0.5".  A family's malformed or out-of-range
+    values are refused with a message that names the descriptor."""
     if name in ("exp", "exponential"):
         return DeltaSequence.exponential()
     if name == "harmonic":
         return DeltaSequence.harmonic()
-    if name.startswith("powerlog:"):
-        a, b = (float(x) for x in name.split(":", 1)[1].split(","))
-        return DeltaSequence.powerlog(a, b)
-    if name.startswith("geom:"):
-        return DeltaSequence.geometric(float(name.split(":", 1)[1]))
+    try:
+        if name.startswith("powerlog:"):
+            a, b = (float(x) for x in name.split(":", 1)[1].split(","))
+            return DeltaSequence.powerlog(a, b)
+        if name.startswith("geom:"):
+            return DeltaSequence.geometric(float(name.split(":", 1)[1]))
+    except ValueError as exc:
+        raise ValueError("bad delta %r: %s" % (name, exc)) from None
     raise ValueError("unknown delta family %r" % name)
 
 
@@ -223,6 +227,12 @@ def build_tree(table):
         raise StructuralError(
             "word %r at length %d has no extension" % (short, len(short)))
     return table
+
+
+def spec_tree(spec, N):
+    """A spec's depth-N tree of words from its sorted leaves, with no word
+    levels built, after build_tree's check."""
+    return build_tree(LanguageTable(N, *_leaves(spec, N)))
 
 
 def choice_function(tree, policy="canonical", seed=None):
@@ -372,8 +382,7 @@ def order_diagnostics(source, delta, schedule):
         chain = _branching_chain(source, schedule[-1])
         if chain is not None:
             return [_chain_diagnostics(chain, delta, N) for N in schedule]
-        table = build_tree(LanguageTable(schedule[-1],
-                                         *_leaves(source, schedule[-1])))
+        table = spec_tree(source, schedule[-1])
     return [_tree_diagnostics(table, delta, N) for N in schedule]
 
 

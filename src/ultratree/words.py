@@ -568,8 +568,10 @@ class ScaledPowers(Sequence):
 
     They are made one at a time by repeated multiplication as the sequence
     is iterated, so a full shift's level counts hold a few small integers,
-    not Theta(N^2) bits of them.  Length, indexing, step-1 slicing (another
-    ScaledPowers) and equality behave as on the tuple of the same integers.
+    not Theta(N^2) bits of them; with k = 1 they are the constant scale, as
+    a Sturmian spec's counts are.  Length, indexing, step-1 slicing
+    (another ScaledPowers) and equality behave as on the tuple of the same
+    integers.
     """
 
     __slots__ = ("scale", "k", "start", "stop")
@@ -624,7 +626,9 @@ class LevelProfile:
     is sum of a(v)(a(v)+1) over level-n vertices, g[n] = P(n+1) - P(n) and
     branching[n] counts the level-n vertices with a(v) > 0 (the right
     special words).  Counts are exact integers, held in tuples, or in
-    ScaledPowers for a full shift.
+    ScaledPowers where they have a closed form: every series of a full
+    shift, and a Sturmian spec's g, edge_weight and branching, the
+    constants 1, 2 and 1 (k = 1).  A Sturmian P(n) = n + 1 is a tuple.
     """
 
     depth: int
@@ -655,8 +659,9 @@ def level_profile(source, N=None):
                             ScaledPowers(k * (k - 1), k, N),
                             ScaledPowers(int(k > 1), k, N))
     elif isinstance(source, SturmianCF):
-        P = tuple(n + 1 for n in range(N + 1))
-        return LevelProfile(N, P, (1,) * N, (2,) * N, (1,) * N)
+        ones = ScaledPowers(1, 1, N)
+        return LevelProfile(N, tuple(range(1, N + 2)), ones,
+                            ScaledPowers(2, 1, N), ones)
     else:
         table = LanguageTable(N, *_leaves(source, N))
     N, P = table.depth, table.counts

@@ -13,8 +13,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+from .tree import build_tree, spec_tree
 # level_profile lives in .words; bench/ calls and traces it on this module
-from .words import LevelProfile, ScaledPowers, level_profile
+from .words import (LanguageTable, LevelProfile, ScaledPowers, leaf_count,
+                    level_profile)
 
 
 class InsufficientDepthError(ValueError):
@@ -49,13 +51,55 @@ def _log_coefficients(coeff):
     return tuple(math.log(c) if c > 0 else None for c in coeff)
 
 
+def _constant_log(coeff):
+    """log c if every coefficient is the same c > 0, else None: read from
+    a ScaledPowers with k = 1 without reading its terms, and from any other
+    sequence by one count of its first term."""
+    if isinstance(coeff, ScaledPowers):
+        c = coeff.scale if coeff.k == 1 else 0
+    else:
+        c = coeff[0] if coeff and coeff.count(coeff[0]) == len(coeff) else 0
+    return math.log(c) if c > 0 else None
+
+
+def _constant_row(lc, log_delta, s, schedule):
+    """The row of _series_rows at s for a series whose log coefficients
+    are all lc, summed straight over the delta logs: the same terms in the
+    same order, with the same cuts, read with sufmax = lc.  lc + s log
+    delta_n is monotone in n, so a chunk's largest term log is at its
+    first level for s > 0 and at its last otherwise, and overflow is read
+    from that one term."""
+    exp = math.exp
+    finite = math.isfinite(s)
+    live = len(log_delta)
+    if finite and s > 0:
+        live = bisect_left(range(live), True, key=lambda k: (
+            lc + s * log_delta[k] < _LOG_TINY))
+    row = []
+    total = 0.0
+    k = 0
+    for end in schedule:
+        end = min(end, live)
+        if k < end:
+            if finite and (lc + s * log_delta[k if s > 0 else end - 1]
+                           > _LOG_HUGE):
+                return tuple(row) + (math.inf,) * (len(schedule) - len(row))
+            for ld in log_delta[k:end]:
+                total += exp(lc + s * ld)
+            k = end
+        row.append(total)
+    return tuple(row)
+
+
 def _series_rows(coeff, log_delta, s_grid, schedule):
     """One row of partial sums per exponent s for the series with these
     coefficients, adding its terms exp(log c_n + s log delta_n) over the
     levels with c_n > 0 in level order, one loop per schedule chunk of
     total += term (never sum(), whose compensated summation would give
     other bits).  Only a row that can overflow lists a chunk's term logs,
-    to read their max before it sums them.
+    to read their max before it sums them.  A series whose coefficients
+    all equal one c > 0 (see _constant_log) takes the log of c alone and
+    makes no per-level logs, level list or suffix maxima (_constant_row).
 
     Only terms that can still change a partial are evaluated, so every
     partial equals the plain level-by-level sum.  A term whose log exceeds
@@ -70,6 +114,10 @@ def _series_rows(coeff, log_delta, s_grid, schedule):
     from the first k where it falls below _LOG_TINY every term is exactly
     0.0 and no partial changes, and no term past _LOG_HUGE is cut.
     """
+    lc = _constant_log(coeff)
+    if lc is not None:
+        return tuple(_constant_row(lc, log_delta, s, schedule)
+                     for s in s_grid)
     # a schedule from 0 has no level in its first partial
     first = schedule[0] - 1
     c, ld_first = (coeff[first], log_delta[first]) if first >= 0 else (0, 0)
@@ -135,11 +183,14 @@ def zeta_partials(source, delta, s_grid, schedule):
     """Evaluate the zeta partial sums.
 
     source may be a spec, table, or LevelProfile; schedule is the
-    increasing list of truncation depths.  Variants with equal
-    coefficients are found before any log is taken and share one pass:
-    every Sturmian spec has c(n) = 2 in all three, a full binary shift
-    2 * 2^n.  A series takes its coefficient logs only if some s does not
-    overflow at the first schedule point, read from that one coefficient.
+    increasing list of truncation depths.  A table, or the sorted leaves
+    of a spec with no closed form, must pass build_tree's check; a
+    LevelProfile is taken as given.  Variants with equal coefficients are
+    found before any log is taken and share one pass: every Sturmian spec
+    has c(n) = 2 in all three, a full binary shift 2 * 2^n.  A constant
+    series takes the log of its one coefficient; any other takes its
+    coefficient logs only if some s does not overflow at the first
+    schedule point, read from that one coefficient.
     """
     schedule = tuple(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -148,6 +199,10 @@ def zeta_partials(source, delta, s_grid, schedule):
     if isinstance(source, LevelProfile):
         profile = source
     else:
+        if isinstance(source, LanguageTable):
+            source = build_tree(source)
+        elif leaf_count(source, depth) is None:  # no closed form
+            source = spec_tree(source, depth)
         profile = level_profile(source, depth)
     if profile.depth < depth:
         raise InsufficientDepthError(
@@ -258,7 +313,9 @@ def _window_ratios(seq, lo, hi, ratio, offset):
     expression offset + ln seq[n] / ln n.  For a ScaledPowers seq of terms
     >= 1 it is evaluated only at the two ends and at the few levels that
     can hold its least or largest value, so the min and max are those of
-    the whole window and no other big integer is made.
+    the whole window and no other big integer is made.  A ScaledPowers
+    whose terms are all 1 (a Sturmian g, a full:1 P) gives offset + 0.0 at
+    every level, so its one value is returned.
 
     The values are those of f(n) = offset + (ln scale + (start + n) ln k)
     / ln n, whose derivative has the sign of ln k (ln n - 1) - (ln scale +
@@ -274,6 +331,8 @@ def _window_ratios(seq, lo, hi, ratio, offset):
     if not (isinstance(seq, ScaledPowers) and seq.scale >= 1 and seq.k >= 1
             and lo < hi):
         return [ratio(n, x) for n, x in zip(range(lo, hi), seq[lo:hi])]
+    if seq.scale == seq.k == 1:
+        return [ratio(lo, 1)]
     lk = math.log(seq.k)
     la = math.log(seq.scale) + seq.start * lk
 
@@ -316,7 +375,8 @@ def exponent_estimates(P, g, N):
     from float estimates and then evaluated by the same expressions at the
     few levels that can hold them (see _window_ratios), so the report is
     the one the whole window gives and no big integer is made for most of
-    its levels.
+    its levels.  A Sturmian spec's g is ScaledPowers too, all 1, and its
+    window is one level.
     """
     if N < 16:
         raise InsufficientDepthError("need N >= 16 for window estimates")

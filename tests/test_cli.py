@@ -313,6 +313,40 @@ def test_zeta_unbounded_s_grid_is_refused(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+def test_zeta_refuses_a_window_that_is_no_tree(tmp_path, capsys):
+    # the dead end "b" makes g(1) = 0, so pb would pass low at s = 0.2;
+    # zeta refuses it as lipschitz and laplacian do, and lang reports it
+    for command in ("zeta", "lipschitz", "laplacian"):
+        out = tmp_path / command
+        assert main([command, "--spec", "window:aab", "--depth", "2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: word 'b' at length 1 has no extension\n")
+        assert not out.exists()
+    out = tmp_path / "lang"
+    assert main(["lang", "--spec", "window:aab", "--depth", "2",
+                 "--out", str(out)]) == 0
+    assert [row[2] for row in read_csv(out / "language.csv")[1:3]] == [
+        "1", "0"]
+
+
+@pytest.mark.parametrize("delta, reason", (
+    ("powerlog:1", None), ("powerlog:1,2,3", None), ("powerlog:", None),
+    ("geom:x", None), ("powerlog:nan,1", "need a > 0 and b >= 0"),
+    ("powerlog:1,nan", "need a > 0 and b >= 0"),
+    ("geom:nan", "geometric ratio must be in (0, 1)")))
+def test_malformed_delta_is_refused_by_name(tmp_path, capsys, delta, reason):
+    out = tmp_path / "zeta"
+    assert main(["zeta", "--spec", "full:2", "--delta", delta, "--depth",
+                 "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad delta %r: " % delta)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if reason is not None:
+        assert err == "error: bad delta %r: %s\n" % (delta, reason)
+    assert not out.exists()
+
+
 def test_zeta_s_grid_step_limit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "MAX_S_STEPS", 4)
     argv = ["zeta", "--spec", "full:2", "--depth", "8", "--s-min", "0",
@@ -959,6 +993,23 @@ GOLDEN = (
         "zeta_report.json":
             "1d0dd9e47455466605cdebbfc8a09d4ac0a16e872a012fad634fbc230f901407",
     }),
+    # two Sturmian runs, whose series are constant: for s of -0.2 and below
+    # a term passes e^709 in some chunk, and for s > 0 the terms below
+    # e^-746 are cut
+    (["zeta", "--spec", "sturmian:cf=1,linear", "--delta", "exp", "--depth",
+      "4096", "--s-min", "-1", "--s-max", "1", "--s-step", "0.1"], {
+        "zeta_partials.csv":
+            "af6c49a4636a07fdca1cd1c4a09d090be565edbfb8e8b705ddc003c6a89bae20",
+        "zeta_report.json":
+            "80bee405e72bb73b39cc8965a37fb4867b1965badb58db109cc18a9b31801799",
+    }),
+    (["zeta", "--spec", "sturmian:cf=0,3,pow2", "--delta", "powerlog:1.5,1",
+      "--depth", "2048", "--s-min", "-3", "--s-max", "3"], {
+        "zeta_partials.csv":
+            "6c83e2fd1c3b53a7c89795a6c351a480acf829b265133a0b8a45cca571e9bba4",
+        "zeta_report.json":
+            "e7175e272b4380e20b478831a1715719059a0123fb8684a5a8ee9526ff294a90",
+    }),
 )
 
 # the float weights that the last run reads, from the directory it runs in
@@ -970,13 +1021,15 @@ FLOAT_WEIGHTS = (
 @pytest.mark.parametrize("argv, digests", GOLDEN, ids=(
     "lang", "lipschitz", "zeta", "laplacian", "lipschitz-thue-morse",
     "laplacian-window", "laplacian-float-rho", "laplacian-float-measure",
-    "zeta-full-binary", "zeta-full-ternary"))
+    "zeta-full-binary", "zeta-full-ternary", "zeta-sturmian-exp",
+    "zeta-sturmian-powerlog"))
 def test_outputs_match_their_pinned_digests(tmp_path, capsys, monkeypatch,
                                             argv, digests):
     # the four README commands, Thue-Morse lipschitz, an exact laplacian
     # with a fork of three children, two binary float laplacians, one of
-    # a non-integer exponent and one of float weights, and the zeta reports
-    # of two full shifts, whose exponent windows are read from ScaledPowers
+    # a non-integer exponent and one of float weights, the zeta reports of
+    # two full shifts, whose exponent windows are read from ScaledPowers,
+    # and of two Sturmian specs, whose series are constant
     monkeypatch.chdir(tmp_path)
     (tmp_path / "weights.json").write_text(FLOAT_WEIGHTS)
     out = tmp_path / "out"

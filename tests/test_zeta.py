@@ -3,6 +3,8 @@ from itertools import accumulate
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultratree import zeta
 from ultratree.words import (ExplicitWindow, FullShift, ScaledPowers,
@@ -127,9 +129,13 @@ def logged(monkeypatch):
 
 @pytest.mark.parametrize("spec, series", (
     (FullShift(2), 1), (FullShift(3), 3), (FullShift(1), 1),
-    (fibonacci_spec(), 1),
+    # constant series take the log of their one coefficient alone: 2 in all
+    # three Sturmian series, 6, 4 and 2 in the Tribonacci ones
+    (fibonacci_spec(), 0),
     (Substitution.from_rules({"a": "ab", "b": "ba"}, "a"), 1),
-    (Substitution.from_rules({"a": "ab", "b": "ac", "c": "a"}, "a"), 3)))
+    (Substitution.from_rules({"a": "ab", "b": "ac", "c": "a"}, "a"), 0),
+    (SturmianCF((), ("linear",)), 0),
+    (Substitution.from_rules({"a": "abc", "b": "bc", "c": "a"}, "a"), 3)))
 def test_each_distinct_series_is_logged_once(logged, spec, series):
     zeta_partials(spec, DeltaSequence.harmonic(), [1.0, 2.0], (8, 16, 32))
     assert len(logged) == series
@@ -137,6 +143,100 @@ def test_each_distinct_series_is_logged_once(logged, spec, series):
     # ScaledPowers compare by their parameters
     if isinstance(spec, FullShift):
         assert all(isinstance(c, ScaledPowers) for c in logged)
+
+
+def test_sturmian_zeta_reads_one_coefficient_and_one_eta_level(
+        logged, monkeypatch):
+    # the counts are ScaledPowers constants, whose terms are never read:
+    # no per-level coefficient log, and the eta window is one level
+    N = 4096
+    prof = level_profile(SturmianCF((1, 2), ("linear",)), N)
+    assert all(isinstance(getattr(prof, name), ScaledPowers)
+               for name in ("g", "edge_weight", "branching"))
+    assert prof.P == tuple(range(1, N + 2))
+    monkeypatch.setattr(ScaledPowers, "__iter__", None)
+    eta_levels = []
+    eta = zeta._eta
+    monkeypatch.setattr(zeta, "_eta",
+                        lambda n, x: eta_levels.append(n) or eta(n, x))
+    partials = zeta_partials(prof, DeltaSequence.harmonic(),
+                             ORACLE_GRIDS["default"], (1024, 2048, N))
+    report = exponent_estimates(prof.P, prof.g, N)
+    assert logged == [] and eta_levels == [N // 2]
+    assert report.eta_lower == report.eta_upper == 1.0
+    assert partials.partials["full"] == partials.partials["pb"]
+
+
+def sturmian_tuple_profile(N):
+    """A Sturmian profile as all tuples, as level_profile made it before
+    its constant counts were ScaledPowers."""
+    return LevelProfile(N, tuple(range(1, N + 2)), (1,) * N, (2,) * N,
+                        (1,) * N)
+
+
+def zeta_reports(source, delta, s_grid, schedule):
+    """The partials, abscissa reports and exponent report, by repr."""
+    partials = zeta_partials(source, delta, s_grid, schedule)
+    prof = partials.profile
+    return (repr(partials.partials), repr(abscissa_estimate(partials)),
+            repr(exponent_estimates(prof.P, prof.g, schedule[-1])))
+
+
+@st.composite
+def delta_families(draw, N):
+    """A fresh delta of one of the five families, by a factory."""
+    family = draw(st.sampled_from(
+        ("exp", "harmonic", "powerlog", "geom", "table")))
+    if family == "powerlog":
+        a = draw(st.floats(0.25, 3.0))
+        b = draw(st.floats(0.0, 2.0))
+        return lambda: DeltaSequence.powerlog(a, b)
+    if family == "geom":
+        q = draw(st.floats(0.01, 0.99))
+        return lambda: DeltaSequence.geometric(q)
+    if family == "table":
+        # from above 1, where negative s make rising terms, or from just
+        # below, where s of 300 to 800 make subnormal terms from the first
+        # level on, down by a fixed factor per level to no lower than
+        # 2^-1000
+        top = draw(st.one_of(st.floats(-3.0, 0.0), st.floats(0.0, 900.0)))
+        step = draw(st.floats(0.01, 1.0)) * (top + 1000.0) / N
+        values = [2.0 ** (top - n * step) for n in range(N)]
+        return lambda: DeltaSequence.table(values)
+    return lambda: delta_from_name(family)
+
+
+S_VALUES = st.one_of(st.floats(-8.0, 0.0), st.floats(0.0, 4.0),
+                     st.floats(300.0, 800.0),
+                     st.sampled_from((math.nan, math.inf, -math.inf)))
+
+
+@st.composite
+def sturmian_runs(draw):
+    N = draw(st.integers(16, 1500))
+    inner = draw(st.lists(st.integers(2, N - 1), min_size=1, max_size=3,
+                          unique=True))
+    schedule = (draw(st.sampled_from((0, 1))), *sorted(inner), N)
+    tail = draw(st.sampled_from((("linear",), ("pow2",), ("constant", 1),
+                                 ("constant", 3))))
+    mu = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+    spec = SturmianCF((draw(st.integers(0, 3)),) + mu, tail)
+    return spec, draw(delta_families(N)), draw(st.lists(
+        S_VALUES, min_size=1, max_size=8)), schedule
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sturmian_runs())
+def test_sturmian_constant_counts_equal_the_tuple_route(run):
+    # the tuple route is the per-level one: its coefficient logs, levels,
+    # suffix maxima and every level of the eta window
+    spec, delta, s_grid, schedule = run
+    got = zeta_reports(spec, delta(), s_grid, schedule)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeta, "_constant_log", lambda coeff: None)
+        want = zeta_reports(sturmian_tuple_profile(schedule[-1]), delta(),
+                            s_grid, schedule)
+    assert got == want
 
 
 @pytest.mark.parametrize("delta_name, schedule, series, overflow_below", (
@@ -340,6 +440,22 @@ def test_partials_overflow_mid_schedule():
     # 6 * 3^n (n + 1)^-0.2 passes e^709 near n = 645
     assert math.isfinite(rows[0][2]) and math.isinf(rows[0][3])
     assert oracle_mismatches(profile, "harmonic", s_grid, schedule) == []
+
+
+def test_a_term_log_just_past_709_makes_the_partial_inf():
+    # at s = -2 the last term log is ln c + 708.4: exp of it is a finite
+    # float, but the plain sum counts it as inf.  full is summed level by
+    # level, low and pb as constant series
+    values = [1.0, 0.5, math.exp(-354.2)]
+    prof = LevelProfile(3, (1, 2, 3, 4), (1, 1, 1), (2, 4, 2), (1, 1, 1))
+    for source in (prof, level_profile(fibonacci_spec(), 3)):
+        got = zeta_partials(source, DeltaSequence.table(values), [-2.0],
+                            (2, 3)).partials
+        want = plain_partials(source, DeltaSequence.table(values), [-2.0],
+                              (2, 3))
+        assert repr(got) == repr(want)
+        assert all(math.isfinite(rows[0][0]) and rows[0][1] == math.inf
+                   for rows in got.values())
 
 
 def test_partials_cut_on_a_schedule_point():
