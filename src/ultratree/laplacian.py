@@ -56,6 +56,13 @@ class InvalidMeasureError(ValueError):
     pass
 
 
+def _fold(values):
+    """values added left to right from 0: the built-in sum() before Python
+    3.12, which from 3.12 on adds floats with compensated summation and so
+    gives other bits."""
+    return reduce(add, values, 0)
+
+
 # ---------------------------------------------------------------------------
 # measures
 
@@ -113,7 +120,7 @@ def _child_weights(v, probs, arity):
     for p in probs:
         if not p > 0:  # NaN included
             raise InvalidMeasureError("non-positive child weight at %r" % v)
-    total = sum(probs)
+    total = _fold(probs)
     exact = all(isinstance(p, (Fraction, int)) for p in probs)
     if (exact and total != 1) or (not exact and abs(total - 1.0) > 1e-12):
         raise InvalidMeasureError("child weights at %r sum to %r" % (v, total))
@@ -203,14 +210,13 @@ class LaplacianMatrix:
         in integers; a defect is formed in Fractions only where they
         differ.  A float matrix takes its pair defects from the pairs of
         _mu_pairs, the largest folded from 0.0 so that a NaN defect is
-        passed over, and its row sums from the built-in sum(), which adds
-        left to right before Python 3.12 and with compensated summation
-        from 3.12 on.
+        passed over, and its row sums added left to right (_fold), so the
+        bits are the same on every Python.
         """
         rows, mu = self.rows, self.mu_leaves
         view = self.integers
         if view is None:
-            row = max((abs(sum(r)) for r in rows), default=0)
+            row = max((abs(_fold(r)) for r in rows), default=0)
             return row, max(chain((0.0,), map(abs, starmap(
                 sub, _mu_pairs(self)))))
         # each row summed over the least common multiple of all the entries'
@@ -284,7 +290,7 @@ def _sibling_pairs(tree, mu, mode):
         n = len(v) + 1
         pairs = list(combinations(pairwise(bounds), 2))
         if mode == "nu-average":
-            norm = sum(mu[a] * mu[b] for a, b in pairs)
+            norm = _fold(mu[a] * mu[b] for a, b in pairs)
             out += [(n, a, b, mu[a] * mu[b] / norm) for a, b in pairs]
         else:
             out += [(n, a, b, 1)
@@ -398,7 +404,7 @@ def dirichlet_form_value(tree, mu, rho, delta, f, g):
     fgw = [f[i] * g[i] * mu_leaf[i] for i in range(len(leaves))]
 
     def block(vec, u):
-        return sum(vec[u[0]:u[1]]) / mu[u]
+        return _fold(vec[u[0]:u[1]]) / mu[u]
 
     level_sums = [0] * (N + 1)
     for n, u1, u2, _ in _sibling_pairs(tree, mu, "all"):
@@ -431,7 +437,7 @@ def check_invariants(lap, tol=1e-12):
     return {"max_row_sum": float(row),
             "max_self_adjoint_defect": float(adj),
             "row_ok": bool(row <= tol or all(
-                abs(sum(r)) <= tol * max(1, sum(map(abs, r)))
+                abs(_fold(r)) <= tol * max(1, _fold(map(abs, r)))
                 for r in lap.rows)),
             "adjoint_ok": bool(adj <= tol or _pairs_within(lap, tol))}
 
@@ -545,7 +551,7 @@ def spectrum(lap):
         sym = [[kij * math.sqrt(mi * mj) for kij, mj in zip(ki, m)]
                for ki, mi in zip(k, m)]
         for i, ki in enumerate(k):
-            sym[i][i] = -sum(map(mul, ki, m))
+            sym[i][i] = -_fold(map(mul, ki, m))
         blocks.setdefault(len(m), []).append((float(r), sym))
     if blocks:
         # imported here so that binary trees need no eigensolve

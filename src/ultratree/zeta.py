@@ -11,7 +11,7 @@ the requested depths.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .tree import build_tree, spec_tree
 # level_profile lives in .words; bench/ calls and traces it on this module
@@ -62,35 +62,6 @@ def _constant_log(coeff):
     return math.log(c) if c > 0 else None
 
 
-def _constant_row(lc, log_delta, s, schedule):
-    """The row of _series_rows at s for a series whose log coefficients
-    are all lc, summed straight over the delta logs: the same terms in the
-    same order, with the same cuts, read with sufmax = lc.  lc + s log
-    delta_n is monotone in n, so a chunk's largest term log is at its
-    first level for s > 0 and at its last otherwise, and overflow is read
-    from that one term."""
-    exp = math.exp
-    finite = math.isfinite(s)
-    live = len(log_delta)
-    if finite and s > 0:
-        live = bisect_left(range(live), True, key=lambda k: (
-            lc + s * log_delta[k] < _LOG_TINY))
-    row = []
-    total = 0.0
-    k = 0
-    for end in schedule:
-        end = min(end, live)
-        if k < end:
-            if finite and (lc + s * log_delta[k if s > 0 else end - 1]
-                           > _LOG_HUGE):
-                return tuple(row) + (math.inf,) * (len(schedule) - len(row))
-            for ld in log_delta[k:end]:
-                total += exp(lc + s * ld)
-            k = end
-        row.append(total)
-    return tuple(row)
-
-
 def _series_rows(coeff, log_delta, s_grid, schedule):
     """One row of partial sums per exponent s for the series with these
     coefficients, adding its terms exp(log c_n + s log delta_n) over the
@@ -98,8 +69,9 @@ def _series_rows(coeff, log_delta, s_grid, schedule):
     total += term (never sum(), whose compensated summation would give
     other bits).  Only a row that can overflow lists a chunk's term logs,
     to read their max before it sums them.  A series whose coefficients
-    all equal one c > 0 (see _constant_log) takes the log of c alone and
-    makes no per-level logs, level list or suffix maxima (_constant_row).
+    all equal one c > 0 (see _constant_log) takes the log lc of c alone,
+    its suffix maxima are lc, and it sums straight over the delta logs,
+    with no per-level list.
 
     Only terms that can still change a partial are evaluated, so every
     partial equals the plain level-by-level sum.  A term whose log exceeds
@@ -115,14 +87,11 @@ def _series_rows(coeff, log_delta, s_grid, schedule):
     0.0 and no partial changes, and no term past _LOG_HUGE is cut.
     """
     lc = _constant_log(coeff)
-    if lc is not None:
-        return tuple(_constant_row(lc, log_delta, s, schedule)
-                     for s in s_grid)
     # a schedule from 0 has no level in its first partial
     first = schedule[0] - 1
     c, ld_first = (coeff[first], log_delta[first]) if first >= 0 else (0, 0)
     lc_first = math.log(c) if c > 0 else -math.inf
-    lcs = None
+    lds = None
     exp = math.exp
     rows = []
     for s in s_grid:
@@ -131,36 +100,42 @@ def _series_rows(coeff, log_delta, s_grid, schedule):
         if finite and lc_first + s * ld_first > _LOG_HUGE:
             rows.append((math.inf,) * len(schedule))
             continue
-        if lcs is None:
+        if lds is None and lc is not None:
+            lds, ends, sufmax = log_delta, schedule, lambda k: lc
+        elif lds is None:
             log_coeff = _log_coefficients(coeff)
-            levels = [n for n, lc in enumerate(log_coeff) if lc is not None]
+            levels = [n for n, x in enumerate(log_coeff) if x is not None]
             lcs = [log_coeff[n] for n in levels]
             lds = [log_delta[n] for n in levels]
             ends = [bisect_left(levels, stop) for stop in schedule]
-            sufmax = list(accumulate(reversed(lcs), max))[::-1]
-        live = len(lcs)
+            sufmax = list(accumulate(reversed(lcs), max))[::-1].__getitem__
+        live = len(lds)
         can_overflow = finite and live > 0 and (
-            sufmax[0] + s * lds[0 if s > 0 else -1] > _LOG_HUGE)
+            sufmax(0) + s * lds[0 if s > 0 else -1] > _LOG_HUGE)
         if finite and s > 0:
             live = bisect_left(range(live), True, key=lambda k: (
-                sufmax[k] + s * lds[k] < _LOG_TINY))
+                sufmax(k) + s * lds[k] < _LOG_TINY))
         row = []
         total = 0.0
         k = 0
         for end in ends:
             end = min(end, live)
             if k < end:
-                pairs = zip(lcs[k:end], lds[k:end])
                 if can_overflow:
-                    lts = [lc + s * ld for lc, ld in pairs]
+                    lts = [x + s * ld for x, ld in zip(
+                        repeat(lc) if lc is not None else lcs[k:end],
+                        lds[k:end])]
                     if max(lts) > _LOG_HUGE:
                         row += [math.inf] * (len(ends) - len(row))
                         break
                     for lt in lts:
                         total += exp(lt)
-                else:
-                    for lc, ld in pairs:
+                elif lc is not None:
+                    for ld in lds[k:end]:
                         total += exp(lc + s * ld)
+                else:
+                    for x, ld in zip(lcs[k:end], lds[k:end]):
+                        total += exp(x + s * ld)
                 k = end
             row.append(total)
         rows.append(tuple(row))
@@ -311,49 +286,37 @@ _ESTIMATE_ERROR = 1e-12
 def _window_ratios(seq, lo, hi, ratio, offset):
     """ratio(n, seq[n]) for lo <= n < hi in order, where ratio is the window
     expression offset + ln seq[n] / ln n.  For a ScaledPowers seq of terms
-    >= 1 it is evaluated only at the two ends and at the few levels that
-    can hold its least or largest value, so the min and max are those of
-    the whole window and no other big integer is made.  A ScaledPowers
-    whose terms are all 1 (a Sturmian g, a full:1 P) gives offset + 0.0 at
-    every level, so its one value is returned.
+    >= 1 that rises at both ends of the window (below), only the two ends
+    are evaluated: they hold the least and the largest value, and no other
+    big integer is made.  A ScaledPowers whose terms are all 1 (a Sturmian
+    g, a full:1 P) gives offset + 0.0 at every level, so its one value is
+    returned.  Any other window is evaluated level by level.
 
     The values are those of f(n) = offset + (ln scale + (start + n) ln k)
     / ln n, whose derivative has the sign of ln k (ln n - 1) - (ln scale +
     start ln k) / n, increasing in n: f falls and then rises.  math.log of
     an integer is within 2^-50 (ln x + 1) of its true log, so the window
-    expression and the float estimate E(n) are both within D =
+    expression R(n) and the float estimate E(n) are both within D =
     _ESTIMATE_ERROR (T + 1) of f, T the larger end estimate (f's window
-    maximum is at an end).  So the largest value lies where f >= T - 3D,
-    a run from each end, walked while E >= T - 4D; the least lies where
-    f <= E(m) + 3D, one run around any level m, walked while
-    E <= E(m) + 4D.  m is found by bisection where the estimates stop
-    falling, so each run holds a level or two."""
-    if not (isinstance(seq, ScaledPowers) and seq.scale >= 1 and seq.k >= 1
+    maximum is at an end).  If E(lo + 1) - E(lo) > 4D, then f(lo + 1) >
+    f(lo) + 2D, so f rises from lo on and R(n) > f(lo) + D >= R(lo) for
+    n > lo; if also E(hi - 1) - E(hi - 2) > 4D, then likewise R(hi - 1) >
+    R(n) for n < hi - 1."""
+    if (isinstance(seq, ScaledPowers) and seq.scale >= 1 and seq.k >= 1
             and lo < hi):
-        return [ratio(n, x) for n, x in zip(range(lo, hi), seq[lo:hi])]
-    if seq.scale == seq.k == 1:
-        return [ratio(lo, 1)]
-    lk = math.log(seq.k)
-    la = math.log(seq.scale) + seq.start * lk
+        if seq.scale == seq.k == 1:
+            return [ratio(lo, 1)]
+        lk = math.log(seq.k)
+        la = math.log(seq.scale) + seq.start * lk
 
-    def est(n):
-        return offset + (la + lk * n) / math.log(n)
+        def est(n):
+            return offset + (la + lk * n) / math.log(n)
 
-    top = max(est(lo), est(hi - 1))
-    margin = 4 * _ESTIMATE_ERROR * (top + 1.0)
-    m = lo + bisect_left(range(lo, hi - 1), True,
-                         key=lambda n: est(n + 1) >= est(n))
-    least = est(m)
-    near = {lo, hi - 1}
-    for n, step, keep in (
-            (lo, 1, lambda e: e >= top - margin),
-            (hi - 1, -1, lambda e: e >= top - margin),
-            (m, 1, lambda e: e <= least + margin),
-            (m, -1, lambda e: e <= least + margin)):
-        while lo <= n < hi and keep(est(n)):
-            near.add(n)
-            n += step
-    return [ratio(n, seq[n]) for n in sorted(near)]
+        margin = 4 * _ESTIMATE_ERROR * (max(est(lo), est(hi - 1)) + 1.0)
+        if (est(lo + 1) - est(lo) > margin
+                and est(hi - 1) - est(hi - 2) > margin):
+            return [ratio(lo, seq[lo]), ratio(hi - 1, seq[hi - 1])]
+    return [ratio(n, x) for n, x in zip(range(lo, hi), seq[lo:hi])]
 
 
 def _beta(n, p):
@@ -371,12 +334,12 @@ def exponent_estimates(P, g, N):
     eta bounds are min/max of 1 + ln g(n)/ln n over [N/2, N), reading g(n)
     as n^(eta-1).  Exact asymptotics are out of reach of any finite window,
     so the report carries the window and a tolerance for chain checks.  A
-    full shift's counts are ScaledPowers, whose window extremes are found
-    from float estimates and then evaluated by the same expressions at the
-    few levels that can hold them (see _window_ratios), so the report is
-    the one the whole window gives and no big integer is made for most of
-    its levels.  A Sturmian spec's g is ScaledPowers too, all 1, and its
-    window is one level.
+    full shift's counts are ScaledPowers, whose window extremes are shown
+    by float estimates to lie at the two window ends, and are evaluated
+    there by the same expressions (see _window_ratios), so the report is
+    the one the whole window gives and no other big integer is made.  A
+    Sturmian spec's g is ScaledPowers too, all 1, and its window is one
+    level.
     """
     if N < 16:
         raise InsufficientDepthError("need N >= 16 for window estimates")

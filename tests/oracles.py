@@ -25,14 +25,21 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from itertools import combinations, compress, groupby, islice, product
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 
 from ultratree.metrics import common_prefix_length
 from ultratree.tree import StructuralError, build_tree
 from ultratree.words import REPULSIVENESS_INF, language_table
+
+
+def left_sum(values):
+    """values added left to right from 0, as the built-in sum() adds them
+    before Python 3.12 and as the library adds a float row on every
+    Python."""
+    return reduce(add, values, 0)
 
 
 def delta_log_at(name):
@@ -284,7 +291,7 @@ def float_invariants_by_numpy(lap, tol=1e-12):
     relative pair test on the array of mu_i M_ij, whose elementwise
     products and differences round as Python's do; fmax passes over NaN
     defects, as a maximum folded from 0.0 does.  The row sums are the
-    built-in sum()'s.  Returns the defects and the checks."""
+    left_sum's.  Returns the defects and the checks."""
     import numpy as np
     scaled = (np.array(lap.mu_leaves, dtype=float)[:, None]
               * np.array(lap.floats))
@@ -295,12 +302,13 @@ def float_invariants_by_numpy(lap, tol=1e-12):
                                                   np.abs(x) + np.abs(y))
     np.fill_diagonal(pairs_ok, True)
     rows = lap.rows
-    row = max((abs(sum(r)) for r in rows), default=0)
+    row = max((abs(left_sum(r)) for r in rows), default=0)
     return (row, adj), {
         "max_row_sum": float(row),
         "max_self_adjoint_defect": adj,
         "row_ok": bool(row <= tol or all(
-            abs(sum(r)) <= tol * max(1, sum(map(abs, r))) for r in rows)),
+            abs(left_sum(r)) <= tol * max(1, left_sum(map(abs, r)))
+            for r in rows)),
         "adjoint_ok": bool(adj <= tol or pairs_ok.all())}
 
 

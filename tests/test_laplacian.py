@@ -25,7 +25,8 @@ from ultratree.laplacian import (InvalidMeasureError,
                                  spectrum)
 
 from oracles import (children_of, dense_spectrum, float_invariants_by_numpy,
-                     leaf_range, masses_by_word, measure_by_levels, tree_for)
+                     leaf_range, left_sum, masses_by_word, measure_by_levels,
+                     tree_for)
 
 HARMONIC = DeltaSequence.harmonic()
 UNIT = DeltaSequence.table([1.0])
@@ -477,7 +478,7 @@ def bilinear_loop(tree, mu, rho, delta, pair_list):
 
 def defects_loop(lap):
     rows, mu = lap.rows, lap.mu_leaves
-    row = max((abs(sum(r)) for r in rows), default=0)
+    row = max((abs(left_sum(r)) for r in rows), default=0)
     adj = 0
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
@@ -589,7 +590,8 @@ def invariants_loop(lap, tol):
     return {"max_row_sum": float(row),
             "max_self_adjoint_defect": float(adj),
             "row_ok": bool(row <= tol or all(
-                abs(sum(r)) <= tol * max(1, sum(map(abs, r))) for r in rows)),
+                abs(left_sum(r)) <= tol * max(1, left_sum(map(abs, r)))
+                for r in rows)),
             "adjoint_ok": bool(adj <= tol or all(
                 abs(x - y) <= tol * max(1, abs(x) + abs(y))
                 for x, y in pairs))}

@@ -167,6 +167,22 @@ def test_sturmian_zeta_reads_one_coefficient_and_one_eta_level(
     assert partials.partials["full"] == partials.partials["pb"]
 
 
+@pytest.mark.parametrize("k", (2, 3))
+def test_full_shift_exponent_windows_read_their_two_ends(k, monkeypatch):
+    # P and g rise at both ends of their windows, so each window reads its
+    # first and last level alone
+    N = 16384
+    prof = level_profile(FullShift(k), N)
+    levels = {"beta": [], "eta": []}
+    for name in levels:
+        ratio = getattr(zeta, "_" + name)
+        monkeypatch.setattr(zeta, "_" + name, lambda n, x, ratio=ratio,
+                            seen=levels[name]: seen.append(n) or ratio(n, x))
+    report = exponent_estimates(prof.P, prof.g, N)
+    assert levels == {"beta": [N // 2, N], "eta": [N // 2, N - 1]}
+    assert report.window == (N // 2, N) and report.super_polynomial
+
+
 def sturmian_tuple_profile(N):
     """A Sturmian profile as all tuples, as level_profile made it before
     its constant counts were ScaledPowers."""
