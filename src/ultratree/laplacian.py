@@ -24,11 +24,12 @@ An off-diagonal entry has one value per (sibling subtree, leaf column)
 block: the sibling subtrees of a leaf's ancestors partition the other
 leaves, and sibling pairs partition the ordered off-diagonal leaf pairs.
 So each block value is computed once and written into its block by slice
-assignment, and exact rows share their entry objects.  The exact checks
-(conservation, self-adjointness, route differences) run on one integer view
-of numerators and denominators, and Fractions are formed only where two
-entries differ; the float view converts each distinct entry once, and a
-float matrix is checked on it pair by pair in plain Python.
+assignment.  The exact checks (conservation, self-adjointness, route
+differences) read values, not objects: they run on one integer view of
+the entries' numerators and denominators, and Fractions are formed only
+where two entries differ.  The float view of an exact matrix divides each
+numerator of that view by its denominator, and a float matrix is checked
+on its float view pair by pair in plain Python.
 
 The spectrum is read from one small block per fork, not from a dense
 eigensolve of the whole matrix, which only the tests keep as an oracle;
@@ -45,7 +46,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import (chain, combinations, compress, count, pairwise,
                        repeat, starmap)
-from operator import add, itemgetter, mul, ne, or_, sub
+from operator import (add, attrgetter, itemgetter, mul, ne, or_, sub,
+                      truediv)
 
 # defined in the package root, so that the CLI names it without loading
 # this module, and re-exported here
@@ -162,44 +164,29 @@ class LaplacianMatrix:
     forks: dict = field(compare=False)
 
     @cached_property
-    def _entries(self):
-        """Each distinct entry object by its id, None when an entry is a
-        float.  Exact rows share one object per block, so there are few."""
-        types = set()
-        for r in self.rows:
-            types.update(map(type, r))
-        if not all(issubclass(t, (int, Fraction)) for t in types):
-            return None
-        entries = {}
-        for r in self.rows:
-            entries.update(zip(map(id, r), r))
-        return entries
-
-    @cached_property
     def integers(self):
         """The integer view of an exact matrix, None when an entry or a mass
         is a float: per row a pair (numerators, denominators), then the
         numerators and the denominators of the masses."""
-        entries = self._entries
-        if entries is None or not all(isinstance(x, (int, Fraction))
-                                      for x in self.mu_leaves):
+        types = set(map(type, self.mu_leaves))
+        for r in self.rows:
+            types.update(map(type, r))
+        if not all(issubclass(t, (int, Fraction)) for t in types):
             return None
-        num = {k: x.numerator for k, x in entries.items()}.__getitem__
-        den = {k: x.denominator for k, x in entries.items()}.__getitem__
-        ids = (tuple(map(id, r)) for r in self.rows)
-        return (tuple((tuple(map(num, i)), tuple(map(den, i))) for i in ids),
-                tuple(x.numerator for x in self.mu_leaves),
-                tuple(x.denominator for x in self.mu_leaves))
+        num, den = attrgetter("numerator"), attrgetter("denominator")
+        return (tuple((tuple(map(num, r)), tuple(map(den, r)))
+                      for r in self.rows),
+                tuple(map(num, self.mu_leaves)),
+                tuple(map(den, self.mu_leaves)))
 
     @cached_property
     def floats(self):
-        """The rows in floats, each distinct entry of an exact matrix
-        converted once."""
-        entries = self._entries
-        if entries is None:
+        """The rows in floats: an exact matrix's divide each numerator of its
+        integer view by its denominator, the bits of float(Fraction)."""
+        view = self.integers
+        if view is None:
             return tuple(tuple(map(float, r)) for r in self.rows)
-        as_float = {k: float(x) for k, x in entries.items()}.__getitem__
-        return tuple(tuple(map(as_float, map(id, r))) for r in self.rows)
+        return tuple(tuple(map(truediv, nums, dens)) for nums, dens in view[0])
 
     @cached_property
     def defects(self):
@@ -220,15 +207,15 @@ class LaplacianMatrix:
             return row, max(chain((0.0,), map(abs, starmap(
                 sub, _mu_pairs(self)))))
         # each row summed over the least common multiple of all the entries'
-        # denominators, each distinct entry scaled once
-        entries = self._entries
-        common = math.lcm(*{x.denominator for x in entries.values()})
-        scaled = {k: x.numerator * (common // x.denominator)
-                  for k, x in entries.items()}.__getitem__
-        sums = (sum(map(scaled, map(id, r))) for r in rows)
+        # denominators, with one scale factor per distinct denominator
+        int_rows, mu_num, mu_den = view
+        denominators = set().union(*(row_dens for _, row_dens in int_rows))
+        common = math.lcm(*denominators)
+        factor = {d: common // d for d in denominators}.__getitem__
+        sums = (sum(map(mul, nums, map(factor, row_dens)))
+                for nums, row_dens in int_rows)
         row = max((Fraction(abs(s), common) for s in sums if s), default=0)
         # mu_i p_ij / q_ij = mu_j p_ji / q_ji, cross-multiplied
-        int_rows, mu_num, mu_den = view
         cols_num = zip(*(nums for nums, _ in int_rows))
         cols_den = zip(*(dens for _, dens in int_rows))
         adj = 0

@@ -27,15 +27,12 @@ from .tree import (continuity_witness, continuity_witness_fast,  # noqa: F401
 
 
 def common_prefix_length(u, v):
-    """Length of the longest common prefix, by binary search on slices."""
-    lo, hi = 0, min(len(u), len(v))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if u[:mid] == v[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    """Length of the longest common prefix, by one scan that stops at the
+    first mismatch."""
+    for m, (a, b) in enumerate(zip(u, v)):
+        if a != b:
+            return m
+    return min(len(u), len(v))
 
 
 class DepthMismatchError(ValueError):

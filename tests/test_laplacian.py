@@ -581,6 +581,36 @@ def test_planted_defects_match_the_loop(kind):
     assert matrix_difference(bad, bad) == 0.0
 
 
+def fresh(x):
+    """An equal value in a new object."""
+    if isinstance(x, float):
+        return float.fromhex(x.hex())
+    return Fraction(x.numerator, x.denominator)
+
+
+@pytest.mark.parametrize("spec, depth, rho", (
+    (FullShift(3), 3, 2), (fibonacci_spec(), 30, 1), (FullShift(2), 4, 1.5)))
+def test_checks_read_values_not_shared_entries(spec, depth, rho):
+    # the assembly writes one entry object per block; a copy whose every
+    # entry and mass is its own object must read the same in every check
+    tree = tree_for(spec, depth)
+    mu = cylinder_measure(tree, weights="random", seed=5)
+    lap = assemble_laplacian(tree, mu, rho, HARMONIC)
+    oracle = assemble_laplacian_dirichlet(tree, mu, rho, HARMONIC)
+    copy = LaplacianMatrix(lap.leaves,
+                           tuple(tuple(map(fresh, r)) for r in lap.rows),
+                           tuple(map(fresh, lap.mu_leaves)), lap.forks)
+    size = len(lap.leaves)
+    assert len({id(x) for r in copy.rows for x in r}) == size * size
+    assert copy.integers == lap.integers
+    assert bits(copy.floats) == bits(lap.floats)
+    assert bits(copy.defects) == bits(lap.defects)
+    for tol in (1e-12, 1e-8):
+        assert check_invariants(copy, tol) == check_invariants(lap, tol)
+    assert bits(matrix_difference(copy, oracle)) \
+        == bits(matrix_difference(lap, oracle))
+    assert bits(spectrum(copy)) == bits(spectrum(lap))
+
 def invariants_loop(lap, tol):
     """check_invariants on defects_loop, its pairs tested one by one."""
     row, adj = defects_loop(lap)

@@ -181,6 +181,14 @@ def test_delta_from_name():
 def test_ultrametric_basics():
     delta = DeltaSequence.exponential()
     assert common_prefix_length("abab", "abba") == 2
+    assert common_prefix_length("abab", "abab") == 4
+    assert common_prefix_length("ab", "abba") == common_prefix_length(
+        "abba", "ab") == 2
+    assert common_prefix_length("", "ab") == common_prefix_length("", "") == 0
+    assert common_prefix_length("ba", "ab") == 0
+    # letters past latin-1: Greek, then a Hebrew mismatch
+    assert common_prefix_length("\u03b1\u03b2\u05d0",
+                                "\u03b1\u03b2\u05d1") == 2
     assert ultrametric_distance("abab", "abab", delta) == 0.0
     assert ultrametric_distance("abab", "abba", delta) == delta[2]
     with pytest.raises(DepthMismatchError):
