@@ -40,9 +40,10 @@ class ConfigError(ValueError):
 # count; at this limit a run with a random measure and rho = 2 takes 16 to
 # 20 s and about 780 MB on a 2-core machine
 MAX_LAPLACIAN_LEAVES = 2048
-# each s costs one pass over the levels per series, or one term if it
-# overflows at the first schedule point; at depth 16384 this many grid steps
-# take about 90 s on a 2-core machine
+# each s costs a series summed level by level one pass over the levels, or
+# one term if it overflows at the first schedule point, and a closed-form
+# series a few operations per schedule point; at depth 16384 this many grid
+# steps of a level-by-level series take about 90 s on a 2-core machine
 MAX_S_STEPS = 10_000
 # a depth-N run holds sequences of N + 1 items (a level per length 0..N),
 # and no Python sequence is longer than sys.maxsize; a deeper run would

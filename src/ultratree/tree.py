@@ -28,6 +28,7 @@ each.
 
 import math
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations, islice, repeat
@@ -55,15 +56,41 @@ class DeltaSequence:
     logs_fn(start, stop) for start <= n < stop, through C-level maps
     rather than one Python call per index.  Every realized log must be
     finite and below the one before it.  tail_bound(N), when available in
-    closed form, bounds the remainder sum from index N on.
+    closed form, bounds the remainder sum from index N on.  A family with
+    a closed form records it as data (see closed_form), so that a sum
+    over its values can be taken without realizing them.
     """
 
-    def __init__(self, logs_fn, name, tail_fn=None):
+    def __init__(self, logs_fn, name, tail_fn=None, closed=None):
         self._logs_fn = logs_fn
         self.name = name
         self._tail = tail_fn
+        self._closed = closed
         self._logs = []
         self._values = []
+
+    def closed_form(self, N):
+        """The family's closed form for its first N values, or None:
+        ("ratio", lq) for delta_n = e^(n lq) (exp, geom:q) and ("power", a,
+        shift) for delta_n = (n + 1 + shift)^-a (harmonic, powerlog:a,0).
+        It is given only where the float logs below N are known from the
+        parameters to be finite and strictly decreasing, so that nothing
+        needs realizing to check them: N <= 2^40, and for a power a normal
+        a log 2 and a finite a log(N + shift + 1).  Elsewhere, and for a
+        table or a powerlog with b > 0, it is None."""
+        c = self._closed
+        if c is None or N > 2 ** 40:
+            return None
+        if c[0] == "power" and not (
+                c[1] * math.log(2) >= sys.float_info.min
+                and math.isfinite(c[1] * math.log(N + c[2] + 1))):
+            return None
+        return c
+
+    def log_at(self, n):
+        """log(delta_n) from the family's own function, the bits that
+        realizing it would give, with nothing realized or checked."""
+        return next(iter(self._logs_fn(n, n + 1)))
 
     def log(self, n):
         if n < 0:
@@ -128,14 +155,16 @@ class DeltaSequence:
             return map(neg, map(float, range(start, stop)))
 
         return cls(logs_fn, "exponential",
-                   lambda N: math.exp(-N) / (1.0 - math.exp(-1.0)))
+                   lambda N: math.exp(-N) / (1.0 - math.exp(-1.0)),
+                   ("ratio", -1.0))
 
     @classmethod
     def harmonic(cls):
         def logs_fn(start, stop):  # -log(n + 1)
             return map(neg, map(math.log, range(start + 1, stop + 1)))
 
-        return cls(logs_fn, "harmonic", lambda N: math.inf)
+        return cls(logs_fn, "harmonic", lambda N: math.inf,
+                   ("power", 1.0, 0))
 
     @classmethod
     def geometric(cls, q):
@@ -146,7 +175,8 @@ class DeltaSequence:
         def logs_fn(start, stop):  # n log q
             return map(mul, range(start, stop), repeat(lq))
 
-        return cls(logs_fn, "geometric:%r" % q, lambda N: q ** N / (1.0 - q))
+        return cls(logs_fn, "geometric:%r" % q, lambda N: q ** N / (1.0 - q),
+                   ("ratio", lq))
 
     @classmethod
     def powerlog(cls, a, b):
@@ -172,7 +202,8 @@ class DeltaSequence:
         if a > 1 and b == 0:
             def tail(N):
                 return (N + shift) ** (1 - a) / (a - 1)
-        return cls(logs_fn, "powerlog:%r,%r" % (a, b), tail)
+        return cls(logs_fn, "powerlog:%r,%r" % (a, b), tail,
+                   ("power", a, shift) if b == 0 else None)
 
     @classmethod
     def table(cls, values):

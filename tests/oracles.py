@@ -10,12 +10,14 @@ levels (the level counts, the right special words, the repulsiveness
 estimators by a memo of every word's border and by a quadratic pair scan,
 and repetitivity), a cylinder measure by a scan of every word level, a
 Laplacian spectrum by a dense eigensolve of the whole matrix and the pair
-checks of a float matrix on numpy arrays, and each delta family's
+checks of a float matrix on numpy arrays, each delta family's
 log(delta_n) one index at a time with the checks of every log as it is
-made.  None reads
-the neighbour LCPs, the forks or the skeleton the library reads from the
-sorted leaves.  They are exponential, quadratic or cubic, or hold every
-word of every level, so keep their inputs small.  The library keys a
+made, and the zeta partial sums term by term, added in level order
+(plain_partials) and by math.fsum of the exact terms (fsum_partials).
+None reads the neighbour LCPs, the forks or the skeleton the library
+reads from the sorted leaves.  They are exponential, quadratic or cubic,
+or hold every word of every level or every term of a series, so keep
+their inputs small.  The library keys a
 measure's masses by leaf range and the oracles key theirs by word;
 leaf_range and masses_by_word read one through the other, by bisection
 of the sorted leaves.
@@ -24,6 +26,7 @@ of the sorted leaves.
 import math
 import random
 from bisect import bisect_left, bisect_right
+from decimal import Context
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
@@ -32,7 +35,7 @@ from operator import add, eq, itemgetter
 
 from ultratree.metrics import common_prefix_length
 from ultratree.tree import StructuralError, build_tree
-from ultratree.words import REPULSIVENESS_INF, language_table
+from ultratree.words import REPULSIVENESS_INF, ScaledPowers, language_table
 
 
 def left_sum(values):
@@ -82,6 +85,126 @@ def loop_log(log_at, logs, n):
                 "delta is not strictly decreasing at %d" % len(c))
         c.append(lv)
     return c[n]
+
+
+def zeta_series(profile):
+    """The coefficients of the three zeta series, as the profile holds
+    them: a ScaledPowers count doubled by its scale, a tuple term by term."""
+    def doubled(counts):
+        if isinstance(counts, ScaledPowers):
+            return ScaledPowers(2 * counts.scale, counts.k, counts.stop,
+                                counts.start)
+        return tuple(2 * x for x in counts)
+    return {"full": profile.edge_weight, "low": doubled(profile.g),
+            "pb": doubled(profile.branching)}
+
+
+def plain_partials(profile, delta, s_grid, schedule):
+    """Every term of every series at every s, added in level order: the
+    oracle for the cut-offs of the rows that zeta_partials sums level by
+    level.  A ScaledPowers c k^n takes its logs as ln c + n ln k, as the
+    library does; a tuple takes math.log of each count."""
+    depth = schedule[-1]
+    log_delta = delta.logs(depth)
+    out = {}
+    for variant, coeff in zeta_series(profile).items():
+        coeff = coeff[:depth]
+        if isinstance(coeff, ScaledPowers):
+            c = coeff.scale * coeff.k ** coeff.start
+            lc, lk = (math.log(c), math.log(coeff.k)) if c > 0 else (0, 0)
+            log_coeff = [lc + n * lk if c > 0 else None
+                         for n in range(depth)]
+        else:
+            log_coeff = [math.log(c) if c > 0 else None for c in coeff]
+        rows = []
+        for s in s_grid:
+            partials = []
+            total = 0.0
+            pos = 0
+            for stop in schedule:
+                while pos < stop:
+                    lc = log_coeff[pos]
+                    if lc is not None:
+                        lt = lc + s * log_delta[pos]
+                        total += math.inf if lt > 709.0 else math.exp(lt)
+                    pos += 1
+                partials.append(total)
+            rows.append(tuple(partials))
+        out[variant] = tuple(rows)
+    return out
+
+
+def _exact_split(x):
+    """A Fraction x as a float and the float of its remainder."""
+    hi = float(x)
+    return hi, float(x - Fraction(hi))
+
+
+def fsum_partials(profile, delta_name, s_grid, schedule):
+    """math.fsum of the exact terms of each series c k^n (a ScaledPowers,
+    or a tuple of one positive integer, k = 1) under exp, geom:q, harmonic
+    or powerlog:a,0, at each finite s: the oracle for the closed-form rows
+    of zeta_partials.  A term is c (k e^(s lq))^n, lq = -1 or the float
+    log q, or c (n + 1)^-(a s), each a few units in the last place from
+    its true value: ln k is taken to 50 digits, the exponent n ln r or
+    a s as a float and its remainder, on numpy arrays.  Any other series
+    or s gives None, and a sum past the float range inf."""
+    import numpy as np
+
+    depth = schedule[-1]
+    if depth >= 2 ** 27:
+        raise ValueError("the exponents n ln r are exact for n < 2^27 only")
+    if delta_name in ("exp", "exponential") or delta_name.startswith("geom:"):
+        lq = -1.0 if not delta_name.startswith("geom:") else math.log(
+            float(delta_name.split(":", 1)[1]))
+        power = None
+    elif delta_name == "harmonic":
+        power = 1.0
+    elif delta_name.startswith("powerlog:") and float(
+            delta_name.split(",")[1]) == 0:
+        power = float(delta_name.split(":", 1)[1].split(",")[0])
+    else:
+        return {v: None for v in ("full", "low", "pb")}
+    n = np.arange(depth, dtype=float)
+    out = {}
+    for variant, coeff in zeta_series(profile).items():
+        coeff = coeff[:depth]
+        if isinstance(coeff, ScaledPowers):
+            c, k = coeff.scale * coeff.k ** coeff.start, coeff.k
+        elif coeff and coeff.count(coeff[0]) == len(coeff):
+            c, k = coeff[0], 1
+        else:
+            c = 0
+        if not c > 0 or (power is not None and k != 1):
+            out[variant] = None
+            continue
+        ln_k = Fraction(Context(prec=50).ln(k))
+        rows = []
+        for s in s_grid:
+            if not math.isfinite(s):
+                rows.append(None)
+                continue
+            with np.errstate(over="ignore", under="ignore"):
+                if power is None:
+                    hi, lo = _exact_split(ln_k + Fraction(s) * Fraction(lq))
+                    # n times the top 26 bits of hi is exact for n < 2^27
+                    t = 134217729.0 * hi
+                    top = t - (t - hi)
+                    terms = np.exp(n * top) * np.exp(n * (hi - top) + n * lo)
+                else:
+                    hi, lo = _exact_split(Fraction(power) * Fraction(s))
+                    m = n + 1.0
+                    terms = np.power(m, -hi) * (1.0 - lo * np.log(m))
+                terms = float(c) * terms
+            row = []
+            for N in schedule:
+                try:
+                    row.append(math.fsum(terms[:N].tolist()))
+                except OverflowError:
+                    row.append(math.inf)
+            rows.append(tuple(row))
+        out[variant] = tuple(rows)
+    return out
 
 
 def tree_for(spec, N):

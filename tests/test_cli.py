@@ -764,6 +764,18 @@ def test_full_shift_zeta_at_depth_65536_runs_in_256_mb(tmp_path):
     assert all(os.path.getsize(out / name) > 0 for name in os.listdir(out))
 
 
+def test_full_shift_exp_zeta_at_depth_10_8_runs_in_1_gb(tmp_path):
+    # its 10^8 delta logs would outgrow 1 GB; the one series 2 * 2^n under
+    # exp is a geometric sum, which realizes none of them
+    out = tmp_path / "deep"
+    result = limited_run(["zeta", "--spec", "full:2", "--delta", "exp",
+                          "--depth", "100000000", "--out", str(out)])
+    assert (result.returncode, result.stderr) == (0, "")
+    assert sorted(os.listdir(out)) == ["zeta_partials.csv",
+                                       "zeta_report.json"]
+    assert all(os.path.getsize(out / name) > 0 for name in os.listdir(out))
+
+
 def fresh_loaded(code):
     """Run code in a fresh interpreter; which of numpy and scipy it left
     loaded, and which ultratree modules, by their names in the package."""
@@ -930,7 +942,7 @@ GOLDEN = (
     (["zeta", "--spec", "sturmian:cf=1", "--delta", "harmonic", "--depth",
       "1024", "--schedule", "256,512,1024"], {
         "zeta_partials.csv":
-            "2c6ca2fa9c9f2b10ee203dd25c6393996f8998f512fbb531b4c8886350031fda",
+            "afb94611e2e82b2969b4d378898fa21bc38ecccdde44614302f86cc5ebde15ba",
         "zeta_report.json":
             "b72fb9b82031ff3c268ab73e338e185b4410a9638ea189156e9d384dcba67990",
     }),
@@ -984,24 +996,25 @@ GOLDEN = (
     }),
     (["zeta", "--spec", "full:2", "--delta", "harmonic", "--depth", "4096"], {
         "zeta_partials.csv":
-            "3e82e55f99181d987cca3e1f99bdb8ac2ab8c80ae78fbb64b0dd1b71722b1066",
+            "8b2af06ec4bb0097b2411a5796626874b8dd95745afddf6b2ef8e7aec5b0bcae",
         "zeta_report.json":
             "72e183ed858b66a62b3049c70deece09aa03b4057c43418c79bf331c673c1644",
     }),
     (["zeta", "--spec", "full:3", "--delta", "powerlog:1.5,1", "--depth",
       "2048"], {
         "zeta_partials.csv":
-            "643325298532162f48b9ef3a682a165dbf320a251f97f53aa510d73333ea6df9",
+            "64deb761f9ed27a932227764362d561ee7589b2875a29e6ae7e7ef99821ccaf7",
         "zeta_report.json":
             "1d0dd9e47455466605cdebbfc8a09d4ac0a16e872a012fad634fbc230f901407",
     }),
-    # two Sturmian runs, whose series are constant: for s of -0.2 and below
-    # a term passes e^709 in some chunk, and for s > 0 the terms below
-    # e^-746 are cut
+    # two Sturmian runs, whose series are constant: the first a geometric
+    # sum in closed form, inf for s of -0.2 and below, where a term passes
+    # e^709; the second, under powerlog with b = 1, summed level by level,
+    # with the terms below e^-746 cut for s > 0
     (["zeta", "--spec", "sturmian:cf=1,linear", "--delta", "exp", "--depth",
       "4096", "--s-min", "-1", "--s-max", "1", "--s-step", "0.1"], {
         "zeta_partials.csv":
-            "af6c49a4636a07fdca1cd1c4a09d090be565edbfb8e8b705ddc003c6a89bae20",
+            "4155e679536f5e13427efb811ac08ff7414187d14c52368df9d790e4ea558978",
         "zeta_report.json":
             "80bee405e72bb73b39cc8965a37fb4867b1965badb58db109cc18a9b31801799",
     }),

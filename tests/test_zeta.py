@@ -1,5 +1,6 @@
 import math
-from itertools import accumulate
+from contextlib import contextmanager
+from itertools import accumulate, repeat
 from operator import mul
 
 import pytest
@@ -15,7 +16,7 @@ from ultratree.zeta import (InsufficientDepthError, LevelProfile,
                             abscissa_estimate, exponent_estimates,
                             level_profile, zeta_partials)
 
-from oracles import tree_for
+from oracles import fsum_partials, plain_partials, tree_for, zeta_series
 
 
 def grid(lo, hi, step):
@@ -81,16 +82,19 @@ def test_streamed_full_shift_profile_reads_as_tuples(k, N):
 
 @pytest.mark.parametrize("k", (2, 3))
 def test_streamed_full_shift_zeta_equals_tuple_route(k):
+    # the streamed counts are geometric sums under exp and geom, and take
+    # their logs as ln c + n ln k under harmonic and powerlog:1.5,1; the
+    # tuple route takes math.log of each integer level by level.  Each
+    # equals its oracle: the closed forms the fsum of their exact terms,
+    # every other row the plain sum on the same counts
     N = 2048
     schedule = (512, 1024, N)
     tuples = tuple_profile(k, N)
-    for name in ("exp", "harmonic", "powerlog:1.5,1", "geom:0.5"):
-        delta = delta_from_name(name)
-        got = zeta_partials(FullShift(k), delta, ORACLE_GRIDS["default"],
-                            schedule)
-        want = zeta_partials(tuples, delta, ORACLE_GRIDS["default"], schedule)
-        assert repr(got.partials) == repr(want.partials), name
     streamed = level_profile(FullShift(k), N)
+    for name in ("exp", "harmonic", "powerlog:1.5,1", "geom:0.5"):
+        for profile in (streamed, tuples):
+            assert oracle_mismatches(profile, name, ORACLE_GRIDS["default"],
+                                     schedule) == [], name
     assert (exponent_estimates(streamed.P, streamed.g, N)
             == exponent_estimates(tuples.P, tuples.g, N))
 
@@ -119,16 +123,20 @@ def test_exponent_windows_with_an_inner_minimum(scale, k, start, N):
 
 @pytest.fixture
 def logged(monkeypatch):
-    """The coefficients of each series whose logs zeta_partials takes."""
+    """The coefficients of each series whose logs zeta_partials takes level
+    by level: a tuple's by _log_coefficients, as (c, k) those of c k^n by
+    _power_logs."""
     logged = []
-    log_coefficients = zeta._log_coefficients
+    log_coefficients, power_logs = zeta._log_coefficients, zeta._power_logs
     monkeypatch.setattr(zeta, "_log_coefficients",
                         lambda c: logged.append(c) or log_coefficients(c))
+    monkeypatch.setattr(zeta, "_power_logs", lambda c, k, stop: logged.append(
+        (c, k)) or power_logs(c, k, stop))
     return logged
 
 
 @pytest.mark.parametrize("spec, series", (
-    (FullShift(2), 1), (FullShift(3), 3), (FullShift(1), 1),
+    (FullShift(2), 1), (FullShift(3), 3), (FullShift(1), 0),
     # constant series take the log of their one coefficient alone: 2 in all
     # three Sturmian series, 6, 4 and 2 in the Tribonacci ones
     (fibonacci_spec(), 0),
@@ -140,9 +148,10 @@ def test_each_distinct_series_is_logged_once(logged, spec, series):
     zeta_partials(spec, DeltaSequence.harmonic(), [1.0, 2.0], (8, 16, 32))
     assert len(logged) == series
     # a full shift's doubled counts are never multiplied out: equal
-    # ScaledPowers compare by their parameters
+    # ScaledPowers compare by their parameters, and their logs are ln c +
+    # n ln k; full:1's series are all 0 and take no log
     if isinstance(spec, FullShift):
-        assert all(isinstance(c, ScaledPowers) for c in logged)
+        assert all(isinstance(c, tuple) and len(c) == 2 for c in logged)
 
 
 def test_sturmian_zeta_reads_one_coefficient_and_one_eta_level(
@@ -245,13 +254,16 @@ def sturmian_runs(draw):
 @given(sturmian_runs())
 def test_sturmian_constant_counts_equal_the_tuple_route(run):
     # the tuple route is the per-level one: its coefficient logs, levels,
-    # suffix maxima and every level of the eta window
+    # suffix maxima and every level of the eta window.  The closed forms
+    # are off on both routes (test_closed_form_partials_equal_their_oracles
+    # checks them), so this compares the rows summed level by level
     spec, delta, s_grid, schedule = run
-    got = zeta_reports(spec, delta(), s_grid, schedule)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zeta, "_constant_log", lambda coeff: None)
-        want = zeta_reports(sturmian_tuple_profile(schedule[-1]), delta(),
-                            s_grid, schedule)
+    with closed_forms_off():
+        got = zeta_reports(spec, delta(), s_grid, schedule)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeta, "_powers", lambda coeff: None)
+            want = zeta_reports(sturmian_tuple_profile(schedule[-1]),
+                                delta(), s_grid, schedule)
     assert got == want
 
 
@@ -259,8 +271,9 @@ def test_sturmian_constant_counts_equal_the_tuple_route(run):
     # 2 * 3^4095 * 4096^-s, the least first-point term of the three, passes
     # e^709 for every s of the grid
     ("harmonic", (4096, 8192, 16384), 0, math.inf),
-    # 2 * 3^1023 * e^(-1023 s) passes e^709 for s below about 0.41 only
-    ("exp", (1024, 2048), 3, 0.41)))
+    # 2 * 3^1023 * e^(-1023 s) passes e^709 for s below about 0.41 only;
+    # the three series are geometric sums, which take no log level by level
+    ("exp", (1024, 2048), 0, 0.41)))
 def test_series_overflowing_at_the_first_point_take_no_logs(
         logged, delta_name, schedule, series, overflow_below):
     s_grid = ORACLE_GRIDS["default"]
@@ -278,6 +291,27 @@ def test_scaled_powers_equal_by_parameters_without_reading(monkeypatch):
     assert ScaledPowers(2, 2, 300, 1)[:4] == (4, 8, 16, 32)
     monkeypatch.setattr(ScaledPowers, "__iter__", None)
     assert a == b and not a != b
+
+
+@pytest.mark.parametrize("spec, delta_name", (
+    (SturmianCF((), ("constant", 1)), "harmonic"), (FullShift(2), "exp")))
+def test_closed_form_runs_realize_no_delta_log(monkeypatch, spec,
+                                               delta_name):
+    # 57 s values at depth 2^16, each partial in closed form: no delta log
+    # is realized and no integer c k^n is made
+    monkeypatch.setattr(ScaledPowers, "__iter__", None)
+    delta = delta_from_name(delta_name)
+    N = 2 ** 16
+    zeta_partials(spec, delta, ORACLE_GRIDS["default"], (N // 4, N // 2, N))
+    assert delta._logs == [] and delta._values == []
+
+
+def test_full_binary_harmonic_takes_no_integer_log(logged, monkeypatch):
+    # the overflow cut and the coefficient logs of c k^n are ln c + n ln k
+    monkeypatch.setattr(ScaledPowers, "__iter__", None)
+    zeta_partials(FullShift(2), DeltaSequence.harmonic(),
+                  ORACLE_GRIDS["negative"], (256, 512, 1024))
+    assert logged == [(2, 2)]
 
 
 def test_full_binary_partial_value():
@@ -343,35 +377,6 @@ def test_overflow_reported_as_inf():
 # zeta_partials against the plain level-by-level sum
 
 
-def plain_partials(profile, delta, s_grid, schedule):
-    """Every term of every series at every s, added in level order: the
-    oracle for the cut-offs of zeta_partials."""
-    depth = schedule[-1]
-    log_delta = [delta.log(n) for n in range(depth)]
-    series = {"full": profile.edge_weight,
-              "low": tuple(2 * x for x in profile.g),
-              "pb": tuple(2 * x for x in profile.branching)}
-    out = {}
-    for variant, coeff in series.items():
-        log_coeff = [math.log(c) if c > 0 else None for c in coeff[:depth]]
-        rows = []
-        for s in s_grid:
-            partials = []
-            total = 0.0
-            pos = 0
-            for stop in schedule:
-                while pos < stop:
-                    lc = log_coeff[pos]
-                    if lc is not None:
-                        lt = lc + s * log_delta[pos]
-                        total += math.inf if lt > 709.0 else math.exp(lt)
-                    pos += 1
-                partials.append(total)
-            rows.append(tuple(partials))
-        out[variant] = tuple(rows)
-    return out
-
-
 ORACLE_SOURCES = {
     "full:1": (FullShift(1), 1024),
     "full:2": (FullShift(2), 1024),
@@ -405,24 +410,82 @@ def oracle_profile(name):
     return _profiles[name]
 
 
+@contextmanager
+def closed_forms_off():
+    """Every series summed level by level, as before the closed forms."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DeltaSequence, "closed_form", lambda self, N: None)
+        yield
+
+
+def row_mismatch(got, loop, exact):
+    """None if a row agrees with its oracle, else why not: a closed-form
+    row (exact not None) lies within 1e-14 of the fsum of its exact terms
+    and is inf exactly where the level-by-level sum is; any other row is
+    the level-by-level sum, by repr."""
+    if exact is None:
+        return None if repr(got) == repr(loop) else "loop"
+    for g, want, e in zip(got, loop, exact):
+        if math.isinf(g) != math.isinf(want):
+            return "inf"
+        if not math.isinf(g) and not abs(g - e) <= 1e-14 * e:
+            return "closed form %r, fsum %r" % (g, e)
+    return None
+
+
 def oracle_mismatches(profile, delta_name, s_grid, schedule):
+    """The variants whose rows miss their oracles (see row_mismatch)."""
     got = zeta_partials(profile, delta_from_name(delta_name), s_grid,
                         schedule).partials
+    loop = plain_partials(profile, delta_from_name(delta_name), s_grid,
+                          schedule)
+    exact = fsum_partials(profile, delta_name, s_grid, schedule)
+    closed = closed_form_rows(profile, delta_name, s_grid, schedule)
+    return [v for v in zeta.VARIANTS if any(
+        row_mismatch(g, want, e if is_closed else None) is not None
+        for g, want, e, is_closed in zip(
+            got[v], loop[v], exact[v] or repeat(None), closed[v]))]
+
+
+def loop_mismatches(profile, delta_name, s_grid, schedule):
+    """The variants whose rows, all summed level by level, are not the
+    plain sum by repr."""
+    with closed_forms_off():
+        got = zeta_partials(profile, delta_from_name(delta_name), s_grid,
+                            schedule).partials
     want = plain_partials(profile, delta_from_name(delta_name), s_grid,
                           schedule)
     return [v for v in zeta.VARIANTS if repr(got[v]) != repr(want[v])]
+
+
+def closed_form_rows(profile, delta_name, s_grid, schedule):
+    """For each variant, whether each s takes a closed form: finite s, a
+    series c k^n with c > 0, and a delta with a closed form, a power one
+    only for k = 1."""
+    form = delta_from_name(delta_name).closed_form(schedule[-1]) if not (
+        delta_name.startswith("table")) else None
+    out = {}
+    for variant, coeff in zeta_series(profile).items():
+        powers = zeta._powers(coeff[:schedule[-1]])
+        closed = (form is not None and powers is not None and powers[0] > 0
+                  and (form[0] == "ratio" or powers[1] == 1))
+        out[variant] = [closed and math.isfinite(s) for s in s_grid]
+    return out
 
 
 @pytest.mark.parametrize("delta_name",
                          ("exp", "harmonic", "geom:0.1", "powerlog:1.5,1"))
 @pytest.mark.parametrize("name", sorted(ORACLE_SOURCES))
 def test_partials_equal_plain_sum(name, delta_name):
+    # closed-form rows against the fsum of their exact terms, and with the
+    # closed forms off every row against the plain sum
     profile = oracle_profile(name)
     N = profile.depth
     schedule = (N // 8, N // 4, N // 2, N)
     for s_grid in ORACLE_GRIDS.values():
         assert oracle_mismatches(profile, delta_name, s_grid,
                                  schedule) == []
+        assert loop_mismatches(profile, delta_name, s_grid, schedule) == []
 
 
 @pytest.mark.parametrize("k, delta_name, schedule", (
@@ -441,6 +504,7 @@ def test_partials_equal_plain_sum_past_the_first_point(k, delta_name,
     for s_grid in ORACLE_GRIDS.values():
         assert oracle_mismatches(profile, delta_name, s_grid,
                                  schedule) == []
+        assert loop_mismatches(profile, delta_name, s_grid, schedule) == []
     if schedule[0] == 0:
         rows = zeta_partials(profile, delta_from_name(delta_name),
                              ORACLE_GRIDS["default"], schedule).partials
@@ -477,12 +541,45 @@ def test_a_term_log_just_past_709_makes_the_partial_inf():
 def test_partials_cut_on_a_schedule_point():
     # every Sturmian coefficient is 2, so with exponential delta the log of
     # term n is ln 2 - s n: it first falls below -746 at n = 374 for s = 2
-    # and at n = 747 for s = 1, both schedule points
+    # and at n = 747 for s = 1, both schedule points.  The level-by-level
+    # sum cuts there; the closed form sums every term
     profile = oracle_profile("fibonacci")
     for s, cut in ((2.0, 374), (1.0, 747)):
         assert math.log(2) - s * (cut - 1) >= -746.0 > math.log(2) - s * cut
+    assert loop_mismatches(profile, "exp", [1.0, 2.0],
+                           (374, 747, 1024)) == []
     assert oracle_mismatches(profile, "exp", [1.0, 2.0],
                              (374, 747, 1024)) == []
+
+
+def test_rising_power_sums_over_few_levels_take_every_term():
+    # 2 m^24 (powerlog:3,0 at s = -8): at 40 levels the Euler-Maclaurin
+    # remainder bound is about 8e-14 of the sum, so those partials add
+    # their terms; from 64 levels on the closed form holds
+    profile = oracle_profile("fibonacci")
+    schedule = (33, 40, 64, 100, 240, 1000)
+    assert oracle_mismatches(profile, "powerlog:3.0,0", [-8.0, -3.0, -1.5],
+                             schedule) == []
+    # terms and corrections near and past the float range: 2 m^51 at 1024
+    # levels is about e^354, 2 m^1000 passes e^709 from m = 3
+    assert oracle_mismatches(profile, "harmonic", [-1000.0, -180.0, -102.0,
+                                                   -51.0, -40.0],
+                             (1, 2, 3, 16, 17, 40, 50, 1024)) == []
+
+
+def test_a_count_past_e709_makes_every_partial_inf():
+    # the level-0 term of a closed-form series is its count c, delta_0 = 1;
+    # at s = 2000 the last term log, ln c - 2000 ln 2 or ln c - 2000, is
+    # below 709, so the cut is read at level 0 too
+    c = 10 ** 400
+    prof = LevelProfile(4, (1, 2, 3, 4, 5), (c,) * 4, (c,) * 4, (c,) * 4)
+    for name in ("exp", "harmonic"):
+        got = zeta_partials(prof, delta_from_name(name), [1.0, 2000.0],
+                            (2, 4)).partials
+        assert repr(got) == repr(plain_partials(
+            prof, delta_from_name(name), [1.0, 2000.0], (2, 4)))
+        assert all(x == math.inf for rows in got.values() for row in rows
+                   for x in row)
 
 
 def test_partials_subnormal_totals():
@@ -534,6 +631,68 @@ def test_partials_series_differing_at_one_level():
                         (2, 4)).partials
     want = plain_partials(prof, DeltaSequence.harmonic(), [1.0, 2.0], (2, 4))
     assert repr(got) == repr(want) and got["full"] != got["low"]
+
+
+@st.composite
+def closed_form_runs(draw):
+    """A source (full:k, a Sturmian spec, or a profile of constant count
+    tuples), a delta of every family by name and factory, a schedule up to
+    2^16 and an s grid with negative, zero, non-finite and 300-800 values."""
+    top = 2 ** draw(st.sampled_from(range(17)))
+    N = top - draw(st.integers(0, top // 2))
+    kind = draw(st.sampled_from(("full", "sturmian", "constant")))
+    if kind == "full":
+        source = level_profile(FullShift(draw(st.integers(1, 4))), N)
+    elif kind == "sturmian":
+        source = level_profile(SturmianCF(
+            (draw(st.integers(0, 3)), draw(st.integers(1, 4))),
+            draw(st.sampled_from((("linear",), ("constant", 2))))), N)
+    else:
+        g, e, b = (draw(st.integers(0, 5)) for _ in range(3))
+        source = LevelProfile(N, tuple(range(1, N + 2)), (g,) * N, (e,) * N,
+                              (b,) * N)
+    family = draw(st.sampled_from(
+        ("exp", "harmonic", "powerlog0", "powerlog", "geom", "table")))
+    if family == "powerlog0":
+        name = "powerlog:%r,0" % draw(st.floats(0.25, 3.0))
+    elif family == "powerlog":
+        name = "powerlog:%r,%r" % (draw(st.floats(0.25, 3.0)),
+                                   draw(st.floats(0.01, 2.0)))
+    elif family == "geom":
+        name = "geom:%r" % draw(st.floats(0.01, 0.99))
+    else:
+        name = family
+    if family == "table":
+        top = draw(st.floats(-3.0, 900.0))
+        step = draw(st.floats(0.01, 1.0)) * (top + 1000.0) / N
+        values = [2.0 ** (top - n * step) for n in range(N)]
+        delta = lambda: DeltaSequence.table(values)  # noqa: E731
+    else:
+        delta = lambda: delta_from_name(name)  # noqa: E731
+    inner = draw(st.lists(st.integers(1, N), max_size=3, unique=True))
+    schedule = tuple(sorted({draw(st.sampled_from((0, 1))), *inner, N}))
+    s_grid = draw(st.lists(st.one_of(S_VALUES, st.sampled_from((0.0, -0.0))),
+                           min_size=1, max_size=8))
+    return source, name, delta, s_grid, schedule
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(closed_form_runs())
+def test_closed_form_partials_equal_their_oracles(run):
+    # a closed-form row lies within 1e-14 of the fsum of its exact terms
+    # and is inf exactly where the plain sum is; any other row, and every
+    # row of a non-finite s, is the plain sum by repr
+    source, name, delta, s_grid, schedule = run
+    got = zeta_partials(source, delta(), s_grid, schedule).partials
+    loop = plain_partials(source, delta(), s_grid, schedule)
+    exact = fsum_partials(source, name, s_grid, schedule)
+    closed = closed_form_rows(source, name, s_grid, schedule)
+    for v in zeta.VARIANTS:
+        for s, g, want, e, is_closed in zip(s_grid, got[v], loop[v],
+                                            exact[v] or repeat(None),
+                                            closed[v]):
+            assert row_mismatch(g, want, e if is_closed else None) is None, (
+                v, s, row_mismatch(g, want, e if is_closed else None))
 
 
 def test_schedule_validation():
